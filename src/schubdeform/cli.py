@@ -56,7 +56,6 @@ class JobSpec:
     fmt: str = "md"
     cache_dir: str | None = None
     no_cache: bool = False
-    jobs: int = 1
     extra: dict = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -80,8 +79,6 @@ class JobSpec:
             bits.append(f"cache-dir={self.cache_dir}")
         if self.no_cache:
             bits.append("no-cache")
-        if self.jobs != 1:
-            bits.append(f"jobs={self.jobs}")
         return " ".join(bits)
 
     def as_dict(self) -> dict:
@@ -104,8 +101,6 @@ class JobSpec:
             out["cache_dir"] = self.cache_dir
         if self.no_cache:
             out["no_cache"] = True
-        if self.jobs != 1:
-            out["jobs"] = self.jobs
         return out
 
 
@@ -524,24 +519,57 @@ def cmd_eigencone(spec: JobSpec, args, out: TextIO) -> int:
     return EXIT_OK
 
 
+def _int_list(x, what: str, lo: int | None = None, hi: int | None = None) -> list[int]:
+    if not isinstance(x, list) or not all(type(v) is int for v in x):
+        raise ValueError(f"{what} must be a list of integers")
+    if lo is not None and not all(lo <= v <= hi for v in x):
+        raise ValueError(f"{what} has entries outside {lo}..{hi}")
+    return x
+
+
 def _load_system(path: str) -> InequalitySystem:
     doc = json.loads(Path(path).read_text())
-    try:
-        label = doc["system"]
-        s = int(doc["s"])
-        mode = doc["mode"]
-        raw = doc["inequalities"]
-    except KeyError as e:
-        raise ValueError(f"input file is missing field {e}")
+    if not isinstance(doc, dict):
+        raise ValueError("input file must hold a JSON object")
+    if doc.get("schema_version", JSON_SCHEMA_VERSION) != JSON_SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {doc['schema_version']!r}")
+    for key in ("system", "s", "mode", "inequalities"):
+        if key not in doc:
+            raise ValueError(f"input file is missing field {key!r}")
+    label, s, mode, raw = doc["system"], doc["s"], doc["mode"], doc["inequalities"]
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if not isinstance(label, str) or not label[1:].isdecimal():
+        raise ValueError(f"bad system label {label!r}")
+    if type(s) is not int or s < 2:
+        raise ValueError(f"bad number of factors {s!r}")
+    if not isinstance(raw, list):
+        raise ValueError("inequalities must be a list")
     rs = root_system(label[0], int(label[1:]))
+    n = rs.rank
     inequalities = []
-    for q in raw:
+    for k, q in enumerate(raw, 1):
+        where = f"inequality {k}"
+        if not isinstance(q, dict):
+            raise ValueError(f"{where} must be a JSON object")
+        for key in ("parabolic", "words", "functional"):
+            if key not in q:
+                raise ValueError(f"{where} is missing field {key!r}")
+        omitted = q["parabolic"]
+        if type(omitted) is not int or not 1 <= omitted <= n:
+            raise ValueError(f"{where} parabolic must be an integer in 1..{n}")
+        words, blocks = q["words"], q["functional"]
+        for name, val in (("words", words), ("functional", blocks)):
+            if not isinstance(val, list) or len(val) != s:
+                raise ValueError(f"{where} {name} must be a list of {s} entries")
+        functional = tuple(tuple(_int_list(b, f"{where} block")) for b in blocks)
+        if any(len(b) != n for b in functional):
+            raise ValueError(f"{where} has a block whose length is not the rank {n}")
         inequalities.append(Inequality(
-            omitted=int(q["parabolic"]) - 1,
-            words=tuple(tuple(i - 1 for i in w) for w in q["words"]),
-            functional=tuple(tuple(int(x) for x in b) for b in q["functional"]),
+            omitted=omitted - 1,
+            words=tuple(tuple(i - 1 for i in _int_list(w, f"{where} word", 1, n))
+                        for w in words),
+            functional=functional,
         ))
     return InequalitySystem(rs, s, mode, inequalities)
 
@@ -652,8 +680,6 @@ def _add_common(p: argparse.ArgumentParser, parab: bool = True,
     p.add_argument("--format", dest="fmt", choices=("md", "csv", "json"), default="md")
     p.add_argument("--cache-dir", help="directory for the structure-constant cache")
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; evaluation is serial")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -713,7 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("md", "csv", "json"), default="md")
     p.add_argument("--cache-dir")
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("horn-converse-experiment",
                        help="search for zero-product tuples passing the character checks")
@@ -745,9 +770,6 @@ def _spec_from_args(args) -> JobSpec:
             spec.extra[name.replace("_", "-")] = val
     spec.cache_dir = getattr(args, "cache_dir", None)
     spec.no_cache = getattr(args, "no_cache", False)
-    spec.jobs = getattr(args, "jobs", 1)
-    if spec.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     return spec
 
 

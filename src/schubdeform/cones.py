@@ -1,15 +1,22 @@
-"""Exact rational polyhedral helpers: cone membership and extreme rays.
+"""Exact polyhedral helpers: cone membership and extreme rays.
 
-Everything runs over the rationals, no floating point.  Cones appear in
-two forms: generated (membership is a phase-one simplex with Bland's
-rule, so it terminates) and cut out by homogeneous inequalities (minimal
-generators via incremental double description with the combinatorial
-adjacency test on tight-row sets).
+No floating point anywhere.  Cones appear in two forms: generated
+(membership is a fraction-free phase-one simplex with Bland's rule, so it
+terminates) and cut out by homogeneous inequalities (minimal generators
+via incremental double description with the combinatorial adjacency test
+on tight-row sets).
+
+The simplex keeps every tableau row, and the reduced-cost row, as a list
+of integers standing for a positive multiple of the rational row.  A pivot
+replaces row i by piv*T[i] - T[i][enter]*T[leave] divided by its gcd and
+leaves the pivot row as it is.  Positive row scaling keeps every sign and
+every per-row ratio, so Bland's choices and the verdict are those of the
+rational simplex on the same tableau.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -27,70 +34,80 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return total
 
 
+def _clear_denominators(v: Sequence) -> list[int]:
+    """The rational vector times the lcm of its denominators."""
+    if all(type(x) is int for x in v):
+        return list(v)
+    fr = [Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr]
+
+
 def primitive(v: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    fr = [Fraction(x) for x in v]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints = _clear_denominators(v)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no direction")
     return tuple(x // g for x in ints)
 
 
+def _eliminate(row: list[int], pivot_row: list[int], piv: int, f: int) -> list[int]:
+    """piv*row - f*pivot_row, divided by the gcd of its entries."""
+    out = [piv * a - f * b for a, b in zip(row, pivot_row)]
+    g = gcd(*out)
+    if g > 1:
+        out = [x // g for x in out]
+    return out
+
+
 def cone_contains(target: Sequence, generators: Sequence[Sequence]) -> bool:
     """Whether target lies in the nonnegative rational span of the generators."""
-    t = [Fraction(x) for x in target]
-    m = len(t)
-    cols = [_vec(g) for g in generators]
-    for g in cols:
+    m = len(target)
+    n = len(generators)
+    for g in generators:
         if len(g) != m:
             raise ValueError("generator dimension mismatch")
-    n = len(cols)
-    sign = [1 if t[i] >= 0 else -1 for i in range(m)]
-    # tableau rows: [generator columns | artificial identity | rhs]
+    # tableau rows: [generator columns | artificial identity | rhs], one per
+    # coordinate, scaled to integers and signed so that the rhs is >= 0
     T = []
     for i in range(m):
-        row = [sign[i] * cols[j][i] for j in range(n)]
-        row += [Fraction(int(i == k)) for k in range(m)]
-        row.append(sign[i] * t[i])
+        row = _clear_denominators([g[i] for g in generators] + [target[i]])
+        if row[-1] < 0:
+            row = [-x for x in row]
+        row[n:n] = [int(i == k) for k in range(m)]
         T.append(row)
     basis = list(range(n, n + m))
     width = n + m
     # phase-one reduced costs: unit cost on the artificials
-    red = [Fraction(0)] * (width + 1)
-    for j in range(width):
-        colsum = sum(T[i][j] for i in range(m))
-        red[j] = (Fraction(1) if j >= n else Fraction(0)) - colsum
-    red[width] = -sum(T[i][width] for i in range(m))
+    red = [-sum(row[j] for row in T) for j in range(width + 1)]
+    for j in range(n, width):
+        red[j] += 1
     while True:
         enter = next((j for j in range(width) if red[j] < 0), None)
         if enter is None:
             break
+        # ratio test rhs/T[i][enter] by cross-multiplication (denominators > 0)
         leave = None
-        best = None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][width] / T[i][enter]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i, row in enumerate(T):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = row[width] * T[leave][enter]
+                rhs = T[leave][width] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-one objective unbounded below")
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [a - f * b for a, b in zip(T[i], T[leave])]
+        pivot_row = T[leave]
+        piv = pivot_row[enter]
+        for i, row in enumerate(T):
+            if i != leave and row[enter]:
+                T[i] = _eliminate(row, pivot_row, piv, row[enter])
         if red[enter]:
-            f = red[enter]
-            red = [a - f * b for a, b in zip(red, T[leave])]
+            red = _eliminate(red, pivot_row, piv, red[enter])
         basis[leave] = enter
     return red[width] == 0
 

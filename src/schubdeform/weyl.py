@@ -81,15 +81,19 @@ class WeylElement:
         return f"W[{word}]"
 
 
+def _check_cap(rs: RootSystem, order: int, cap: int) -> None:
+    if order > cap:
+        raise BudgetError(
+            f"Weyl group of {rs.label} has order {order}, exceeding the cap {cap}"
+        )
+
+
 class WeylGroup:
     """Fully enumerated Weyl group of a root system."""
 
     def __init__(self, rs: RootSystem, cap: int = DEFAULT_CAP):
         order = rs.weyl_order()
-        if order > cap:
-            raise BudgetError(
-                f"Weyl group of {rs.label} has order {order}, exceeding the cap {cap}"
-            )
+        _check_cap(rs, order, cap)
         self.rs = rs
         self.order = order
         self.elements: list[WeylElement] = []
@@ -297,11 +301,16 @@ _PARABOLICS: dict[tuple[int, tuple[int, ...]], Parabolic] = {}
 
 
 def weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
-    """Enumerate (and memoize) the Weyl group of a root system."""
+    """Enumerate (and memoize) the Weyl group of a root system.
+
+    The cap applies to every call, including those answered from the memo.
+    """
     key = id(rs)
     if key not in _GROUPS:
         _GROUPS[key] = WeylGroup(rs, cap=cap)
-    return _GROUPS[key]
+    group = _GROUPS[key]
+    _check_cap(rs, group.order, cap)
+    return group
 
 
 def parabolic(group: WeylGroup, levi: Iterable[int]) -> Parabolic:

@@ -66,6 +66,7 @@ def test_argparse_rejections():
     for argv in (["roots", "--type", "Z", "--rank", "2"],
                  ["roots", "--type", "A"],
                  ["roots", "--type", "A", "--rank", "2", "--format", "xml"],
+                 ["roots", "--type", "A", "--rank", "1", "--jobs", "0"],
                  ["no-such-command"]):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
@@ -80,7 +81,6 @@ def test_invalid_input_exit_2(capsys):
         ["product", "--type", "A", "--rank", "2", "--levi", "1",
          "--words", "1;2"],
         ["weyl", "--type", "A", "--rank", "2", "--levi", "5"],
-        ["roots", "--type", "A", "--rank", "1", "--jobs", "0"],
         ["lmovable", "--type", "B", "--rank", "2", "--words", "1;2"],
     ]
     for argv in bad:
@@ -182,6 +182,35 @@ def test_eigencone_redundancy_roundtrip(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["redundant_ids"] == []
     assert doc["count"] == 12 and doc["essential_count"] == 12
+
+
+def test_redundancy_malformed_input_exit_2(tmp_path, capsys):
+    good = {"system": "A2", "s": 3, "mode": "classical", "inequalities": [
+        {"parabolic": 1, "words": [[], [1], [2, 1]],
+         "functional": [[1, 0], [-1, 1], [0, -1]]}]}
+    bad = {
+        "no_parabolic": dict(good, inequalities=[
+            {"words": [[], [1], [2, 1]], "functional": [[1, 0], [-1, 1], [0, -1]]}]),
+        "top_level_array": [good],
+        "short_block": dict(good, inequalities=[
+            {"parabolic": 1, "words": [[], [1], [2, 1]],
+             "functional": [[1, 0], [-1], [0, -1]]}]),
+        "string_entry": dict(good, inequalities=[
+            {"parabolic": 1, "words": [[], [1], [2, 1]],
+             "functional": [[1, 0], [-1, "1"], [0, -1]]}]),
+        "bad_label": dict(good, system=3),
+        "future_schema": dict(good, schema_version=2),
+    }
+    for name, doc in bad.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "redundancy", "--input", str(path))
+        assert code == 2, name
+        assert err.startswith("error:") and "Traceback" not in err, name
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(good))
+    code, _, _ = run(capsys, "redundancy", "--input", str(path))
+    assert code == 0
 
 
 def test_eigencone_prune_flag(capsys):

@@ -1,5 +1,6 @@
 """Exact rational cone membership and extreme rays."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,3 +78,39 @@ def test_extreme_rays_reproduce_by_membership():
         assert all(sum(a * b for a, b in zip(row, r)) <= 0 for row in rows)
     assert cone_contains((1, 1), rays)
     assert not cone_contains((1, -1), rays)
+
+
+def _polar_oracle(target, gens, dim):
+    """Membership by duality: target is in cone(G) iff it pairs <= 0 with the
+    extreme rays of the polar {x : g.x <= 0} and to 0 with its lineality."""
+    lin, rays = extreme_rays(gens, dim=dim)
+
+    def pair(v):
+        return sum(Fraction(a) * b for a, b in zip(target, v))
+    return all(pair(r) <= 0 for r in rays) and all(pair(l) == 0 for l in lin)
+
+
+def test_cone_contains_matches_polar_duality():
+    rng = random.Random(20060101)
+    hits = 0
+    for case in range(200):
+        dim = rng.randint(2, 4)
+        rational = case % 3 == 0
+        entry = ((lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                 if rational else (lambda: rng.randint(-3, 3)))
+        gens = [tuple(entry() for _ in range(dim))
+                for _ in range(rng.randint(0, 6))]
+        if gens and case % 2:
+            # a nonnegative combination, then perhaps nudged off the cone
+            coeffs = [rng.randint(0, 2) for _ in gens]
+            target = [sum(c * g[i] for c, g in zip(coeffs, gens))
+                      for i in range(dim)]
+            if case % 4 == 1:
+                target[rng.randrange(dim)] -= 1
+        else:
+            target = [entry() for _ in range(dim)]
+        expected = _polar_oracle(target, gens, dim)
+        assert cone_contains(target, gens) == expected, (target, gens)
+        hits += expected
+    # both verdicts occur often enough for the comparison to mean something
+    assert 40 <= hits <= 160

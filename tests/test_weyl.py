@@ -22,6 +22,11 @@ def test_budget_cap():
     weyl_group(root_system("A", 2), cap=6)
     with pytest.raises(BudgetError):
         weyl_group(root_system("F", 4), cap=100)
+    # the cap holds when the group is already memoized
+    a3 = weyl_group(root_system("A", 3))
+    with pytest.raises(BudgetError):
+        weyl_group(root_system("A", 3), cap=10)
+    assert weyl_group(root_system("A", 3), cap=24) is a3
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
