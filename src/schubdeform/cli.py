@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from .deform import DeformedClass, DeformedRing, DimensionError, deformed_ring
+from .deform import deformed_ring
 from .eigencone import MODES, Inequality, InequalitySystem, generate_system, prune_redundant
 from .golden import GOLDEN_NAMES, GoldenTable, verify_table
 from .horn import HornReport, check_character, check_dimension, check_refined, converse_search
@@ -57,6 +57,8 @@ class JobSpec:
     cache_dir: str | None = None
     no_cache: bool = False
     extra: dict = field(default_factory=dict)
+    # bases this run pointed at its cache directory; saved when the run ends
+    bases: list[SchubertBasis] = field(default_factory=list, repr=False, compare=False)
 
     def summary(self) -> str:
         bits = [f"command={self.command}"]
@@ -208,20 +210,14 @@ def word_str(word: Sequence[int]) -> str:
     return ",".join(str(i + 1) for i in word) or "e"
 
 
-_touched_bases: list[SchubertBasis] = []
-
-
 def _basis_for(spec: JobSpec, group: WeylGroup) -> SchubertBasis:
-    cache = Path(spec.cache_dir) if spec.cache_dir else default_cache_dir(spec.no_cache)
-    basis = schubert_basis(group, cache_dir=cache)
-    if basis not in _touched_bases:
-        _touched_bases.append(basis)
+    """The group's basis, pointed at this run's cache directory (or at none)."""
+    basis = schubert_basis(group)
+    basis.use_cache_dir(Path(spec.cache_dir) if spec.cache_dir
+                        else default_cache_dir(spec.no_cache))
+    if basis not in spec.bases:
+        spec.bases.append(basis)
     return basis
-
-
-def _flush_caches() -> None:
-    while _touched_bases:
-        _touched_bases.pop().save_cache()
 
 
 def _group_for(spec: JobSpec) -> WeylGroup:
@@ -255,21 +251,6 @@ def _elements(parab: Parabolic, words: Sequence[Sequence[int]]) -> list[WeylElem
                 f" (its coset is represented by {word_str(rep.word)})")
         out.append(w)
     return out
-
-
-def render_class(c: DeformedClass) -> str:
-    """Human-readable expansion, classes in codimension order."""
-    ring = c.ring
-    order = {pos: k for k, pos in enumerate(ring.table_order())}
-    bits = []
-    for pos in sorted(c.coeffs, key=order.__getitem__):
-        for exps, coeff in sorted(c.coeffs[pos].items()):
-            mono = "".join(f"t{ring.omitted[k] + 1}" + (f"^{e}" if e > 1 else "")
-                           for k, e in enumerate(exps) if e)
-            head = "" if coeff == 1 else f"{coeff}*"
-            body = (mono + "*" if mono else "") + ring.labels[pos]
-            bits.append(head + body)
-    return " + ".join(bits) if bits else "0"
 
 
 # -- subcommands ----------------------------------------------------------
@@ -354,9 +335,8 @@ def cmd_product(spec: JobSpec, words_arg: str, out: TextIO) -> int:
     for pos in sorted(acc.coeffs, key=order.__getitem__):
         w = ring.reps[pos]
         for exps, coeff in sorted(acc.coeffs[pos].items()):
-            mono = "".join(f"t{ring.omitted[k] + 1}" + (f"^{e}" if e > 1 else "")
-                           for k, e in enumerate(exps) if e) or "1"
-            rows.append([ring.labels[pos], word_str(w.word), parab.codim(w), mono, coeff])
+            rows.append([ring.labels[pos], word_str(w.word), parab.codim(w),
+                         ring.monomial(exps) or "1", coeff])
             expansion.append({
                 "label": ring.labels[pos],
                 "word": [i + 1 for i in w.word],
@@ -364,7 +344,7 @@ def cmd_product(spec: JobSpec, words_arg: str, out: TextIO) -> int:
                 "exponents": list(exps),
                 "coefficient": coeff,
             })
-    rendered = render_class(acc)
+    rendered = repr(acc)
     factors = " * ".join(ring.labels[ring.position(w)] for w in ws)
     summary = Table("product", ["expression", "value"], [[factors, rendered]])
     terms = Table("terms", ["label", "word", "codim", "monomial", "coefficient"], rows)
@@ -392,7 +372,7 @@ def cmd_deform_table(spec: JobSpec, out: TextIO) -> int:
     for pu in order:
         row = [ring.labels[pu]]
         for pv in order:
-            val = render_class(ring.deformed_product(ring.reps[pu], ring.reps[pv]))
+            val = repr(ring.deformed_product(ring.reps[pu], ring.reps[pv]))
             row.append(val)
             if pu <= pv:
                 entries.append({"left": ring.labels[pu], "right": ring.labels[pv],
@@ -801,8 +781,10 @@ def _dispatch(spec: JobSpec, args, out: TextIO) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    bases: list[SchubertBasis] = []
     try:
         spec = _spec_from_args(args)
+        spec.bases = bases
         code = _dispatch(spec, args, sys.stdout)
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -814,7 +796,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        _flush_caches()
+        for basis in bases:
+            basis.save_cache()
     return code
 
 

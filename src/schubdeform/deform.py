@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .rootsystem import Weight
-from .schubert import SchubertBasis, schubert_basis
+from .schubert import schubert_basis
 from .weyl import Parabolic, WeylElement
 
 ExpVec = tuple[int, ...]
@@ -99,50 +99,46 @@ class DeformedClass:
         return self.specialize((0,) * len(self.ring.omitted))
 
     def __repr__(self):
+        """Expansion with the classes in codimension order, e.g. `2*t2*c6 + c7`."""
         ring = self.ring
+        order = {pos: k for k, pos in enumerate(ring.table_order())}
         bits = []
-        for pos in sorted(self.coeffs):
-            label = ring.labels[pos]
-            for exps, c in sorted(self.coeffs[pos].items()):
-                mono = "".join(
-                    f"t{ring.omitted[k] + 1}" + (f"^{e}" if e > 1 else "")
-                    for k, e in enumerate(exps) if e
-                )
-                bits.append(f"{c}{mono}*[{label}]")
+        for pos in sorted(self.coeffs, key=order.__getitem__):
+            for exps, coeff in sorted(self.coeffs[pos].items()):
+                mono = ring.monomial(exps)
+                head = "" if coeff == 1 else f"{coeff}*"
+                bits.append(head + (mono + "*" if mono else "") + ring.labels[pos])
         return " + ".join(bits) if bits else "0"
 
 
 class DeformedRing:
     """Deformed cohomology ring of one G/P, over the classical constants."""
 
-    def __init__(self, parab: Parabolic, basis: SchubertBasis | None = None):
+    def __init__(self, parab: Parabolic):
         self.parabolic = parab
         self.group = parab.group
         self.rs = parab.rs
-        self.basis = basis if basis is not None else schubert_basis(parab.group)
+        self.basis = schubert_basis(parab.group)
         self.omitted = parab.omitted
         self.reps = parab.reps
         self._chi: list[tuple[int, ...]] = [self._chi_coords(w) for w in self.reps]
         self._classical: dict[tuple[int, int], dict[int, int]] = {}
+        self._levi_blocks: dict[int, list] = {}  # by number of factors, from horn.levi_blocks
         self.labels = self._make_labels()
 
     # -- characters ------------------------------------------------------
 
     def _chi_coords(self, w: WeylElement) -> tuple[int, ...]:
         rs = self.rs
-        keep = self.parabolic.nilradical_roots - self.group.inversion_set(w)
-        acc = [0] * rs.rank
-        for k in keep:
-            for j, c in enumerate(rs.positive_roots[k]):
-                acc[j] += c
+        acc = rs.root_sum(self.parabolic.nilradical_roots - self.group.inversion_set(w))
         # cross-check against rho - 2 rho_L + w^{-1} rho
         rho = rs.rho().coords
         rho_l = rs.rho(self.parabolic.levi).coords
         wr = self.group.inverse(w).act_root(rho)
         alt = tuple(r - 2 * l + x for r, l, x in zip(rho, rho_l, wr))
-        if tuple(acc) != alt:
-            raise AssertionError(f"character formulas disagree at {w}: {acc} vs {alt}")
-        return tuple(acc)
+        if acc != alt:
+            raise AssertionError(f"character formulas disagree at {w}: {list(acc)} vs {alt}")
+        return acc
 
     def chi(self, w: WeylElement) -> Weight:
         """Character chi_w as a weight in root coordinates."""
@@ -150,9 +146,6 @@ class DeformedRing:
 
     def position(self, w: WeylElement) -> int:
         return self.parabolic.rep_position[w.index]
-
-    def rep(self, pos: int) -> WeylElement:
-        return self.reps[pos]
 
     # -- products --------------------------------------------------------
 
@@ -231,20 +224,32 @@ class DeformedRing:
 
     # -- multi-factor coefficients and movability ------------------------
 
+    def fold_step(self, acc: dict[int, int], w: WeylElement) -> dict[int, int]:
+        """The product acc * [w] of a classical expansion {rep position: coeff} and a class."""
+        out: dict[int, int] = {}
+        for pos, c in acc.items():
+            for pos2, c2 in self.classical_product(self.reps[pos], w).items():
+                out[pos2] = out.get(pos2, 0) + c * c2
+        return out
+
+    def fold(self, ws: Sequence[WeylElement]) -> dict[int, int]:
+        """Classical product of the classes of ws, as {rep position: coeff}.
+
+        Starts from the first factor (the unit when ws is empty) and stops
+        as soon as the product is zero.
+        """
+        if not ws:
+            return {self.position(self.unit()): 1}
+        acc = {self.position(ws[0]): 1}
+        for w in ws[1:]:
+            if not acc:
+                break
+            acc = self.fold_step(acc, w)
+        return acc
+
     def point_coefficient(self, ws: Sequence[WeylElement]) -> int:
         """Classical coefficient of the point class in the product of the [ws]."""
-        if len(ws) == 1:
-            return 1 if ws[0] is self.group.identity else 0
-        cur = {self.position(ws[0]): 1}
-        for w in ws[1:-1]:
-            nxt: dict[int, int] = {}
-            for pos, c in cur.items():
-                for pos2, c2 in self.classical_product(self.reps[pos], w).items():
-                    nxt[pos2] = nxt.get(pos2, 0) + c * c2
-            cur = nxt
-        last = ws[-1]
-        dual = self.parabolic.iota(last)
-        return cur.get(self.position(dual), 0)
+        return self.fold(ws[:-1]).get(self.position(self.parabolic.iota(ws[-1])), 0)
 
     def is_levi_movable(self, ws: Sequence[WeylElement]) -> MovabilityCertificate:
         """Movability test for a tuple with codimensions summing to dim(G/P).
@@ -301,11 +306,14 @@ class DeformedRing:
 
     # -- presentation ----------------------------------------------------
 
+    def monomial(self, exps: ExpVec) -> str:
+        """Monomial of an exponent vector, such as `t1t3^2`; "" for the constant 1."""
+        return "".join(f"t{self.omitted[k] + 1}" + (f"^{e}" if e > 1 else "")
+                       for k, e in enumerate(exps) if e)
+
     def _make_labels(self) -> list[str]:
-        order = sorted(range(len(self.reps)),
-                       key=lambda pos: (self.parabolic.codim(self.reps[pos]), pos))
         by_codim: dict[int, list[int]] = {}
-        for pos in order:
+        for pos in self.table_order():
             by_codim.setdefault(self.parabolic.codim(self.reps[pos]), []).append(pos)
         labels = [""] * len(self.reps)
         for codim, group in by_codim.items():
@@ -326,12 +334,8 @@ class DeformedRing:
         return self.rs.highest_root()[self.omitted[0]] == 1
 
 
-_RINGS: dict[tuple[int, tuple[int, ...]], DeformedRing] = {}
-
-
 def deformed_ring(parab: Parabolic) -> DeformedRing:
-    """Memoized DeformedRing for a parabolic."""
-    key = (id(parab.group), parab.levi)
-    if key not in _RINGS:
-        _RINGS[key] = DeformedRing(parab)
-    return _RINGS[key]
+    """The DeformedRing of a parabolic, built once and kept on `parab`."""
+    if parab._ring is None:
+        parab._ring = DeformedRing(parab)
+    return parab._ring

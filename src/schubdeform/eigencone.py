@@ -100,15 +100,12 @@ class Verdict:
     violations: list[tuple[Inequality, Fraction]]
 
 
-def enumerate_tuples(ring: DeformedRing, s: int, mode: str,
-                     coefficient_one: bool = True) -> list[tuple[WeylElement, ...]]:
+def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylElement, ...]]:
     """Generating tuples: balanced codimensions, product equal to the point.
 
     In deformed mode the point coefficient of the degenerate product must
     be one, which filters the classical tuples down to the Levi-movable
-    ones.  With coefficient_one false, any nonzero coefficient is
-    accepted (for experiments; the resulting system can be strictly
-    stronger than membership).
+    ones.
     """
     if len(ring.omitted) != 1:
         raise ValueError("inequalities come from maximal parabolics only")
@@ -120,8 +117,7 @@ def enumerate_tuples(ring: DeformedRing, s: int, mode: str,
     chi_e = ring.chi(ring.group.identity).coords
     out = []
     for ws in dimension_tuples(ring.parabolic, s):
-        d = ring.point_coefficient(ws)
-        if not (d == 1 if coefficient_one else d != 0):
+        if ring.point_coefficient(ws) != 1:
             continue
         if mode == "deformed":
             gap = sum(ring.chi(w).coords[i0] for w in ws) - chi_e[i0]

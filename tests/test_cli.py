@@ -2,13 +2,12 @@
 
 import json
 import re
+import time
 
 import pytest
 
 from schubdeform import CACHE_ENV_VAR, GoldenResult, HornCheck
 from schubdeform import cli
-from schubdeform import deform as deform_mod
-from schubdeform import schubert as schubert_mod
 from schubdeform.horn import HornReport
 
 
@@ -18,15 +17,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def reset_memos(monkeypatch):
-    """Fresh basis and ring memos so cache directives take effect."""
-    monkeypatch.setattr(schubert_mod, "_BASES", {})
-    monkeypatch.setattr(deform_mod, "_RINGS", {})
-
-
-def clear_memos():
-    schubert_mod._BASES.clear()
-    deform_mod._RINGS.clear()
+def file_state(path):
+    """Bytes, inode and mtime: a rewrite with equal bytes still changes the last two."""
+    st = path.stat()
+    return path.read_bytes(), st.st_ino, st.st_mtime_ns
 
 
 def test_roots_markdown_deterministic(capsys):
@@ -96,6 +90,20 @@ def test_budget_exceeded_exit_3(capsys):
     code, _, err = run(capsys, "weyl", "--type", "E", "--rank", "8")
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_root_system_budget_exit_3_fast(tmp_path, capsys):
+    path = tmp_path / "a200.json"
+    path.write_text(json.dumps({"system": "A200", "s": 3, "mode": "classical",
+                                "inequalities": []}))
+    for argv in (["roots", "--type", "A", "--rank", "200"],
+                 ["roots", "--type", "A", "--rank", "1000000000"],
+                 ["redundancy", "--input", str(path)]):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 3, argv
+        assert err.startswith("error:") and "positive roots" in err, argv
 
 
 def test_verify_golden_single_table(capsys):
@@ -231,21 +239,52 @@ def test_redundancy_fresh_generation_matches(capsys):
     assert code == 2
 
 
-def test_cache_dir_cold_and_warm_identical(tmp_path, capsys, monkeypatch):
-    reset_memos(monkeypatch)
+def test_cache_dir_cold_and_warm_identical(tmp_path, capsys):
     cache = tmp_path / "cache"
     argv = ("product", "--type", "A", "--rank", "2", "--words", "1,2;2",
             "--cache-dir", str(cache), "--format", "json")
     cold = run(capsys, *argv)
     assert cold[0] == 0
     assert (cache / "constants-A2.json").is_file()
-    clear_memos()  # force a reload from disk
     warm = run(capsys, *argv)
     assert warm == cold
 
 
+def test_cache_dir_after_no_cache_run_is_written(tmp_path, capsys):
+    argv = ("product", "--type", "A", "--rank", "2", "--words", "2;1,2")
+    assert run(capsys, *argv, "--no-cache")[0] == 0
+    cache = tmp_path / "cache"
+    assert run(capsys, *argv, "--cache-dir", str(cache))[0] == 0
+    assert json.loads((cache / "constants-A2.json").read_text())["entries"]
+
+
+def test_no_cache_run_after_env_cache_run_writes_nothing(tmp_path, capsys, monkeypatch):
+    first = tmp_path / "first"
+    monkeypatch.setenv(CACHE_ENV_VAR, str(first))
+    assert run(capsys, "product", "--type", "A", "--rank", "2", "--words", "1;2")[0] == 0
+    written = file_state(first / "constants-A2.json")
+    fresh = tmp_path / "fresh"
+    monkeypatch.setenv(CACHE_ENV_VAR, str(fresh))
+    assert run(capsys, "product", "--type", "A", "--rank", "2", "--words", "1;1,2",
+               "--no-cache")[0] == 0
+    assert not fresh.exists()
+    assert file_state(first / "constants-A2.json") == written
+
+
+def test_warm_run_leaves_cache_file_alone(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ("product", "--type", "A", "--rank", "2", "--words", "2,1;1")
+    assert run(capsys, *argv, "--cache-dir", str(cache))[0] == 0
+    written = file_state(cache / "constants-A2.json")
+    assert run(capsys, *argv, "--cache-dir", str(cache))[0] == 0
+    assert file_state(cache / "constants-A2.json") == written
+    # leaving the directory and coming back reads the file again
+    assert run(capsys, *argv, "--no-cache")[0] == 0
+    assert run(capsys, *argv, "--cache-dir", str(cache))[0] == 0
+    assert file_state(cache / "constants-A2.json") == written
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    reset_memos(monkeypatch)
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
     code, _, _ = run(capsys, "product", "--type", "B", "--rank", "2",
                      "--words", "1,2,1;2,1,2")
@@ -254,7 +293,6 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 
 
 def test_no_cache_flag_disables_env(tmp_path, capsys, monkeypatch):
-    reset_memos(monkeypatch)
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
     code, _, _ = run(capsys, "product", "--type", "B", "--rank", "2",
                      "--words", "1,2,1;2,1,2", "--no-cache")
