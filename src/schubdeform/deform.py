@@ -15,7 +15,7 @@ the Levi-movable ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .rootsystem import Weight
 from .schubert import schubert_basis
@@ -251,27 +251,32 @@ class DeformedRing:
         """Classical coefficient of the point class in the product of the [ws]."""
         return self.fold(ws[:-1]).get(self.position(self.parabolic.iota(ws[-1])), 0)
 
+    def check_tuple(self, ws: Sequence[WeylElement]) -> None:
+        """Raise ValueError unless every entry is a minimal representative of this ring's W^P."""
+        for w in ws:
+            if not isinstance(w, WeylElement) or w.group is not self.group:
+                raise ValueError("tuple entries must belong to the same Weyl group")
+            if not self.parabolic.contains(w):
+                raise ValueError(f"{w} is not a minimal coset representative")
+
     def is_levi_movable(self, ws: Sequence[WeylElement]) -> MovabilityCertificate:
         """Movability test for a tuple with codimensions summing to dim(G/P).
 
-        Raises DimensionError when the codimension condition fails; otherwise
-        the certificate records the classical point-class coefficient and the
+        Raises ValueError for entries outside this ring's W^P and
+        DimensionError when the codimension condition fails; otherwise the
+        certificate records the classical point-class coefficient and the
         per-coweight character gaps, and `.movable` is the verdict.
         """
+        self.check_tuple(ws)
         p = self.parabolic
-        for w in ws:
-            if not p.contains(w):
-                raise ValueError(f"{w} is not a minimal coset representative")
         total = sum(p.codim(w) for w in ws)
         if total != p.dim:
             raise DimensionError(
                 f"codimensions sum to {total}, expected dim G/P = {p.dim}")
-        d = self.point_coefficient(ws)
         chi_e = self._chi[self.position(self.group.identity)]
-        gaps = {}
-        for i in self.omitted:
-            gaps[i] = sum(self._chi[self.position(w)][i] for w in ws) - chi_e[i]
-        return MovabilityCertificate(coefficient=d, character_gap=gaps)
+        gaps = {i: sum(self._chi[self.position(w)][i] for w in ws) - chi_e[i]
+                for i in self.omitted}
+        return MovabilityCertificate(self.point_coefficient(ws), gaps)
 
     # -- tangent combinatorics -------------------------------------------
 

@@ -103,9 +103,8 @@ class Verdict:
 def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylElement, ...]]:
     """Generating tuples: balanced codimensions, product equal to the point.
 
-    In deformed mode the point coefficient of the degenerate product must
-    be one, which filters the classical tuples down to the Levi-movable
-    ones.
+    In deformed mode the tuple must also be Levi-movable, so that the point
+    coefficient of the degenerate product is one.
     """
     if len(ring.omitted) != 1:
         raise ValueError("inequalities come from maximal parabolics only")
@@ -113,35 +112,27 @@ def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylEl
         raise ValueError("need at least two factors")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    i0 = ring.omitted[0]
-    chi_e = ring.chi(ring.group.identity).coords
     out = []
     for ws in dimension_tuples(ring.parabolic, s):
-        if ring.point_coefficient(ws) != 1:
-            continue
-        if mode == "deformed":
-            gap = sum(ring.chi(w).coords[i0] for w in ws) - chi_e[i0]
-            if gap != 0:
-                continue
-        out.append(ws)
+        cert = ring.is_levi_movable(ws)
+        if cert.coefficient == 1 and (mode == "classical" or cert.movable):
+            out.append(ws)
     return out
 
 
 def tuple_inequality(ring: DeformedRing, ws: Sequence[WeylElement]) -> Inequality:
-    """The inequality generated by one tuple on one maximal parabolic."""
-    rs = ring.rs
+    """The inequality generated by one tuple on one maximal parabolic.
+
+    Entry k of block j is <w_j omega, alpha_k^vee>, the i0-th coroot
+    coordinate of w_j^{-1} alpha_k^vee.
+    """
+    group, n = ring.group, ring.rs.rank
     i0 = ring.omitted[0]
-    omega = rs.fundamental_weight(i0)
+    coroots = [tuple(int(k == j) for j in range(n)) for k in range(n)]
     blocks = []
     for w in ws:
-        img = w.act_weight(omega)
-        ints = []
-        for x in rs.to_fweight(img.coords):
-            fx = Fraction(x)
-            if fx.denominator != 1:
-                raise AssertionError("weight left the weight lattice")
-            ints.append(int(fx))
-        blocks.append(tuple(ints))
+        inv = group.inverse(w)
+        blocks.append(tuple(inv.act_coweight_coords(a)[i0] for a in coroots))
     return Inequality(i0, tuple(w.word for w in ws), tuple(blocks))
 
 

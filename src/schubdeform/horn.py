@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .deform import DeformedRing, DimensionError, deformed_ring
+from .deform import DeformedRing, MovabilityCertificate, deformed_ring
 from .weyl import Parabolic, WeylElement, parabolic, weyl_group
 
 _REL = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
@@ -41,11 +41,6 @@ class CentralChar:
 
     omitted: tuple[int, ...]
     signature: tuple[int, ...]
-
-    def __str__(self):
-        inner = ",".join(
-            f"n{i + 1}={c}" for i, c in zip(self.omitted, self.signature))
-        return f"({inner})"
 
 
 @dataclass
@@ -217,7 +212,8 @@ class LeviBlock:
 
     `coweight_index` is the ambient simple index p omitted from the
     quotient; `reps` are the minimal representatives of the quotient;
-    `evals[k][i]` is alpha_i(u_k x_p) for the lifted representative u_k;
+    `evals[k][i]` is alpha_i(u_k x_p) for the lifted representative u_k,
+    i.e. the alpha_p-coefficient of u_k^{-1} alpha_i;
     `tuples` are the index tuples with nonzero product on the quotient.
     """
 
@@ -250,44 +246,24 @@ def levi_blocks(ring: DeformedRing, s: int) -> list[LeviBlock]:
     if hit is not None:
         return hit
     parab = ring.parabolic
-    rs = ring.rs
+    group = ring.group
     blocks: list[LeviBlock] = []
     if parab.levi:
         ctx = levi_context(parab)
         for p in parab.levi:
             sub_parab = ctx.quotient(tuple(i for i in parab.levi if i != p))
-            sub_ring = deformed_ring(sub_parab)
-            x_p = rs.fundamental_coweight(p)
-            evals = []
-            for u in sub_parab.reps:
-                h = ctx.lift(u).act_coweight(x_p)
-                vec = []
-                for i in range(rs.rank):
-                    e_i = tuple(int(i == j) for j in range(rs.rank))
-                    val = rs.eval_coweight(e_i, h.coords)
-                    if val.denominator != 1:
-                        raise AssertionError(f"non-integral pairing {val}")
-                    vec.append(int(val))
-                evals.append(tuple(vec))
             blocks.append(LeviBlock(
                 coweight_index=p,
                 reps=list(sub_parab.reps),
-                evals=evals,
-                tuples=_nonzero_tuples(sub_ring, s),
+                evals=[tuple(col[p] for col in group.inverse(ctx.lift(u)).cols)
+                       for u in sub_parab.reps],
+                tuples=_nonzero_tuples(deformed_ring(sub_parab), s),
             ))
     ring._levi_blocks[s] = blocks
     return blocks
 
 
 # -- character inequalities ----------------------------------------------
-
-
-def _validate_tuple(parab: Parabolic, ws: Sequence[WeylElement]):
-    for w in ws:
-        if not isinstance(w, WeylElement) or w.group is not parab.group:
-            raise ValueError("tuple entries must belong to the same Weyl group")
-        if not parab.contains(w):
-            raise ValueError(f"{w} is not a minimal coset representative")
 
 
 def _report_shell(ring: DeformedRing, ws: Sequence[WeylElement]) -> dict:
@@ -314,37 +290,31 @@ def _levi_checks(kind: str, chi: Sequence[Sequence[int]], chi_e: Sequence[int],
 
 
 def _character_checks(ring: DeformedRing, ws: Sequence[WeylElement],
+                      cert: MovabilityCertificate,
                       blocks: Sequence[LeviBlock]) -> list[HornCheck]:
+    """The certificate's character gaps, which must be nonpositive, then the Levi pairings."""
     chi = [ring.chi(w).coords for w in ws]
     chi_e = ring.chi(ring.group.identity).coords
-    checks = []
-    for i in ring.omitted:
-        lhs = sum(c[i] for c in chi) - chi_e[i]
-        checks.append(HornCheck("character", lhs, 0, "<=", {"coweight": i}))
+    checks = [HornCheck("character", gap, 0, "<=", {"coweight": i})
+              for i, gap in cert.character_gap.items()]
     return checks + _levi_checks("character-levi", chi, chi_e, blocks)
 
 
 def check_character(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport:
     """Character inequalities for a tuple with codimension sum dim G/P.
 
-    The classical point-class coefficient is computed first; a zero
-    coefficient makes the report inapplicable (the inequalities are only
-    forced by a nonzero product).  Raises DimensionError when the
-    codimension condition fails.
+    The classical point-class coefficient comes with the movability
+    certificate; a zero coefficient makes the report inapplicable (the
+    inequalities are only forced by a nonzero product).  Raises
+    DimensionError when the codimension condition fails.
     """
-    parab = ring.parabolic
-    _validate_tuple(parab, ws)
-    total = sum(parab.codim(w) for w in ws)
-    if total != parab.dim:
-        raise DimensionError(
-            f"codimensions sum to {total}, expected dim G/P = {parab.dim}")
-    d = ring.point_coefficient(ws)
+    cert = ring.is_levi_movable(ws)
     shell = _report_shell(ring, ws)
-    if d == 0:
+    if cert.coefficient == 0:
         return HornReport(applicable=False, coefficient=0, checks=[],
                           reason="classical point coefficient is zero", **shell)
-    checks = _character_checks(ring, ws, levi_blocks(ring, len(ws)))
-    return HornReport(applicable=True, coefficient=d, checks=checks,
+    checks = _character_checks(ring, ws, cert, levi_blocks(ring, len(ws)))
+    return HornReport(applicable=True, coefficient=cert.coefficient, checks=checks,
                       reason="", **shell)
 
 
@@ -360,7 +330,6 @@ def check_refined(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport:
     an inapplicable report.
     """
     parab = ring.parabolic
-    _validate_tuple(parab, ws)
     cert = ring.is_levi_movable(ws)
     shell = _report_shell(ring, ws)
     if not cert.movable:
@@ -407,7 +376,7 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
     """
     parab = ring.parabolic
     group = ring.group
-    _validate_tuple(parab, ws)
+    ring.check_tuple(ws)
     q = tuple(sorted(set(inner_levi)))
     qh = tuple(sorted(set(outer_levi)))
     if not set(q) <= set(parab.levi):
@@ -520,9 +489,10 @@ def converse_search(ring: DeformedRing, s: int = 3,
     shellbase = {"system": ring.rs.label, "levi": ring.parabolic.levi}
     found: list[HornReport] = []
     for ws in dimension_tuples(ring.parabolic, s):
-        if ring.point_coefficient(ws) != 0:
+        cert = ring.is_levi_movable(ws)
+        if cert.coefficient != 0:
             continue
-        checks = _character_checks(ring, ws, blocks)
+        checks = _character_checks(ring, ws, cert, blocks)
         if all(c.passed for c in checks):
             found.append(HornReport(
                 words=tuple(w.word for w in ws), applicable=True,

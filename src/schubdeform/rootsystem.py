@@ -165,16 +165,13 @@ class RootSystem:
 
     def __init__(self, cartan: Sequence[Sequence[int]],
                  lengths: Sequence[Fraction] | None = None,
-                 label: str = "",
-                 ambient_simples: tuple[int, ...] | None = None):
+                 label: str = ""):
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
         self.rank = len(self.cartan)
         for i, row in enumerate(self.cartan):
             if len(row) != self.rank or row[i] != 2:
                 raise ValueError("malformed Cartan matrix")
         self.label = label or f"cartan{self.rank}"
-        # indices of these simple roots inside an ambient system, if any
-        self.ambient_simples = ambient_simples
         self.lengths = _as_fracs(lengths) if lengths is not None else self._symmetrizer()
         for i in range(self.rank):
             for j in range(self.rank):
@@ -281,50 +278,23 @@ class RootSystem:
         return total
 
     def highest_root(self) -> tuple[int, ...]:
-        """Highest root; requires a connected (irreducible) system."""
-        if len(self.components()) != 1:
-            raise ValueError("highest root requires an irreducible system")
-        return self.positive_roots[-1]
+        """Highest root; requires a connected (irreducible) system.
 
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components of the Dynkin diagram, as index tuples."""
-        seen: set[int] = set()
-        comps = []
-        for start in range(self.rank):
-            if start in seen:
-                continue
-            comp = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in range(self.rank):
-                    if j not in seen and self.cartan[i][j]:
-                        seen.add(j)
-                        stack.append(j)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        The system is irreducible exactly when its highest root (the last
+        positive root) has full support.
+        """
+        top = self.positive_roots[-1] if self.positive_roots else ()
+        if not top or not all(top):
+            raise ValueError("highest root requires an irreducible system")
+        return top
 
     def weyl_order(self) -> int:
-        """|W| from the component data: |det C| * rank! * prod(highest-root coefficients)."""
-        total = 1
-        for comp in self.components():
-            sub = [[self.cartan[i][j] for j in comp] for i in comp]
-            det = _int_det(sub)
-            best = max(
-                (r for r in self.positive_roots
-                 if all(r[j] == 0 for j in range(self.rank) if j not in comp)),
-                key=lambda r: sum(r),
-            )
-            prod = 1
-            for j in comp:
-                prod *= max(best[j], 1)
-            fact = 1
-            for k in range(2, len(comp) + 1):
-                fact *= k
-            total *= abs(det) * fact * prod
-        return total
+        """|W| = prod over positive roots of (ht + 1) / ht (Macdonald 1972, at t = 1)."""
+        num = den = 1
+        for h in self._heights:
+            num *= h + 1
+            den *= h
+        return num // den
 
     # -- weights and coweights ------------------------------------------
 
@@ -378,8 +348,8 @@ class RootSystem:
     def levi_subsystem(self, levi: Iterable[int]) -> "RootSystem":
         """Root system of the Levi factor, with the inherited form.
 
-        The result records `ambient_simples` so its simple index k corresponds
-        to ambient simple index ambient_simples[k]; it may be reducible.
+        Its simple index k is the k-th smallest of the given ambient indices;
+        it may be reducible.
         """
         lv = tuple(sorted(set(levi)))
         if any(j not in range(self.rank) for j in lv):
@@ -389,42 +359,10 @@ class RootSystem:
             sub_cartan,
             lengths=[self.lengths[i] for i in lv],
             label=f"{self.label}|levi{''.join(str(i + 1) for i in lv)}",
-            ambient_simples=lv,
         )
-
-    def ambient_root_coords(self, sub_coords: Sequence, ambient_rank: int) -> tuple:
-        """Ambient root coordinates of one of this subsystem's roots."""
-        if self.ambient_simples is None:
-            raise ValueError("not a subsystem of an ambient root system")
-        out = [0] * ambient_rank
-        for k, c in enumerate(sub_coords):
-            out[self.ambient_simples[k]] = c
-        return tuple(out)
 
     def __repr__(self):
         return f"RootSystem({self.label}, rank={self.rank}, positive={len(self.positive_roots)})"
-
-
-def _int_det(mat: Sequence[Sequence[int]]) -> int:
-    n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det)
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,6 @@ import json
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
 
 from .poly import Poly
 from .rootsystem import RootSystem
@@ -116,14 +115,6 @@ class SchubertBasis:
         self._products[key] = out
         self._dirty = True
         return out
-
-    def product_all_pairs(self) -> None:
-        """Force computation of the full table (used before exhaustive sweeps)."""
-        n_pos = len(self.rs.positive_roots)
-        for u in self.group.elements:
-            for v in self.group.elements:
-                if u.index <= v.index and u.length + v.length <= n_pos:
-                    self.product(u, v)
 
     # -- disk cache ------------------------------------------------------
 

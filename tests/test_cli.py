@@ -87,9 +87,14 @@ def test_invalid_input_exit_2(capsys):
 
 
 def test_budget_exceeded_exit_3(capsys):
-    code, _, err = run(capsys, "weyl", "--type", "E", "--rank", "8")
-    assert code == 3
-    assert err.startswith("error:")
+    for argv in (["weyl", "--type", "E", "--rank", "8"],
+                 ["weyl", "--type", "A", "--rank", "7"],
+                 ["weyl", "--type", "E", "--rank", "6"]):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 3, argv
+        assert err.startswith("error:") and "exceeding the cap" in err, argv
 
 
 def test_root_system_budget_exit_3_fast(tmp_path, capsys):

@@ -113,6 +113,14 @@ def test_movability_requires_balanced_codims():
     with pytest.raises(ValueError):
         ring.is_levi_movable((ring.group.simple_reflection(0),
                               p.reps[0], p.reps[0]))
+    # a movable C3 triple of the same shape is foreign to the B3 ring
+    other = maximal_ring("C", 3, 1)
+    q = other.parabolic
+    w = q.reps[1]
+    foreign = (other.unit(), w, q.iota(w))
+    assert other.is_levi_movable(foreign).movable
+    with pytest.raises(ValueError, match="same Weyl group"):
+        ring.is_levi_movable(foreign)
 
 
 def test_dual_pairs_always_movable():

@@ -23,7 +23,7 @@ from schubdeform.eigencone import (
     tuple_inequality,
 )
 
-from common import group_for, maximal_ring, ring_for
+from common import ALL_TYPES, group_for, maximal_ring, ring_for
 
 
 def mixed_coweight(rs, coeffs):
@@ -66,16 +66,23 @@ def test_enumerate_tuples_validation():
 
 
 def test_inequality_value_is_the_natural_pairing():
-    ring = maximal_ring("A", 2, 0)
-    rs = ring.rs
-    omega = rs.fundamental_weight(0)
-    hs = (mixed_coweight(rs, (2, 0)), mixed_coweight(rs, (1, 3)),
-          mixed_coweight(rs, (Fraction(1, 2), 1)))
-    for ws in enumerate_tuples(ring, 3, "classical"):
-        q = tuple_inequality(ring, ws)
-        manual = sum(rs.pair(w.act_weight(omega), h) for w, h in zip(ws, hs))
-        assert q.value(hs) == manual
-        assert len(q.flat()) == 3 * rs.rank
+    # every maximal parabolic of every type: roots and coroots differ only in
+    # the non-simply-laced B, C and G, where a mix-up in the functional shows
+    for family, rank in ALL_TYPES:
+        for i0 in range(rank):
+            ring = maximal_ring(family, rank, i0)
+            rs = ring.rs
+            omega = rs.fundamental_weight(i0)
+            hs = (mixed_coweight(rs, [k + 2 for k in range(rank)]),
+                  mixed_coweight(rs, [1 + 2 * (k % 2) for k in range(rank)]),
+                  mixed_coweight(rs, [Fraction(1, k + 2) for k in range(rank)]))
+            tuples = enumerate_tuples(ring, 3, "classical")
+            assert tuples
+            for ws in tuples:
+                q = tuple_inequality(ring, ws)
+                manual = sum(rs.pair(w.act_weight(omega), h) for w, h in zip(ws, hs))
+                assert q.value(hs) == manual
+                assert len(q.flat()) == 3 * rs.rank
 
 
 def test_sum_zero_triples_are_members():

@@ -15,7 +15,7 @@ from schubdeform import (
 )
 from schubdeform.horn import levi_blocks, levi_context
 
-from common import group_for, maximal_ring, ring_for
+from common import all_rings, group_for, maximal_ring, ring_for
 
 
 def test_central_characters_partition_nilradical():
@@ -120,6 +120,23 @@ def test_levi_blocks_structure():
         for t in blk.tuples:
             assert len(t) == 2
             assert all(0 <= k < len(blk.reps) for k in t)
+    # evals against alpha_i(u x_p) through the rational coweight action
+    for family, rank in [("B", 3), ("C", 3), ("G", 2)]:
+        for ring in all_rings(family, rank):
+            rs = ring.rs
+            blocks = levi_blocks(ring, 2)
+            assert [b.coweight_index for b in blocks] == list(ring.parabolic.levi)
+            if not blocks:
+                continue
+            ctx = levi_context(ring.parabolic)
+            for blk in blocks:
+                x_p = rs.fundamental_coweight(blk.coweight_index)
+                assert len(blk.evals) == len(blk.reps)
+                for u, vec in zip(blk.reps, blk.evals):
+                    h = ctx.lift(u).act_coweight(x_p).coords
+                    assert vec == tuple(
+                        rs.eval_coweight(tuple(int(i == j) for j in range(rank)), h)
+                        for i in range(rank))
 
 
 def test_check_dimension_identity_and_errors():
