@@ -118,7 +118,7 @@ class DeformedRing:
         self.parabolic = parab
         self.group = parab.group
         self.rs = parab.rs
-        self.basis = schubert_basis(parab.group)
+        self.basis = schubert_basis(parab.group, parab.within)
         self.omitted = parab.omitted
         self.reps = parab.reps
         self._chi: list[tuple[int, ...]] = [self._chi_coords(w) for w in self.reps]
@@ -131,8 +131,8 @@ class DeformedRing:
     def _chi_coords(self, w: WeylElement) -> tuple[int, ...]:
         rs = self.rs
         acc = rs.root_sum(self.parabolic.nilradical_roots - self.group.inversion_set(w))
-        # cross-check against rho - 2 rho_L + w^{-1} rho
-        rho = rs.rho().coords
+        # cross-check against rho - 2 rho_Q + w^{-1} rho, rho that of `within`
+        rho = rs.rho(self.parabolic.within).coords
         rho_l = rs.rho(self.parabolic.levi).coords
         wr = self.group.inverse(w).act_root(rho)
         alt = tuple(r - 2 * l + x for r, l, x in zip(rho, rho_l, wr))
@@ -323,8 +323,7 @@ class DeformedRing:
         labels = [""] * len(self.reps)
         for codim, group in by_codim.items():
             for k, pos in enumerate(group):
-                suffix = "" if len(group) == 1 else "abcdefgh"[k]
-                labels[pos] = f"c{codim}{suffix}"
+                labels[pos] = f"c{codim}" + ("" if len(group) == 1 else _suffix(k))
         return labels
 
     def table_order(self) -> list[int]:
@@ -337,6 +336,16 @@ class DeformedRing:
         if len(self.omitted) != 1:
             return False
         return self.rs.highest_root()[self.omitted[0]] == 1
+
+
+def _suffix(k: int) -> str:
+    """Label suffix of the k-th class of one codimension: a..z, then aa, ab, ..."""
+    out = ""
+    k += 1
+    while k:
+        k, r = divmod(k - 1, 26)
+        out = chr(ord("a") + r) + out
+    return out
 
 
 def deformed_ring(parab: Parabolic) -> DeformedRing:

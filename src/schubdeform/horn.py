@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .deform import DeformedRing, MovabilityCertificate, deformed_ring
-from .weyl import Parabolic, WeylElement, parabolic, weyl_group
+from .weyl import Parabolic, WeylElement, parabolic
 
 _REL = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
@@ -161,59 +161,26 @@ def dimension_tuples(parab: Parabolic, s: int) -> Iterator[tuple[WeylElement, ..
 # -- Levi recursion ------------------------------------------------------
 
 
-class LeviContext:
-    """Weyl machinery of the Levi factor, with lifts to the ambient group."""
-
-    def __init__(self, parab: Parabolic):
-        if not parab.levi:
-            raise ValueError("the Levi factor has no simple roots")
-        self.parab = parab
-        self.subsystem = parab.rs.levi_subsystem(parab.levi)
-        self.group = weyl_group(self.subsystem)
-        self.local = {amb: k for k, amb in enumerate(parab.levi)}
-        self._lift: dict[int, WeylElement] = {}
-
-    def lift(self, u: WeylElement) -> WeylElement:
-        """Ambient image of a subsystem element (same reduced word, relabelled)."""
-        hit = self._lift.get(u.index)
-        if hit is None:
-            word = tuple(self.parab.levi[k] for k in u.word)
-            hit = self.parab.group.from_word(word)
-            self._lift[u.index] = hit
-        return hit
-
-    def from_ambient_word(self, word: Iterable[int]) -> WeylElement:
-        """Subsystem element from a word in ambient simple indices."""
-        local = []
-        for i in word:
-            if i not in self.local:
-                raise ValueError(f"simple index {i} is not in the Levi")
-            local.append(self.local[i])
-        return self.group.from_word(local)
-
-    def quotient(self, q_levi: Iterable[int]) -> Parabolic:
-        """Parabolic of the subsystem whose Levi is the given ambient subset."""
-        q = tuple(sorted(set(q_levi)))
-        if not set(q) <= set(self.parab.levi):
-            raise ValueError(f"{q} is not contained in the Levi {self.parab.levi}")
-        return parabolic(self.group, tuple(self.local[i] for i in q))
-
-
-def levi_context(parab: Parabolic) -> LeviContext:
-    """The LeviContext of a parabolic, built once and kept on `parab`."""
-    if parab._levi_context is None:
-        parab._levi_context = LeviContext(parab)
-    return parab._levi_context
+def _levi_element(sub: Parabolic, u) -> WeylElement:
+    """An element of the Levi subgroup W_L of `sub`, given as one or as a word in ambient indices."""
+    if isinstance(u, WeylElement):
+        if u.group is not sub.group or not sub.group.inversion_set(u) <= sub.within_roots:
+            raise ValueError("Levi tuple entries must lie in the Levi subgroup")
+        return u
+    for i in u:
+        if i not in sub.within:
+            raise ValueError(f"simple index {i} is not in the Levi {sub.within}")
+    return sub.group.from_word(u)
 
 
 @dataclass
 class LeviBlock:
     """Pairing data from one maximal parabolic quotient of the Levi.
 
-    `coweight_index` is the ambient simple index p omitted from the
-    quotient; `reps` are the minimal representatives of the quotient;
-    `evals[k][i]` is alpha_i(u_k x_p) for the lifted representative u_k,
-    i.e. the alpha_p-coefficient of u_k^{-1} alpha_i;
+    `coweight_index` is the simple index p omitted from the quotient;
+    `reps` are the minimal representatives of the quotient, elements of W;
+    `evals[k][i]` is alpha_i(u_k x_p) for the representative u_k, i.e. the
+    alpha_p-coefficient of u_k^{-1} alpha_i;
     `tuples` are the index tuples with nonzero product on the quotient.
     """
 
@@ -245,20 +212,17 @@ def levi_blocks(ring: DeformedRing, s: int) -> list[LeviBlock]:
     hit = ring._levi_blocks.get(s)
     if hit is not None:
         return hit
-    parab = ring.parabolic
+    levi = ring.parabolic.levi
     group = ring.group
     blocks: list[LeviBlock] = []
-    if parab.levi:
-        ctx = levi_context(parab)
-        for p in parab.levi:
-            sub_parab = ctx.quotient(tuple(i for i in parab.levi if i != p))
-            blocks.append(LeviBlock(
-                coweight_index=p,
-                reps=list(sub_parab.reps),
-                evals=[tuple(col[p] for col in group.inverse(ctx.lift(u)).cols)
-                       for u in sub_parab.reps],
-                tuples=_nonzero_tuples(deformed_ring(sub_parab), s),
-            ))
+    for p in levi:
+        sub = parabolic(group, tuple(i for i in levi if i != p), within=levi)
+        blocks.append(LeviBlock(
+            coweight_index=p,
+            reps=list(sub.reps),
+            evals=[tuple(col[p] for col in group.inverse(u).cols) for u in sub.reps],
+            tuples=_nonzero_tuples(deformed_ring(sub), s),
+        ))
     ring._levi_blocks[s] = blocks
     return blocks
 
@@ -367,9 +331,9 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
 
     `inner_levi` picks a parabolic Q inside P (so inside the Levi of P),
     `outer_levi` a parabolic Qhat containing Q.  The tuple must have a
-    nonzero classical product on G/P and the Levi tuple `utuple` (words in
-    ambient simple indices, or subsystem elements) a nonzero product on
-    its quotient of the Levi.  The shifted classes w_j u_j then have a
+    nonzero classical product on G/P and the Levi tuple `utuple` (elements
+    of the Levi subgroup W_L, or words in its simple indices) a nonzero
+    product on L/(L cap Q).  The shifted classes w_j u_j then have a
     nonzero product on G/Qhat, and when Qhat meets P exactly in Q the
     per-factor counts of kept roots in the common nilradical are bounded
     by its size.
@@ -386,36 +350,16 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
     if not ring.fold(ws):
         raise ValueError("tuple has zero classical product")
 
-    if parab.levi:
-        ctx = levi_context(parab)
-        sub_parab = ctx.quotient(q)
-        sub_ring = deformed_ring(sub_parab)
-        us = []
-        for u in utuple:
-            el = u if isinstance(u, WeylElement) else ctx.from_ambient_word(u)
-            if el.group is not ctx.group:
-                raise ValueError("Levi tuple entries must live in the Levi subsystem")
-            us.append(sub_parab.minimal_rep(el))
-        if len(us) != len(ws):
-            raise ValueError("Levi tuple length must match the main tuple")
-        if not sub_ring.fold(us):
-            raise ValueError("Levi tuple has zero classical product")
-        lifted = [ctx.lift(u) for u in us]
-        sub_codims = [sub_parab.codim(u) for u in us]
-    else:
-        for u in utuple:
-            trivial = u.length == 0 if isinstance(u, WeylElement) else not tuple(u)
-            if not trivial:
-                raise ValueError("the Levi is trivial; only identity entries allowed")
-        if len(utuple) != len(ws):
-            raise ValueError("Levi tuple length must match the main tuple")
-        us = []
-        lifted = [group.identity] * len(ws)
-        sub_codims = [0] * len(ws)
+    sub = parabolic(group, q, within=parab.levi)
+    us = [sub.minimal_rep(_levi_element(sub, u)) for u in utuple]
+    if len(us) != len(ws):
+        raise ValueError("Levi tuple length must match the main tuple")
+    if not deformed_ring(sub).fold(us):
+        raise ValueError("Levi tuple has zero classical product")
 
     qhat_parab = parabolic(group, qh)
     qhat_ring = deformed_ring(qhat_parab)
-    raw = [group.mult(w, u) for w, u in zip(ws, lifted)]
+    raw = [group.mult(w, u) for w, u in zip(ws, us)]
     hats = [qhat_parab.minimal_rep(r) for r in raw]
     for r, h in zip(raw, hats):
         if coset_codim(qhat_parab, r) != qhat_parab.codim(h):
@@ -432,9 +376,9 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
     if set(qh) & set(parab.levi) == set(q):
         overlap = qhat_parab.nilradical_roots & parab.nilradical_roots
         terms = []
-        for r, sc in zip(raw, sub_codims):
+        for r, u in zip(raw, us):
             t = len(overlap - group.inversion_set(r))
-            if t != coset_codim(qhat_parab, r) - sc:
+            if t != coset_codim(qhat_parab, r) - sub.codim(u):
                 raise AssertionError("codimension difference identity failed")
             terms.append(t)
         checks.append(HornCheck(
@@ -462,13 +406,11 @@ def codim_difference_identity(ring: DeformedRing, w: WeylElement, u,
     qh = tuple(sorted(set(outer_levi)))
     if set(qh) & set(parab.levi) != set(q):
         raise ValueError("outer parabolic must meet P exactly in the inner one")
-    ctx = levi_context(parab)
-    sub_parab = ctx.quotient(q)
-    el = u if isinstance(u, WeylElement) else ctx.from_ambient_word(u)
-    u_min = sub_parab.minimal_rep(el)
+    sub = parabolic(group, q, within=parab.levi)
+    el = _levi_element(sub, u)
     qhat_parab = parabolic(group, qh)
-    hat = group.mult(w, ctx.lift(el))
-    lhs = coset_codim(qhat_parab, hat) - sub_parab.codim(u_min)
+    hat = group.mult(w, el)
+    lhs = coset_codim(qhat_parab, hat) - sub.codim(sub.minimal_rep(el))
     overlap = qhat_parab.nilradical_roots & parab.nilradical_roots
     rhs = len(overlap - group.inversion_set(hat))
     return lhs, rhs

@@ -7,9 +7,8 @@ Conventions used throughout the package:
 - Weights are stored in simple-root coordinates ("root" basis) or in
   fundamental-weight coordinates ("fweight" basis); coweights in the
   simple-coroot basis.
-- The invariant form on a system built from a Cartan type is normalized so
-  that short roots have squared length 2.  Levi subsystems inherit the
-  ambient normalization unchanged.
+- The invariant form is normalized so that the short roots have squared
+  length 2.
 - Positive roots are ordered by height, then lexicographically.
 """
 from __future__ import annotations
@@ -158,21 +157,18 @@ def _as_fracs(v: Iterable) -> Vector:
 class RootSystem:
     """A (possibly reducible) root system given by a Cartan matrix.
 
-    `lengths[i]` is half the squared length of alpha_i.  When built from a
-    CartanType the lengths are normalized so short roots have squared
-    length 2; Levi subsystems pass their inherited lengths explicitly.
+    `lengths[i]` is half the squared length of alpha_i, normalized so the
+    short roots have squared length 2.
     """
 
-    def __init__(self, cartan: Sequence[Sequence[int]],
-                 lengths: Sequence[Fraction] | None = None,
-                 label: str = ""):
+    def __init__(self, cartan: Sequence[Sequence[int]], label: str = ""):
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
         self.rank = len(self.cartan)
         for i, row in enumerate(self.cartan):
             if len(row) != self.rank or row[i] != 2:
                 raise ValueError("malformed Cartan matrix")
         self.label = label or f"cartan{self.rank}"
-        self.lengths = _as_fracs(lengths) if lengths is not None else self._symmetrizer()
+        self.lengths = self._symmetrizer()
         for i in range(self.rank):
             for j in range(self.rank):
                 if self.lengths[i] * self.cartan[i][j] != self.lengths[j] * self.cartan[j][i]:
@@ -343,22 +339,6 @@ class RootSystem:
         return tuple(
             k for k, r in enumerate(self.positive_roots)
             if all(j in lv for j in range(self.rank) if r[j])
-        )
-
-    def levi_subsystem(self, levi: Iterable[int]) -> "RootSystem":
-        """Root system of the Levi factor, with the inherited form.
-
-        Its simple index k is the k-th smallest of the given ambient indices;
-        it may be reducible.
-        """
-        lv = tuple(sorted(set(levi)))
-        if any(j not in range(self.rank) for j in lv):
-            raise ValueError(f"levi indices out of range: {lv}")
-        sub_cartan = [[self.cartan[i][j] for j in lv] for i in lv]
-        return RootSystem(
-            sub_cartan,
-            lengths=[self.lengths[i] for i in lv],
-            label=f"{self.label}|levi{''.join(str(i + 1) for i in lv)}",
         )
 
     def __repr__(self):

@@ -6,9 +6,13 @@ class prod(positive roots)/|W| by applying divided-difference operators
 along a reduced word of w^{-1} w_o.  Structure constants are read off by
 applying the operator of the target element and taking the constant term.
 
-Constants for G/P are index restrictions of the G/B constants, so only the
-G/B table is ever computed.  A disk cache (versioned, checksummed) can be
-attached; it is never trusted over a fresh computation: a failed checksum
+Constants for G/P are index restrictions of the G/B constants.  The Levi
+flag varieties L/(L cap Q) use the basis of the standard parabolic subgroup
+W_L instead: top class prod(positive roots of L)/|W_L| in the same
+variables, with the recursion kept inside W_L.
+
+A disk cache (versioned, checksummed) can be attached to the basis of the
+whole group; it is never trusted over a fresh computation: a failed checksum
 or a version mismatch silently triggers a rebuild, and a constant already
 computed is never replaced by a stored one.
 """
@@ -19,6 +23,7 @@ import json
 import os
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from .poly import Poly
 from .rootsystem import RootSystem
@@ -37,11 +42,21 @@ def divided_difference(rs: RootSystem, i: int, f: Poly) -> Poly:
 
 
 class SchubertBasis:
-    """Basis polynomials and structure constants for one Weyl group."""
+    """Basis polynomials and structure constants for the subgroup W_L of one
+    Weyl group generated by the simple reflections of `within` (all of them
+    by default)."""
 
-    def __init__(self, group: WeylGroup, cache_dir: str | os.PathLike | None = None):
+    def __init__(self, group: WeylGroup, within: tuple[int, ...] | None = None,
+                 cache_dir: str | os.PathLike | None = None):
         self.group = group
         self.rs = group.rs
+        self.within = tuple(range(self.rs.rank)) if within is None else within
+        self.roots = frozenset(self.rs.levi_positive(self.within))
+        self._by_length: list[list[WeylElement]] = [[] for _ in range(len(self.roots) + 1)]
+        for w in group.elements:
+            if group.inversion_set(w) <= self.roots:
+                self._by_length[w.length].append(w)
+        self.order = sum(map(len, self._by_length))
         self._polys: dict[int, Poly] = {}
         self._products: dict[tuple[int, int], dict[int, int]] = {}
         self._cache_path: Path | None = None
@@ -51,9 +66,9 @@ class SchubertBasis:
     # -- basis polynomials ----------------------------------------------
 
     def top_polynomial(self) -> Poly:
-        prod = Poly.const(self.rs.rank, Fraction(1, self.group.order))
-        for r in self.rs.positive_roots:
-            prod = prod * Poly.linear(r)
+        prod = Poly.const(self.rs.rank, Fraction(1, self.order))
+        for k in sorted(self.roots):
+            prod = prod * Poly.linear(self.rs.positive_roots[k])
         return prod
 
     def polynomial(self, w: WeylElement) -> Poly:
@@ -61,13 +76,13 @@ class SchubertBasis:
         idx = w.index
         if idx in self._polys:
             return self._polys[idx]
-        if w.length == len(self.rs.positive_roots):
+        if w.length == len(self.roots):
             p = self.top_polynomial()
         else:
             # P_w = d_i P_{w s_i} for any ascent i of w
             g = self.group
             i = next(
-                i for i in range(self.rs.rank)
+                i for i in self.within
                 if g.mult(w, g.simple_reflection(i)).length > w.length
             )
             p = divided_difference(self.rs, i, self.polynomial(g.mult(w, g.simple_reflection(i))))
@@ -81,7 +96,7 @@ class SchubertBasis:
 
         Gradings add: only elements of length l(u)+l(v) can appear.
         """
-        n_pos = len(self.rs.positive_roots)
+        n_pos = len(self.roots)
         d = u.length + v.length
         if d > n_pos:
             return {}
@@ -103,7 +118,7 @@ class SchubertBasis:
             memo[y.index] = p
             return p
 
-        for w in self.group.by_length(d):
+        for w in self._by_length[d]:
             c = apply(w).constant_term()
             if c:
                 frac = Fraction(c)
@@ -186,10 +201,10 @@ def chevalley_oracle(p: Parabolic, i: int, w: WeylElement) -> dict[int, int]:
 
     Independent of the divided-difference path: the coefficient of w s_beta
     (when it has length l(w)+1 and is a minimal representative) is
-    omega_i(beta^vee).  Requires alpha_i outside the Levi and w in W^P.
+    omega_i(beta^vee).  Requires i in `p.omitted` and w in W^P.
     Returns {element index: coefficient}.
     """
-    if i in p.levi:
+    if i not in p.omitted:
         raise ValueError("degree-1 classes of G/P are indexed by simple roots outside the Levi")
     if not p.contains(w):
         raise ValueError("w is not a minimal coset representative")
@@ -210,14 +225,16 @@ def chevalley_oracle(p: Parabolic, i: int, w: WeylElement) -> dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
-def schubert_basis(group: WeylGroup) -> SchubertBasis:
-    """The group's one SchubertBasis, built on first use and kept on `group`.
+def schubert_basis(group: WeylGroup, within: Iterable[int] | None = None) -> SchubertBasis:
+    """The SchubertBasis of W_L for the simple indices `within` (default: all of W),
+    built on first use and kept on `group`.
 
     It has no disk cache until `SchubertBasis.use_cache_dir` chooses one.
     """
-    if group._basis is None:
-        group._basis = SchubertBasis(group)
-    return group._basis
+    key = tuple(sorted(set(range(group.rs.rank) if within is None else within)))
+    if key not in group._bases:
+        group._bases[key] = SchubertBasis(group, key)
+    return group._bases[key]
 
 
 def default_cache_dir(no_cache: bool = False) -> Path | None:

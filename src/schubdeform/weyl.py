@@ -104,8 +104,8 @@ class WeylGroup:
         self._inversion_sets: list[frozenset[int]] = [
             self._compute_inversions(w) for w in self.elements
         ]
-        self._parabolics: dict[tuple[int, ...], Parabolic] = {}  # filled by parabolic
-        self._basis = None  # built by schubert.schubert_basis
+        self._parabolics: dict[tuple, Parabolic] = {}  # filled by parabolic
+        self._bases: dict[tuple[int, ...], object] = {}  # by index set, from schubert.schubert_basis
         self._by_inversions = None  # built by invsets.element_with_inversions
 
     # -- enumeration ----------------------------------------------------
@@ -211,9 +211,6 @@ class WeylGroup:
     def longest_element(self) -> WeylElement:
         return self.elements[-1]
 
-    def by_length(self, length: int) -> list[WeylElement]:
-        return [w for w in self.elements if w.length == length]
-
     def __len__(self):
         return len(self.elements)
 
@@ -225,55 +222,62 @@ class WeylGroup:
 
 
 class Parabolic:
-    """Combinatorial model of a generalized flag variety G/P.
+    """Combinatorial model of a generalized flag variety L/(L cap Q).
 
-    `levi` is the set of simple indices generating the Levi; minimal coset
-    representatives index the Schubert cells.
+    `levi` is the set of simple indices generating the Levi of Q, and
+    `within` the set generating the Levi factor L; by default `within` is
+    every simple index, giving G/Q.  The Schubert cells are indexed by the
+    elements of the standard parabolic subgroup W_L that are minimal
+    representatives of their W_Q-cosets.
     """
 
-    def __init__(self, group: WeylGroup, levi: Iterable[int]):
+    def __init__(self, group: WeylGroup, levi: Iterable[int],
+                 within: Iterable[int] | None = None):
         self.group = group
         self.rs = group.rs
         self.levi = tuple(sorted(set(levi)))
-        if any(i not in range(self.rs.rank) for i in self.levi):
+        self.within = tuple(range(self.rs.rank)) if within is None else tuple(sorted(set(within)))
+        if any(i not in range(self.rs.rank) for i in self.within + self.levi):
             raise ValueError(f"levi indices out of range: {self.levi}")
-        self.omitted = tuple(i for i in range(self.rs.rank) if i not in self.levi)
+        if not set(self.levi) <= set(self.within):
+            raise ValueError(f"{self.levi} is not contained in the Levi {self.within}")
+        self.omitted = tuple(i for i in self.within if i not in self.levi)
         self.levi_roots = frozenset(self.rs.levi_positive(self.levi))
-        self.nilradical_roots = frozenset(
-            range(len(self.rs.positive_roots))) - self.levi_roots
+        self.within_roots = frozenset(self.rs.levi_positive(self.within))
+        self.nilradical_roots = self.within_roots - self.levi_roots
         self.dim = len(self.nilradical_roots)
-        self.reps: list[WeylElement] = [
-            w for w in group.elements
-            if not (group.inversion_set(w) & self.levi_roots)
-        ]
+        # by length, then by the action on the simple roots of `within`: the
+        # group's own order when `within` is every simple index
+        self.reps: list[WeylElement] = sorted(
+            (w for w in group.elements if self.contains(w)),
+            key=lambda w: (w.length, [w.cols[j] for j in self.within]))
         self.rep_position = {w.index: k for k, w in enumerate(self.reps)}
-        self.w_o = group.longest_element()
-        self.w_o_levi = self._longest_levi()
+        self.w_o = self._longest(self.within_roots)
+        self.w_o_levi = self._longest(self.levi_roots)
         self._iota = [
             group.mult(group.mult(self.w_o, w), self.w_o_levi) for w in self.reps
         ]
         for w, iw in zip(self.reps, self._iota):
             assert self.contains(iw) and iw.length == self.dim - w.length
         self._ring = None  # built by deform.deformed_ring
-        self._levi_context = None  # built by horn.levi_context
 
-    def _longest_levi(self) -> WeylElement:
-        target = len(self.levi_roots)
+    def _longest(self, roots: frozenset[int]) -> WeylElement:
+        """Longest element of the subgroup whose positive roots are `roots`."""
         for w in self.group.elements:
-            if w.length == target and self.group.inversion_set(w) <= self.levi_roots:
+            if w.length == len(roots) and self.group.inversion_set(w) <= roots:
                 return w
-        raise AssertionError("no longest Levi element found")
+        raise AssertionError("no longest element found")
 
     def contains(self, w: WeylElement) -> bool:
-        """Whether w is a minimal-length coset representative (w in W^P)."""
-        return not (self.group.inversion_set(w) & self.levi_roots)
+        """Whether w is in W_L and a minimal-length coset representative (w in W^Q)."""
+        return self.group.inversion_set(w) <= self.nilradical_roots
 
     def codim(self, w: WeylElement) -> int:
         """Codimension of the Schubert variety labelled by w (dimension l(w))."""
         return self.dim - w.length
 
     def iota(self, w: WeylElement) -> WeylElement:
-        """Basis involution w -> w_o w w_o^L exchanging the two Schubert labellings."""
+        """Basis involution w -> w_o w w_o_levi (longest of W_L, W_Q) exchanging the labellings."""
         return self._iota[self.rep_position[w.index]]
 
     def minimal_rep(self, w: WeylElement) -> WeylElement:
@@ -296,7 +300,9 @@ class Parabolic:
 
     def __repr__(self):
         lv = ",".join(str(i + 1) for i in self.levi) or "-"
-        return f"Parabolic({self.rs.label}, levi=[{lv}], dim={self.dim})"
+        within = "" if len(self.within) == self.rs.rank else \
+            ", within=[" + ",".join(str(i + 1) for i in self.within) + "]"
+        return f"Parabolic({self.rs.label}, levi=[{lv}]{within}, dim={self.dim})"
 
 
 def weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
@@ -310,9 +316,12 @@ def weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     return rs._weyl_group
 
 
-def parabolic(group: WeylGroup, levi: Iterable[int]) -> Parabolic:
-    """The Parabolic of a Levi index set, built once and kept on `group`."""
-    key = tuple(sorted(set(levi)))
+def parabolic(group: WeylGroup, levi: Iterable[int],
+              within: Iterable[int] | None = None) -> Parabolic:
+    """The Parabolic of a Levi index set inside the Levi factor `within`
+    (every simple index by default), built once and kept on `group`."""
+    within = range(group.rs.rank) if within is None else within
+    key = (tuple(sorted(set(levi))), tuple(sorted(set(within))))
     if key not in group._parabolics:
-        group._parabolics[key] = Parabolic(group, key)
+        group._parabolics[key] = Parabolic(group, *key)
     return group._parabolics[key]

@@ -154,6 +154,42 @@ def test_horn_check_passes(capsys):
     assert reports and all(r["passed"] for r in reports.values())
 
 
+def test_horn_check_levi_words_are_ambient(capsys):
+    code, out, _ = run(capsys, "horn-check", "--type", "B", "--rank", "3", "--levi", "1,3",
+                       "--words", "3,2;1,3,2,1,3,2;1,3,2,1,3,2", "--format", "json")
+    assert code == 0
+    words = [w for rep in json.loads(out)["reports"].values() for c in rep["checks"]
+             for w in c["data"].get("levi_words", [])]
+    assert [3] in words  # s_3, the simple reflection of the block of coweight 1
+    assert all(set(w) <= {1, 3} for w in words)
+
+
+def test_horn_check_levi_words_one_path(capsys):
+    """Trivial and nontrivial Levis take Levi words the same way: ambient letters of the Levi."""
+    borel = ["horn-check", "--type", "A", "--rank", "2", "--levi", "-",
+             "--words", "e;1,2,1;1,2,1", "--check", "dimension",
+             "--inner-levi", "-", "--outer-levi", "1"]
+    code, out, err = run(capsys, *borel, "--levi-words", "e;e;e")
+    assert code == 0 and not err
+    assert "| dimension | dimension       | 2   | <=  | 2   | yes |" in out
+    code, _, err = run(capsys, *borel, "--levi-words", "1;e;e")
+    assert code == 2 and "not in the Levi" in err
+    levi13 = ["horn-check", "--type", "B", "--rank", "3", "--levi", "1,3",
+              "--words", "3,2;1,3,2,1,3,2;1,3,2,1,3,2", "--check", "dimension",
+              "--inner-levi", "1", "--outer-levi", "1,2"]
+    code, _, err = run(capsys, *levi13, "--levi-words", "3;3;e")
+    assert code == 0 and not err
+    code, _, err = run(capsys, *levi13, "--levi-words", "2;3;e")
+    assert code == 2 and "not in the Levi" in err
+
+
+def test_product_with_more_than_eight_classes_per_codimension(capsys):
+    code, out, err = run(capsys, "product", "--type", "A", "--rank", "4", "--levi", "-",
+                         "--words", "1;2")
+    assert code == 0 and not err  # the A4 flag variety has 22 classes in codimension 5
+    assert out.startswith("# command=product type=A rank=4 levi=- words=1;2")
+
+
 def test_lmovable_verdicts(capsys):
     code, out, _ = run(capsys, "lmovable", "--type", "A", "--rank", "3",
                        "--parabolic", "1", "--words", "2,1;2,1;2,1",

@@ -144,6 +144,25 @@ def test_labels_by_codimension():
     assert codims == sorted(codims)
 
 
+def test_labels_beyond_eight_classes_per_codimension():
+    """Suffixes run a..z, then aa, ab, ...: the first eight are unchanged."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    suffixes = list(letters) + [x + y for x in letters for y in letters]
+    longest = 0
+    for family in ("D", "B"):
+        ring = ring_for(family, 4)
+        assert len(set(ring.labels)) == len(ring.labels)
+        by_codim = {}
+        for pos in ring.table_order():
+            by_codim.setdefault(ring.parabolic.codim(ring.reps[pos]), []).append(pos)
+        for codim, group in by_codim.items():
+            got = [ring.labels[pos] for pos in group]
+            assert got == ([f"c{codim}"] if len(group) == 1 else
+                           [f"c{codim}{x}" for x in suffixes[:len(group)]])
+            longest = max(longest, len(group))
+    assert longest > 26  # the two-letter suffixes are reached
+
+
 def test_tangent_space_combinatorics():
     ring = ring_for("B", 3, (0, 2))
     p = ring.parabolic

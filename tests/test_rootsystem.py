@@ -113,16 +113,6 @@ def test_rho_is_sum_of_fundamental_weights():
     assert rs.coroot_pairing(rho_l.coords, 1) == 1
 
 
-def test_levi_subsystem_types():
-    rs = root_system("B", 3)
-    sub = rs.levi_subsystem((1, 2))
-    assert sub.cartan == ((2, -1), (-2, 2))  # a B2 block, node 3 short
-    assert sub.num_positive_roots == 4
-    a1a1 = root_system("C", 3).levi_subsystem((0, 2))
-    assert a1a1.cartan == ((2, 0), (0, 2))
-    assert a1a1.num_positive_roots == 2
-
-
 def test_fweight_round_trip():
     rs = root_system("B", 3)
     for i in range(3):
