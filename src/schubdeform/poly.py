@@ -1,17 +1,16 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials with integer coefficients.
 
-Monomials are exponent tuples, coefficients are Fraction (or int).  The only
-non-generic operation is the simple-reflection substitution used by divided
-differences; it is kept here because it is pure rewriting of exponent data.
+Monomials are exponent tuples.  The only non-generic operation is the
+simple-reflection substitution used by divided differences; it is kept here
+because it is pure rewriting of exponent data.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
-Scalar = int | Fraction
 
 
 class Poly:
@@ -19,9 +18,9 @@ class Poly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, Scalar] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Monomial, int] | None = None):
         self.nvars = nvars
-        clean: dict[Monomial, Scalar] = {}
+        clean: dict[Monomial, int] = {}
         if terms:
             for mono, c in terms.items():
                 if c:
@@ -33,7 +32,7 @@ class Poly:
         return cls(nvars)
 
     @classmethod
-    def const(cls, nvars: int, c: Scalar) -> "Poly":
+    def const(cls, nvars: int, c: int) -> "Poly":
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
@@ -42,7 +41,7 @@ class Poly:
         return cls(nvars, {mono: 1})
 
     @classmethod
-    def linear(cls, coeffs: Iterable[Scalar]) -> "Poly":
+    def linear(cls, coeffs: Iterable[int]) -> "Poly":
         """Linear form sum(coeffs[i] * x_i)."""
         cs = list(coeffs)
         n = len(cs)
@@ -61,7 +60,7 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def constant_term(self) -> Scalar:
+    def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
 
     def __eq__(self, other: object) -> bool:
@@ -88,25 +87,21 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def scale(self, c: Scalar) -> "Poly":
+    def scale(self, c: int) -> "Poly":
         if not c:
             return Poly.zero(self.nvars)
         return Poly(self.nvars, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, Scalar] = {}
+        out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
         return Poly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -119,40 +114,25 @@ class Poly:
         x_i image is forced to -x_i).
         """
         rw = list(row)
-        out: dict[Monomial, Scalar] = {}
+        out: dict[Monomial, int] = {}
         for mono, c in self.terms.items():
-            # start from the power of x_i, with sign
-            ei = mono[i]
-            base: dict[Monomial, Scalar] = {
-                tuple(ei if j == i else 0 for j in range(self.nvars)): c * ((-1) ** ei)
-            }
+            base: dict[Monomial, int] = {mono: -c if mono[i] % 2 else c}
             for j, ej in enumerate(mono):
-                if j == i or ej == 0:
-                    continue
                 cj = rw[j]
-                expanded: dict[Monomial, Scalar] = {}
+                if j == i or not ej or not cj:
+                    continue
+                # replace x_j^ej by (x_j - cj*x_i)^ej
+                expanded: dict[Monomial, int] = {}
                 for m0, c0 in base.items():
-                    # multiply by (x_j - cj*x_i)^ej
                     for k in range(ej + 1):
-                        coeff = c0 * comb(ej, k) * ((-cj) ** k)
-                        if not coeff:
-                            continue
                         m1 = list(m0)
-                        m1[j] += ej - k
+                        m1[j] -= k
                         m1[i] += k
                         m1t = tuple(m1)
-                        s = expanded.get(m1t, 0) + coeff
-                        if s:
-                            expanded[m1t] = s
-                        elif m1t in expanded:
-                            del expanded[m1t]
+                        expanded[m1t] = expanded.get(m1t, 0) + c0 * comb(ej, k) * (-cj) ** k
                 base = expanded
             for m0, c0 in base.items():
-                s = out.get(m0, 0) + c0
-                if s:
-                    out[m0] = s
-                elif m0 in out:
-                    del out[m0]
+                out[m0] = out.get(m0, 0) + c0
         return Poly(self.nvars, out)
 
     def divexact_variable(self, i: int) -> "Poly":

@@ -1,15 +1,22 @@
 """Schubert classes and their structure constants via divided differences.
 
-Classes of G/B live in the coinvariant algebra; the class of codimension
-l(w) indexed by w is represented by the polynomial obtained from the top
-class prod(positive roots)/|W| by applying divided-difference operators
-along a reduced word of w^{-1} w_o.  Structure constants are read off by
-applying the operator of the target element and taking the constant term.
+Classes of G/B live in the coinvariant algebra.  Everything here is integer:
+the top class is prod(positive roots) with coefficient 1, which is |W| times
+the class of the point, and P_w, the divided difference along a reduced word
+of w^{-1} w_o applied to it, is |W| times the class of w.
+
+A structure constant is a dot product.  Write E_w(m) for the constant term of
+d_w x^m, the divided difference of w applied to one monomial; then
+c_{uv}^w = sum_m [P_u P_v]_m E_w(m) / |W|^2, and the division must be exact
+with a non-negative quotient.  E_w is one linear functional on monomials of
+degree l(w), shared by every product of the basis and memoised per (w, m)
+through E_w(m) = sum_m' [d_j x^m]_m' E_{w s_j}(m') for the last letter j of
+the reduced word of w.
 
 Constants for G/P are index restrictions of the G/B constants.  The Levi
 flag varieties L/(L cap Q) use the basis of the standard parabolic subgroup
-W_L instead: top class prod(positive roots of L)/|W_L| in the same
-variables, with the recursion kept inside W_L.
+W_L instead: top class prod(positive roots of L) in the same variables,
+division by |W_L|^2, and the recursion kept inside W_L.
 
 A disk cache (versioned, checksummed) can be attached to the basis of the
 whole group; it is never trusted over a fresh computation: a failed checksum
@@ -21,11 +28,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from fractions import Fraction
+from operator import mul
 from pathlib import Path
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
-from .poly import Poly
+from .poly import Monomial, Poly
 from .rootsystem import RootSystem
 from .weyl import Parabolic, WeylElement, WeylGroup
 
@@ -58,6 +65,9 @@ class SchubertBasis:
                 self._by_length[w.length].append(w)
         self.order = sum(map(len, self._by_length))
         self._polys: dict[int, Poly] = {}
+        self._functionals: dict[int, dict[Monomial, int]] = {
+            group.identity.index: {(0,) * self.rs.rank: 1}}
+        self._steps: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
         self._products: dict[tuple[int, int], dict[int, int]] = {}
         self._cache_path: Path | None = None
         self._dirty = False
@@ -66,13 +76,14 @@ class SchubertBasis:
     # -- basis polynomials ----------------------------------------------
 
     def top_polynomial(self) -> Poly:
-        prod = Poly.const(self.rs.rank, Fraction(1, self.order))
+        """prod R+(L) with coefficient 1: |W_L| times the class of the point."""
+        prod = Poly.const(self.rs.rank, 1)
         for k in sorted(self.roots):
             prod = prod * Poly.linear(self.rs.positive_roots[k])
         return prod
 
     def polynomial(self, w: WeylElement) -> Poly:
-        """Representative polynomial of the codimension-l(w) class of w."""
+        """|W_L| times the representative polynomial of the codimension-l(w) class of w."""
         idx = w.index
         if idx in self._polys:
             return self._polys[idx]
@@ -104,32 +115,47 @@ class SchubertBasis:
         hit = self._products.get(key)
         if hit is not None:
             return hit
-        out: dict[int, int] = {}
         f = self.polynomial(u) * self.polynomial(v)
-        memo: dict[int, Poly] = {self.group.identity.index: f}
-
-        def apply(y: WeylElement) -> Poly:
-            got = memo.get(y.index)
-            if got is not None:
-                return got
-            i = y.word[0]
-            tail = self.group.mult(self.group.simple_reflection(i), y)
-            p = divided_difference(self.rs, i, apply(tail))
-            memo[y.index] = p
-            return p
-
+        monos, coeffs = f.terms.keys(), list(f.terms.values())
+        scale = self.order ** 2
+        out: dict[int, int] = {}
         for w in self._by_length[d]:
-            c = apply(w).constant_term()
+            dot = sum(map(mul, coeffs, map(self.functional(w, monos).__getitem__, monos)))
+            c, rem = divmod(dot, scale)
+            if rem or c < 0:
+                raise AssertionError(
+                    f"non-integral or negative constant {dot}/{scale} at {u}, {v}, {w}"
+                )
             if c:
-                frac = Fraction(c)
-                if frac.denominator != 1 or frac < 0:
-                    raise AssertionError(
-                        f"non-integral or negative constant {c} at {u}, {v}, {w}"
-                    )
-                out[w.index] = int(frac)
+                out[w.index] = c
         self._products[key] = out
         self._dirty = True
         return out
+
+    def functional(self, w: WeylElement, monos: AbstractSet[Monomial]) -> dict[Monomial, int]:
+        """E_w as {m: constant term of d_w x^m}, with an entry for each of `monos`.
+
+        Entries are memoised for the life of the basis and shared by every
+        product; the monomials must have degree l(w).
+        """
+        row = self._functionals.setdefault(w.index, {})
+        missing = monos - row.keys()
+        if missing:
+            j = w.word[-1]
+            steps = {m: self._step(j, m) for m in missing}
+            shorter = self.functional(self.group.mult(w, self.group.simple_reflection(j)),
+                                      {m2 for step in steps.values() for m2 in step})
+            for m, step in steps.items():
+                row[m] = sum(c * shorter[m2] for m2, c in step.items())
+        return row
+
+    def _step(self, j: int, mono: Monomial) -> dict[Monomial, int]:
+        """The terms of d_j x^m, memoised per (j, m)."""
+        got = self._steps.get((j, mono))
+        if got is None:
+            got = self._steps[(j, mono)] = divided_difference(
+                self.rs, j, Poly(self.rs.rank, {mono: 1})).terms
+        return got
 
     # -- disk cache ------------------------------------------------------
 

@@ -107,6 +107,7 @@ class WeylGroup:
         self._parabolics: dict[tuple, Parabolic] = {}  # filled by parabolic
         self._bases: dict[tuple[int, ...], object] = {}  # by index set, from schubert.schubert_basis
         self._by_inversions = None  # built by invsets.element_with_inversions
+        self._reflections: dict[tuple, WeylElement] = {}  # filled by reflection
 
     # -- enumeration ----------------------------------------------------
 
@@ -166,6 +167,9 @@ class WeylGroup:
 
     def reflection(self, root_coords: Sequence[int]) -> WeylElement:
         """The reflection s_beta for a root beta in root coordinates."""
+        key = tuple(root_coords)
+        if key in self._reflections:
+            return self._reflections[key]
         rs = self.rs
         n = rs.rank
         bb = rs.form(root_coords, root_coords)
@@ -178,7 +182,8 @@ class WeylGroup:
             if tuple(Fraction(x) for x in icol) != tuple(Fraction(x) for x in col):
                 raise AssertionError("non-integral reflection matrix")
             cols.append(icol)
-        return self._by_cols[tuple(cols)]
+        self._reflections[key] = self._by_cols[tuple(cols)]
+        return self._reflections[key]
 
     def mult(self, u: WeylElement, v: WeylElement) -> WeylElement:
         n = self.rs.rank

@@ -1,11 +1,19 @@
 """Independent oracles for cross-checking structure constants.
 
-Nothing here touches the divided-difference machinery: the tableau count
-implements the classical combinatorial rule directly, and the permutation
-helpers translate type-A Weyl elements to Grassmannian data by hand.
+The tableau count implements the classical combinatorial rule directly, and
+the permutation helpers translate type-A Weyl elements to Grassmannian data
+by hand.  `divided_difference_table` is the reference for the integer kernel
+of `SchubertBasis.product`: it applies whole-polynomial divided differences to
+the rational top class prod(positive roots)/|W| and reads off constant terms,
+sharing only `Poly` and `divided_difference` with the library.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from schubdeform.poly import Poly
+from schubdeform.schubert import divided_difference
 
 
 def pad(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -110,3 +118,54 @@ def grassmannian_partition(perm, k: int) -> tuple[int, ...]:
     if any(lam[j] < lam[j + 1] for j in range(k - 1)) or lam[-1] < 0:
         raise ValueError(f"{perm} is not Grassmannian at {k}")
     return tuple(x for x in lam if x)
+
+
+def divided_difference_table(group) -> dict[tuple[int, int], dict[int, int]]:
+    """Every G/B product class(u)*class(v), u.index <= v.index, as {w index: c}.
+
+    P_w is the divided difference along a reduced word of w^-1 w_o applied to
+    the top class prod(positive roots)/|W|, and c_uv^w is the constant term of
+    d_w(P_u P_v), applying one operator of the word of w at a time to the
+    whole polynomial.  The operators run on |W| P_u times |W| P_v, whose
+    coefficients are integers, and each constant term is divided back by
+    |W|^2: the same linear map, without rational arithmetic in the inner loop.
+    """
+    rs = group.rs
+    top = Poly.const(rs.rank, 1)
+    for root in rs.positive_roots:
+        top = top * Poly.linear(root)
+    top = Poly(rs.rank, {m: Fraction(c, group.order) for m, c in top.terms.items()})
+    polys = {}
+    for w in sorted(group.elements, key=lambda w: -w.length):
+        ascent = next((i for i in range(rs.rank)
+                       if group.mult(w, group.simple_reflection(i)).length > w.length), None)
+        polys[w.index] = top if ascent is None else divided_difference(
+            rs, ascent, polys[group.mult(w, group.simple_reflection(ascent)).index])
+    cleared = {}
+    for k, p in polys.items():
+        assert all((c * group.order).denominator == 1 for c in p.terms.values())
+        cleared[k] = Poly(rs.rank, {m: int(c * group.order) for m, c in p.terms.items()})
+    table = {}
+    for u in group.elements:
+        for v in group.elements[u.index:]:
+            d = u.length + v.length
+            if d > rs.num_positive_roots:
+                continue
+            memo = {group.identity.index: cleared[u.index] * cleared[v.index]}
+
+            def apply(y):
+                if y.index not in memo:
+                    i = y.word[0]
+                    tail = group.mult(group.simple_reflection(i), y)
+                    memo[y.index] = divided_difference(rs, i, apply(tail))
+                return memo[y.index]
+
+            row = {}
+            for w in group.elements:
+                if w.length == d:
+                    c = Fraction(apply(w).constant_term(), group.order ** 2)
+                    if c:
+                        assert c.denominator == 1 and c > 0, (u, v, w, c)
+                        row[w.index] = int(c)
+            table[(u.index, v.index)] = row
+    return table

@@ -183,6 +183,22 @@ def test_horn_check_levi_words_one_path(capsys):
     assert code == 2 and "not in the Levi" in err
 
 
+def test_horn_check_errors_name_one_based_indices(capsys):
+    """Levi errors name the simple indices the way the user typed them."""
+    base = ["horn-check", "--type", "B", "--rank", "3", "--levi", "1,3",
+            "--words", "3,2;1,3,2,1,3,2;1,3,2,1,3,2", "--check", "dimension"]
+    code, _, err = run(capsys, *base, "--inner-levi", "1", "--outer-levi", "1,2",
+                       "--levi-words", "2;e;e")
+    assert code == 2
+    assert "simple index 2 is not in the Levi 1,3 (1-based indices)" in err
+    code, _, err = run(capsys, *base, "--inner-levi", "2", "--outer-levi", "1,2",
+                       "--levi-words", "e;e;e")
+    assert code == 2 and "inner Levi 2 must sit inside the Levi 1,3 (1-based" in err
+    code, _, err = run(capsys, *base, "--inner-levi", "1", "--outer-levi", "2,3",
+                       "--levi-words", "e;e;e")
+    assert code == 2 and "outer Levi 2,3 must contain the inner Levi 1 (1-based" in err
+
+
 def test_product_with_more_than_eight_classes_per_codimension(capsys):
     code, out, err = run(capsys, "product", "--type", "A", "--rank", "4", "--levi", "-",
                          "--words", "1;2")

@@ -45,6 +45,15 @@ def test_a2_three_factor_counts_and_modes():
     assert sorted(map(key, sys_c.inequalities)) == sorted(map(key, sys_d.inequalities))
 
 
+@pytest.mark.parametrize("family,deformed,classical", [
+    ("A", 142, 142), ("D", 294, 477), ("B", 474, 957), ("C", 474, 948)])
+def test_rank_four_generation_counts(family, deformed, classical):
+    """Three-factor systems of every rank-4 classical type: deformed / classical row counts."""
+    g = group_for(family, 4)
+    assert len(generate_system(g, 3, "deformed").inequalities) == deformed
+    assert len(generate_system(g, 3, "classical").inequalities) == classical
+
+
 def test_two_factor_tuples_are_dual_pairs():
     for family, rank, omit in [("A", 2, 0), ("B", 2, 1), ("C", 3, 0)]:
         ring = maximal_ring(family, rank, omit)

@@ -9,7 +9,8 @@ from schubdeform import chevalley_oracle, deformed_ring, parabolic, schubert_bas
 from schubdeform.poly import Poly
 from schubdeform.schubert import SchubertBasis, divided_difference
 
-from common import group_for
+import oracles
+from common import ALL_TYPES, group_for
 
 
 def test_divided_difference_basics():
@@ -95,6 +96,25 @@ def test_chevalley_oracle_parabolic():
         assert got == {k: c for k, c in full.items() if p.contains(g.elements[k])}
     with pytest.raises(ValueError):
         chevalley_oracle(p, 0, g.identity)
+
+
+def test_products_match_whole_polynomial_reference():
+    """Every G/B product of every rank <= 3 type against the rational reference, and
+    the exact-division and sign check on a basis polynomial made wrong on purpose."""
+    for family, rank in ALL_TYPES:
+        g = group_for(family, rank)
+        basis = SchubertBasis(g)
+        table = {(u.index, v.index): basis.product(u, v)
+                 for u in g.elements for v in g.elements[u.index:]
+                 if u.length + v.length <= g.rs.num_positive_roots}
+        assert table == oracles.divided_difference_table(g), (family, rank)
+    g = group_for("B", 2)
+    u, v = g.simple_reflection(0), g.simple_reflection(1)
+    for wrong in (lambda p: p + Poly.variable(2, 0), lambda p: -p):
+        basis = SchubertBasis(g)
+        basis._polys[u.index] = wrong(basis.polynomial(u))
+        with pytest.raises(AssertionError, match="non-integral or negative"):
+            basis.product(u, v)
 
 
 def _subsets(indices):
