@@ -1,108 +1,47 @@
-"""Exact Schubert calculus on G/P with the deformed cup product."""
+"""Exact Schubert calculus on G/P with the deformed cup product.
 
-from .cones import cone_contains, extreme_rays, primitive
-from .deform import (
-    DeformedClass,
-    DeformedRing,
-    DimensionError,
-    MovabilityCertificate,
-    deformed_ring,
-)
-from .eigencone import (
-    Inequality,
-    InequalitySystem,
-    Verdict,
-    dual_coweight,
-    evaluate,
-    generate_system,
-    prune_redundant,
-    systems_equivalent,
-)
-from .golden import GOLDEN_NAMES, GoldenResult, GoldenTable, verify_all, verify_table
-from .horn import (
-    HornCheck,
-    HornReport,
-    central_characters,
-    check_character,
-    check_dimension,
-    check_refined,
-    codim_difference_identity,
-    converse_search,
-    coset_codim,
-    dimension_tuples,
-)
-from .invsets import (
-    CrossCheckReport,
-    crosscheck_gb,
-    inversion_product,
-    is_inversion_set,
-    kostant_decomposition,
-)
-from .rootsystem import CartanType, Coweight, RootSystem, Weight, build_root_system, root_system
-from .schubert import (
-    CACHE_ENV_VAR,
-    SchubertBasis,
-    chevalley_oracle,
-    default_cache_dir,
-    schubert_basis,
-)
-from .weyl import BudgetError, Parabolic, WeylElement, WeylGroup, parabolic, weyl_group
+Importing the package loads none of its layers: each public name is
+imported from its home module on first use and then kept here (PEP 562),
+so a command or script pays only for the layers it touches.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CartanType",
-    "RootSystem",
-    "Weight",
-    "Coweight",
-    "build_root_system",
-    "root_system",
-    "WeylGroup",
-    "WeylElement",
-    "Parabolic",
-    "weyl_group",
-    "parabolic",
-    "BudgetError",
-    "SchubertBasis",
-    "schubert_basis",
-    "chevalley_oracle",
-    "default_cache_dir",
-    "CACHE_ENV_VAR",
-    "DeformedRing",
-    "DeformedClass",
-    "MovabilityCertificate",
-    "DimensionError",
-    "deformed_ring",
-    "inversion_product",
-    "is_inversion_set",
-    "kostant_decomposition",
-    "crosscheck_gb",
-    "CrossCheckReport",
-    "HornCheck",
-    "HornReport",
-    "central_characters",
-    "coset_codim",
-    "dimension_tuples",
-    "check_character",
-    "check_refined",
-    "check_dimension",
-    "codim_difference_identity",
-    "converse_search",
-    "Inequality",
-    "InequalitySystem",
-    "Verdict",
-    "generate_system",
-    "evaluate",
-    "prune_redundant",
-    "systems_equivalent",
-    "dual_coweight",
-    "primitive",
-    "cone_contains",
-    "extreme_rays",
-    "GoldenTable",
-    "GoldenResult",
-    "GOLDEN_NAMES",
-    "verify_table",
-    "verify_all",
-    "__version__",
-]
+# home module -> the public names it defines (or, for BudgetError, re-exports)
+_LAYERS = {
+    "rootsystem": ("CartanType", "RootSystem", "Weight", "Coweight", "build_root_system",
+                   "root_system"),
+    "weyl": ("WeylGroup", "WeylElement", "Parabolic", "weyl_group", "parabolic",
+             "BudgetError"),
+    "schubert": ("SchubertBasis", "schubert_basis", "chevalley_oracle", "default_cache_dir",
+                 "CACHE_ENV_VAR"),
+    "deform": ("DeformedRing", "DeformedClass", "MovabilityCertificate", "DimensionError",
+               "deformed_ring"),
+    "invsets": ("inversion_product", "is_inversion_set", "kostant_decomposition",
+                "crosscheck_gb", "CrossCheckReport"),
+    "horn": ("HornCheck", "HornReport", "central_characters", "coset_codim",
+             "dimension_tuples", "check_character", "check_refined", "check_dimension",
+             "codim_difference_identity", "converse_search"),
+    "eigencone": ("Inequality", "InequalitySystem", "Verdict", "generate_system", "evaluate",
+                  "prune_redundant", "systems_equivalent", "dual_coweight"),
+    "cones": ("primitive", "cone_contains", "extreme_rays"),
+    "golden": ("GoldenTable", "GoldenResult", "GOLDEN_NAMES", "verify_table", "verify_all"),
+}
+_HOMES = {name: home for home, names in _LAYERS.items() for name in names}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -21,16 +21,18 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
-from .deform import deformed_ring
-from .eigencone import MODES, Inequality, InequalitySystem, generate_system, prune_redundant
-from .golden import GOLDEN_NAMES, GoldenTable, verify_table
-from .horn import HornReport, check_character, check_dimension, check_refined, converse_search
-from .invsets import crosscheck_gb
+# what the parser and the shared helpers need; each command imports its own layers
+from .deform import MODES
+from .golden import GOLDEN_NAMES
 from .rootsystem import root_system
 from .schubert import SchubertBasis, default_cache_dir, schubert_basis
 from .weyl import BudgetError, Parabolic, WeylElement, WeylGroup, parabolic, weyl_group
+
+if TYPE_CHECKING:
+    from .eigencone import InequalitySystem
+    from .horn import HornReport
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -191,6 +193,14 @@ def _parse_index_list(text: str, rank: int, what: str) -> tuple[int, ...]:
     return idx
 
 
+def _parse_levi(text: str, rank: int, what: str) -> tuple[int, ...]:
+    """A set of simple indices; unlike the letters of a word, none may repeat."""
+    idx = _parse_index_list(text, rank, what)
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"{what} {text!r} repeats an index")
+    return idx
+
+
 def parse_words(text: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Semicolon-separated reduced words in 1-based simple indices.
 
@@ -221,8 +231,8 @@ def _basis_for(spec: JobSpec, group: WeylGroup) -> SchubertBasis:
 
 
 def _group_for(spec: JobSpec) -> WeylGroup:
-    rs = root_system(spec.family, spec.rank)
-    group = weyl_group(rs)
+    """The Weyl group of a command that computes structure constants."""
+    group = weyl_group(root_system(spec.family, spec.rank))
     _basis_for(spec, group)
     return group
 
@@ -255,7 +265,7 @@ def _elements(parab: Parabolic, words: Sequence[Sequence[int]]) -> list[WeylElem
 
 # -- subcommands ----------------------------------------------------------
 
-def cmd_roots(spec: JobSpec, out: TextIO) -> int:
+def cmd_roots(spec: JobSpec, args, out: TextIO) -> int:
     rs = root_system(spec.family, spec.rank)
     n = rs.rank
     summary = Table("summary", ["key", "value"], [
@@ -287,8 +297,8 @@ def cmd_roots(spec: JobSpec, out: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_weyl(spec: JobSpec, out: TextIO) -> int:
-    group = _group_for(spec)
+def cmd_weyl(spec: JobSpec, args, out: TextIO) -> int:
+    group = weyl_group(root_system(spec.family, spec.rank))
     parab = _parabolic_for(spec, group)
     profile = parab.degree_profile()
     summary = Table("summary", ["key", "value"], [
@@ -318,11 +328,13 @@ def cmd_weyl(spec: JobSpec, out: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_product(spec: JobSpec, words_arg: str, out: TextIO) -> int:
+def cmd_product(spec: JobSpec, args, out: TextIO) -> int:
+    from .deform import deformed_ring
+
     group = _group_for(spec)
     parab = _parabolic_for(spec, group)
     ring = deformed_ring(parab)
-    words = parse_words(words_arg, group.rs.rank)
+    words = parse_words(args.words, group.rs.rank)
     if len(words) < 2:
         raise ValueError("need at least two factors, e.g. --words '1,2;2,1'")
     ws = _elements(parab, words)
@@ -358,7 +370,9 @@ def cmd_product(spec: JobSpec, words_arg: str, out: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_deform_table(spec: JobSpec, out: TextIO) -> int:
+def cmd_deform_table(spec: JobSpec, args, out: TextIO) -> int:
+    from .deform import deformed_ring
+
     group = _group_for(spec)
     parab = _parabolic_for(spec, group)
     ring = deformed_ring(parab)
@@ -392,11 +406,13 @@ def cmd_deform_table(spec: JobSpec, out: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_lmovable(spec: JobSpec, words_arg: str, out: TextIO) -> int:
+def cmd_lmovable(spec: JobSpec, args, out: TextIO) -> int:
+    from .deform import deformed_ring
+
     group = _group_for(spec)
     parab = _parabolic_for(spec, group)
     ring = deformed_ring(parab)
-    ws = _elements(parab, parse_words(words_arg, group.rs.rank))
+    ws = _elements(parab, parse_words(args.words, group.rs.rank))
     cert = ring.is_levi_movable(ws)
     verdict = Table("verdict", ["key", "value"], [
         ["words", "; ".join(word_str(w.word) for w in ws)],
@@ -430,6 +446,9 @@ def _report_tables(reports: list[tuple[str, HornReport]]) -> list[Table]:
 
 
 def cmd_horn_check(spec: JobSpec, args, out: TextIO) -> int:
+    from .deform import deformed_ring
+    from .horn import check_character, check_dimension, check_refined
+
     group = _group_for(spec)
     parab = _parabolic_for(spec, group)
     ring = deformed_ring(parab)
@@ -444,8 +463,8 @@ def cmd_horn_check(spec: JobSpec, args, out: TextIO) -> int:
     if which == "dimension" or (which == "all" and wants_dimension):
         if args.inner_levi is None or args.outer_levi is None:
             raise ValueError("dimension checks need --inner-levi and --outer-levi")
-        inner = _parse_index_list(args.inner_levi, group.rs.rank, "inner Levi")
-        outer = _parse_index_list(args.outer_levi, group.rs.rank, "outer Levi")
+        inner = _parse_levi(args.inner_levi, group.rs.rank, "inner Levi")
+        outer = _parse_levi(args.outer_levi, group.rs.rank, "outer Levi")
         utuple = parse_words(args.levi_words, group.rs.rank) if args.levi_words else \
             tuple(() for _ in ws)
         reports.append(("dimension", check_dimension(ring, ws, inner, outer, utuple)))
@@ -486,6 +505,8 @@ def _system_tables(system: InequalitySystem) -> list[Table]:
 
 
 def cmd_eigencone(spec: JobSpec, args, out: TextIO) -> int:
+    from .eigencone import generate_system, prune_redundant
+
     group = _group_for(spec)
     system = generate_system(group, spec.s, spec.mode)
     if args.prune:
@@ -508,6 +529,8 @@ def _int_list(x, what: str, lo: int | None = None, hi: int | None = None) -> lis
 
 
 def _load_system(path: str) -> InequalitySystem:
+    from .eigencone import Inequality, InequalitySystem
+
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError("input file must hold a JSON object")
@@ -555,6 +578,8 @@ def _load_system(path: str) -> InequalitySystem:
 
 
 def cmd_redundancy(spec: JobSpec, args, out: TextIO) -> int:
+    from .eigencone import generate_system, prune_redundant
+
     if args.input:
         system = _load_system(args.input)
     else:
@@ -579,7 +604,10 @@ def cmd_redundancy(spec: JobSpec, args, out: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_leviprod_check(spec: JobSpec, out: TextIO) -> int:
+def cmd_leviprod_check(spec: JobSpec, args, out: TextIO) -> int:
+    from .deform import deformed_ring
+    from .invsets import crosscheck_gb
+
     group = _group_for(spec)
     ring = deformed_ring(parabolic(group, []))
     report = crosscheck_gb(ring)
@@ -601,6 +629,8 @@ def cmd_leviprod_check(spec: JobSpec, out: TextIO) -> int:
 
 
 def cmd_verify_golden(spec: JobSpec, args, out: TextIO) -> int:
+    from .golden import GoldenTable, verify_table
+
     names = [args.table] if args.table else list(GOLDEN_NAMES)
     for name in names:
         fam, rank = name[0].upper(), int(name[1])
@@ -621,6 +651,11 @@ def cmd_verify_golden(spec: JobSpec, args, out: TextIO) -> int:
 
 
 def cmd_horn_converse(spec: JobSpec, args, out: TextIO) -> int:
+    from .deform import deformed_ring
+    from .horn import converse_search
+
+    if args.limit < 0:
+        raise ValueError(f"--limit must be 0 (unlimited) or positive, not {args.limit}")
     group = _group_for(spec)
     parab = _parabolic_for(spec, group)
     ring = deformed_ring(parab)
@@ -736,7 +771,7 @@ def _spec_from_args(args) -> JobSpec:
     if getattr(args, "levi", None) is not None:
         if spec.rank is None:
             raise ValueError("--levi needs --rank")
-        spec.levi = _parse_index_list(args.levi, spec.rank, "levi")
+        spec.levi = _parse_levi(args.levi, spec.rank, "levi")
     elif getattr(args, "parabolic", None) is not None:
         spec.maximal = args.parabolic - 1
     if getattr(args, "s", None) is not None:
@@ -754,29 +789,22 @@ def _spec_from_args(args) -> JobSpec:
 
 
 def _dispatch(spec: JobSpec, args, out: TextIO) -> int:
-    if spec.command == "roots":
-        return cmd_roots(spec, out)
-    if spec.command == "weyl":
-        return cmd_weyl(spec, out)
-    if spec.command == "product":
-        return cmd_product(spec, args.words, out)
-    if spec.command == "deform-table":
-        return cmd_deform_table(spec, out)
-    if spec.command == "lmovable":
-        return cmd_lmovable(spec, args.words, out)
-    if spec.command == "horn-check":
-        return cmd_horn_check(spec, args, out)
-    if spec.command == "eigencone":
-        return cmd_eigencone(spec, args, out)
-    if spec.command == "redundancy":
-        return cmd_redundancy(spec, args, out)
-    if spec.command == "leviprod-check":
-        return cmd_leviprod_check(spec, out)
-    if spec.command == "verify-golden":
-        return cmd_verify_golden(spec, args, out)
-    if spec.command == "horn-converse-experiment":
-        return cmd_horn_converse(spec, args, out)
-    raise ValueError(f"unknown command {spec.command!r}")
+    # looked up on each call, so a handler rebound on the module (as the
+    # benchmark tracer does) is the one that runs
+    handlers = {
+        "roots": cmd_roots,
+        "weyl": cmd_weyl,
+        "product": cmd_product,
+        "deform-table": cmd_deform_table,
+        "lmovable": cmd_lmovable,
+        "horn-check": cmd_horn_check,
+        "eigencone": cmd_eigencone,
+        "redundancy": cmd_redundancy,
+        "leviprod-check": cmd_leviprod_check,
+        "verify-golden": cmd_verify_golden,
+        "horn-converse-experiment": cmd_horn_converse,
+    }
+    return handlers[spec.command](spec, args, out)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -23,6 +23,9 @@ from .weyl import Parabolic, WeylElement
 
 ExpVec = tuple[int, ...]
 
+# the ring's two products, and so the two modes of eigencone generation
+MODES = ("classical", "deformed")
+
 
 class DimensionError(ValueError):
     """Codimension sum does not meet the dimension condition."""

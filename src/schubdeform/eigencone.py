@@ -16,12 +16,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import cone_contains
-from .deform import DeformedRing, deformed_ring
-from .horn import dimension_tuples
+from .deform import MODES, DeformedRing, deformed_ring
+from .horn import TUPLE_CAP, check_tuple_budget, dimension_tuples
 from .rootsystem import Coweight, RootSystem
-from .weyl import BudgetError, WeylElement, WeylGroup, parabolic
-
-MODES = ("classical", "deformed")
+from .weyl import WeylElement, WeylGroup, parabolic
 
 
 @dataclass(frozen=True)
@@ -137,19 +135,12 @@ def tuple_inequality(ring: DeformedRing, ws: Sequence[WeylElement]) -> Inequalit
 
 
 def generate_system(group: WeylGroup, s: int, mode: str,
-                    cap: int = 5_000_000) -> InequalitySystem:
+                    cap: int = TUPLE_CAP) -> InequalitySystem:
     """Union of the inequalities over all standard maximal parabolics."""
     rs = group.rs
-    rings = []
-    bound = 0
-    for i in range(rs.rank):
-        levi = tuple(j for j in range(rs.rank) if j != i)
-        ring = deformed_ring(parabolic(group, levi))
-        rings.append(ring)
-        bound += len(ring.reps) ** (s - 1)
-    if bound > cap:
-        raise BudgetError(
-            f"enumeration bound {bound} exceeds cap {cap} for {rs.label}, s={s}")
+    rings = [deformed_ring(parabolic(group, tuple(j for j in range(rs.rank) if j != i)))
+             for i in range(rs.rank)]
+    check_tuple_budget((len(ring.reps) for ring in rings), s, rs.label, cap)
     ineqs = []
     for ring in rings:
         for ws in enumerate_tuples(ring, s, mode):

@@ -13,10 +13,13 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .deform import DeformedRing, deformed_ring
 from .weyl import parabolic, weyl_group
 from .rootsystem import root_system
+
+if TYPE_CHECKING:
+    from .deform import DeformedRing
 
 GOLDEN_NAMES = ("b3_p2", "b3_p3", "c3_p1", "c3_p2")
 
@@ -57,6 +60,8 @@ class GoldenResult:
 
 
 def _ring_for(table: GoldenTable) -> DeformedRing:
+    from .deform import deformed_ring  # listing GOLDEN_NAMES loads no ring layer
+
     rs = root_system(table.family, table.rank)
     group = weyl_group(rs)
     levi = tuple(i for i in range(table.rank) if i != table.parabolic - 1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .deform import DeformedRing, MovabilityCertificate, deformed_ring
-from .weyl import Parabolic, WeylElement, parabolic
+from .weyl import BudgetError, Parabolic, WeylElement, parabolic
 
 _REL = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
@@ -158,6 +158,29 @@ def dimension_tuples(parab: Parabolic, s: int) -> Iterator[tuple[WeylElement, ..
     return rec(0, dim, ())
 
 
+TUPLE_CAP = 5_000_000
+
+
+def check_tuple_budget(sizes: Iterable[int], s: int, label: str, cap: int = TUPLE_CAP) -> None:
+    """Raise BudgetError when s-fold scans over quotients with these numbers
+    of representatives could take more than `cap` tuples, by the bound
+    sum(n ** (s - 1) for n in sizes).
+
+    The sum stops growing once it passes the cap, so a huge s costs a few
+    multiplications, never a huge integer.
+    """
+    total = 0
+    for n in sizes:
+        term = 1
+        for _ in range(s - 1 if n > 1 else 0):
+            term *= n
+            if total + term > cap:
+                break
+        total += term
+        if total > cap:
+            raise BudgetError(f"enumeration bound exceeds cap {cap} for {label}, s={s}")
+
+
 # -- Levi recursion ------------------------------------------------------
 
 
@@ -220,9 +243,10 @@ def levi_blocks(ring: DeformedRing, s: int) -> list[LeviBlock]:
         return hit
     levi = ring.parabolic.levi
     group = ring.group
+    subs = {p: parabolic(group, tuple(i for i in levi if i != p), within=levi) for p in levi}
+    check_tuple_budget((len(sub.reps) for sub in subs.values()), s, ring.rs.label)
     blocks: list[LeviBlock] = []
-    for p in levi:
-        sub = parabolic(group, tuple(i for i in levi if i != p), within=levi)
+    for p, sub in subs.items():
         blocks.append(LeviBlock(
             coweight_index=p,
             reps=list(sub.reps),
@@ -435,10 +459,12 @@ def converse_search(ring: DeformedRing, s: int = 3,
     candidate witness that the character inequalities do not suffice for
     nonvanishing.  Purely experimental: nothing is asserted either way.
     """
+    check_tuple_budget([len(ring.reps)], s, ring.rs.label)
+    tuples = dimension_tuples(ring.parabolic, s)  # rejects s < 1 before the Levi scan
     blocks = levi_blocks(ring, s)
     shellbase = {"system": ring.rs.label, "levi": ring.parabolic.levi}
     found: list[HornReport] = []
-    for ws in dimension_tuples(ring.parabolic, s):
+    for ws in tuples:
         cert = ring.is_levi_movable(ws)
         if cert.coefficient != 0:
             continue

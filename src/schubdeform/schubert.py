@@ -25,7 +25,6 @@ computed is never replaced by a stored one.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from operator import mul
@@ -185,6 +184,8 @@ class SchubertBasis:
     def save_cache(self) -> None:
         if self._cache_path is None or not self._dirty:
             return
+        import hashlib  # only runs that touch a cache file pay for it
+
         payload = self._payload()
         doc = {
             "format_version": CACHE_FORMAT_VERSION,
@@ -212,6 +213,8 @@ class SchubertBasis:
             return {}
         if doc.get("cartan") != [list(r) for r in self.rs.cartan]:
             return {}
+        import hashlib
+
         payload = json.dumps(doc.get("entries", {}), sort_keys=True, separators=(",", ":"))
         if hashlib.sha256(payload.encode()).hexdigest() != doc.get("sha256"):
             return {}

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from schubdeform import CACHE_ENV_VAR, GoldenResult, HornCheck
-from schubdeform import cli
+from schubdeform import cli, golden, horn
 from schubdeform.horn import HornReport
 
 
@@ -76,6 +76,14 @@ def test_invalid_input_exit_2(capsys):
          "--words", "1;2"],
         ["weyl", "--type", "A", "--rank", "2", "--levi", "5"],
         ["lmovable", "--type", "B", "--rank", "2", "--words", "1;2"],
+        ["weyl", "--type", "A", "--rank", "2", "--levi", "1,1"],
+        ["horn-check", "--type", "A", "--rank", "3", "--parabolic", "1",
+         "--words", "2,1;2,1;2,1", "--inner-levi", "2,2", "--outer-levi", "2,3"],
+        ["horn-check", "--type", "A", "--rank", "3", "--parabolic", "1",
+         "--words", "2,1;2,1;2,1", "--inner-levi", "2", "--outer-levi", "2,3,2"],
+        ["horn-converse-experiment", "--type", "A", "--rank", "3", "--limit", "-1"],
+        ["horn-converse-experiment", "--type", "A", "--rank", "2", "--parabolic", "1",
+         "--s", "-1"],
     ]
     for argv in bad:
         code, _, err = run(capsys, *argv)
@@ -95,6 +103,22 @@ def test_budget_exceeded_exit_3(capsys):
         assert time.perf_counter() - t0 < 1.0, argv
         assert code == 3, argv
         assert err.startswith("error:") and "exceeding the cap" in err, argv
+
+
+def test_tuple_scan_budget_exit_3_fast(capsys):
+    for argv in (["eigencone", "--type", "A", "--rank", "2", "--s", "100000"],
+                 ["redundancy", "--type", "A", "--rank", "2", "--s", "100000"],
+                 ["eigencone", "--type", "A", "--rank", "2", "--s", "2000"],
+                 ["horn-converse-experiment", "--type", "A", "--rank", "2", "--s", "100"],
+                 ["horn-converse-experiment", "--type", "A", "--rank", "2", "--s", "1000"],
+                 ["horn-converse-experiment", "--type", "A", "--rank", "2", "--levi", "1,2",
+                  "--s", "1000"]):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 3, argv
+        # the message names the cap, never the (possibly huge) bound
+        assert err.startswith("error:") and "cap 5000000" in err and len(err) < 200, argv
 
 
 def test_root_system_budget_exit_3_fast(tmp_path, capsys):
@@ -125,7 +149,7 @@ def test_verify_golden_single_table(capsys):
 
 def test_verify_golden_mismatch_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "verify_table",
+        golden, "verify_table",
         lambda table: GoldenResult(name=table.name, matched=False,
                                    detail="forced mismatch"))
     code, out, _ = run(capsys, "verify-golden", "--table", "c3_p1")
@@ -137,7 +161,7 @@ def test_horn_check_failure_exit_4(capsys, monkeypatch):
     failing = HornReport(system="A3", levi=(1, 2), words=((1, 0),) * 3,
                          applicable=True, reason="", coefficient=0,
                          checks=[HornCheck("character-sum", 5, 3, "<=")])
-    monkeypatch.setattr(cli, "check_character", lambda ring, ws: failing)
+    monkeypatch.setattr(horn, "check_character", lambda ring, ws: failing)
     code, _, _ = run(capsys, "horn-check", "--type", "A", "--rank", "3",
                      "--parabolic", "1", "--words", "2,1;2,1;2,1",
                      "--check", "character")
