@@ -9,7 +9,9 @@ Every run echoes a normalized job description into its output header so the
 result is reproducible from the header alone.  Output formats are markdown
 (default), csv, and json; rationals appear as "p/q" strings in json.  Exit
 codes: 0 success, 2 invalid arguments or input data, 3 enumeration budget
-exceeded, 4 verification mismatch.
+exceeded, 4 verification mismatch.  A reader that closes stdout early (as
+`| head` does) is no error: the rest of the output is dropped and the command
+keeps its own exit code.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,6 +34,7 @@ from .schubert import SchubertBasis, default_cache_dir, schubert_basis
 from .weyl import BudgetError, Parabolic, WeylElement, WeylGroup, parabolic, weyl_group
 
 if TYPE_CHECKING:
+    from .deform import DeformedRing
     from .eigencone import InequalitySystem
     from .horn import HornReport
 
@@ -62,50 +66,32 @@ class JobSpec:
     # bases this run pointed at its cache directory; saved when the run ends
     bases: list[SchubertBasis] = field(default_factory=list, repr=False, compare=False)
 
-    def summary(self) -> str:
-        bits = [f"command={self.command}"]
-        if self.family is not None:
-            bits.append(f"type={self.family}")
-        if self.rank is not None:
-            bits.append(f"rank={self.rank}")
-        if self.levi is not None:
-            bits.append("levi=" + (",".join(str(i + 1) for i in self.levi) or "-"))
-        if self.maximal is not None:
-            bits.append(f"parabolic={self.maximal + 1}")
-        if self.s is not None:
-            bits.append(f"s={self.s}")
-        if self.mode is not None:
-            bits.append(f"mode={self.mode}")
-        for k, v in self.extra.items():
-            bits.append(f"{k}={v}")
-        bits.append(f"format={self.fmt}")
-        if self.cache_dir:
-            bits.append(f"cache-dir={self.cache_dir}")
-        if self.no_cache:
-            bits.append("no-cache")
-        return " ".join(bits)
-
     def as_dict(self) -> dict:
-        out: dict = {"command": self.command}
-        if self.family is not None:
-            out["type"] = self.family
-        if self.rank is not None:
-            out["rank"] = self.rank
-        if self.levi is not None:
-            out["levi"] = [i + 1 for i in self.levi]
-        if self.maximal is not None:
-            out["parabolic"] = self.maximal + 1
-        if self.s is not None:
-            out["s"] = self.s
-        if self.mode is not None:
-            out["mode"] = self.mode
-        out.update(self.extra)
-        out["format"] = self.fmt
-        if self.cache_dir:
-            out["cache_dir"] = self.cache_dir
-        if self.no_cache:
-            out["no_cache"] = True
-        return out
+        """The job's fields in header order; the JSON `job` object."""
+        fields = {
+            "command": self.command,
+            "type": self.family,
+            "rank": self.rank,
+            "levi": None if self.levi is None else [i + 1 for i in self.levi],
+            "parabolic": None if self.maximal is None else self.maximal + 1,
+            "s": self.s,
+            "mode": self.mode,
+            **self.extra,
+            "format": self.fmt,
+            "cache_dir": self.cache_dir or None,
+            "no_cache": self.no_cache or None,
+        }
+        return {k: v for k, v in fields.items() if v is not None}
+
+    def summary(self) -> str:
+        """The same fields as one header line: `key=value`, and a bare `no-cache`."""
+        bits = []
+        for k, v in self.as_dict().items():
+            k = k.replace("_", "-")
+            if isinstance(v, list):
+                v = ",".join(map(str, v)) or "-"
+            bits.append(k if k == "no-cache" else f"{k}={v}")
+        return " ".join(bits)
 
 
 # -- formatting -----------------------------------------------------------
@@ -130,9 +116,13 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (Path, WeylElement)):
-        return str(x)
     return x
+
+
+def _document(spec: JobSpec, payload: dict) -> str:
+    """The JSON document of a run: schema version, job, then the payload."""
+    doc = {"schema_version": JSON_SCHEMA_VERSION, "job": spec.as_dict(), **payload}
+    return json.dumps(_jsonable(doc), indent=2) + "\n"
 
 
 def _cell(x) -> str:
@@ -158,24 +148,27 @@ def _write_markdown(out: TextIO, table: Table) -> None:
 
 
 def emit(spec: JobSpec, tables: list[Table], payload: dict, out: TextIO) -> None:
-    if spec.fmt == "json":
-        doc = {"schema_version": JSON_SCHEMA_VERSION, "job": spec.as_dict()}
-        doc.update(payload)
-        json.dump(_jsonable(doc), out, indent=2)
-        out.write("\n")
-        return
-    out.write(f"# {spec.summary()}\n")
-    if spec.fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        for t in tables:
-            out.write(f"# {t.title}\n")
-            writer.writerow(t.columns)
-            for r in t.rows:
-                writer.writerow([_cell(x) for x in r])
-        return
-    for t in tables:
-        out.write(f"\n## {t.title}\n\n")
-        _write_markdown(out, t)
+    """Write one run's result to `out`; a reader that has gone away is not an error."""
+    try:
+        if spec.fmt == "json":
+            out.write(_document(spec, payload))
+        else:
+            out.write(f"# {spec.summary()}\n")
+            for t in tables:
+                if spec.fmt == "csv":
+                    out.write(f"# {t.title}\n")
+                    writer = csv.writer(out, lineterminator="\n")
+                    writer.writerow(t.columns)
+                    writer.writerows([_cell(x) for x in r] for r in t.rows)
+                else:
+                    out.write(f"\n## {t.title}\n\n")
+                    _write_markdown(out, t)
+        out.flush()
+    except BrokenPipeError:
+        # the rest goes nowhere, so the interpreter's last flush cannot fail either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
 
 
 # -- shared argument plumbing ---------------------------------------------
@@ -223,8 +216,7 @@ def word_str(word: Sequence[int]) -> str:
 def _basis_for(spec: JobSpec, group: WeylGroup) -> SchubertBasis:
     """The group's basis, pointed at this run's cache directory (or at none)."""
     basis = schubert_basis(group)
-    basis.use_cache_dir(Path(spec.cache_dir) if spec.cache_dir
-                        else default_cache_dir(spec.no_cache))
+    basis.use_cache_dir(spec.cache_dir or default_cache_dir(spec.no_cache))
     if basis not in spec.bases:
         spec.bases.append(basis)
     return basis
@@ -248,9 +240,18 @@ def _parabolic_for(spec: JobSpec, group: WeylGroup) -> Parabolic:
     return parabolic(group, [])
 
 
-def _elements(parab: Parabolic, words: Sequence[Sequence[int]]) -> list[WeylElement]:
+def _ring_for(spec: JobSpec) -> DeformedRing:
+    """The deformed ring of the job's parabolic, with the run's cache attached."""
+    from .deform import deformed_ring
+
+    return deformed_ring(_parabolic_for(spec, _group_for(spec)))
+
+
+def _tuple_for(ring: DeformedRing, text: str) -> list[WeylElement]:
+    """The classes named by semicolon-separated words: each reduced and in W^P."""
+    parab = ring.parabolic
     out = []
-    for word in words:
+    for word in parse_words(text, ring.rs.rank):
         w = parab.group.from_word(word)
         if w.length != len(word):
             raise ValueError(f"word {word_str(word)} is not reduced")
@@ -329,15 +330,11 @@ def cmd_weyl(spec: JobSpec, args, out: TextIO) -> int:
 
 
 def cmd_product(spec: JobSpec, args, out: TextIO) -> int:
-    from .deform import deformed_ring
-
-    group = _group_for(spec)
-    parab = _parabolic_for(spec, group)
-    ring = deformed_ring(parab)
-    words = parse_words(args.words, group.rs.rank)
-    if len(words) < 2:
+    ring = _ring_for(spec)
+    parab = ring.parabolic
+    ws = _tuple_for(ring, args.words)
+    if len(ws) < 2:
         raise ValueError("need at least two factors, e.g. --words '1,2;2,1'")
-    ws = _elements(parab, words)
     acc = ring.basis_class(ws[0])
     for w in ws[1:]:
         acc = ring.multiply(acc, ring.basis_class(w))
@@ -371,11 +368,8 @@ def cmd_product(spec: JobSpec, args, out: TextIO) -> int:
 
 
 def cmd_deform_table(spec: JobSpec, args, out: TextIO) -> int:
-    from .deform import deformed_ring
-
-    group = _group_for(spec)
-    parab = _parabolic_for(spec, group)
-    ring = deformed_ring(parab)
+    ring = _ring_for(spec)
+    parab = ring.parabolic
     order = [pos for pos in ring.table_order() if ring.reps[pos].length < parab.dim]
     labels = [ring.labels[pos] for pos in order]
     classes = Table("classes", ["label", "word", "codim"],
@@ -395,7 +389,7 @@ def cmd_deform_table(spec: JobSpec, args, out: TextIO) -> int:
     grid = Table("deformed multiplication table (unit class omitted)",
                  ["*"] + labels, grid_rows)
     payload = {
-        "type": group.rs.label,
+        "type": ring.rs.label,
         "levi": [i + 1 for i in parab.levi],
         "classes": [{"label": ring.labels[pos],
                      "word": [i + 1 for i in ring.reps[pos].word],
@@ -407,16 +401,12 @@ def cmd_deform_table(spec: JobSpec, args, out: TextIO) -> int:
 
 
 def cmd_lmovable(spec: JobSpec, args, out: TextIO) -> int:
-    from .deform import deformed_ring
-
-    group = _group_for(spec)
-    parab = _parabolic_for(spec, group)
-    ring = deformed_ring(parab)
-    ws = _elements(parab, parse_words(args.words, group.rs.rank))
+    ring = _ring_for(spec)
+    ws = _tuple_for(ring, args.words)
     cert = ring.is_levi_movable(ws)
     verdict = Table("verdict", ["key", "value"], [
         ["words", "; ".join(word_str(w.word) for w in ws)],
-        ["codimension sum", parab.dim],
+        ["codimension sum", ring.parabolic.dim],
         ["point coefficient", cert.coefficient],
         ["movable", cert.movable],
     ])
@@ -446,13 +436,10 @@ def _report_tables(reports: list[tuple[str, HornReport]]) -> list[Table]:
 
 
 def cmd_horn_check(spec: JobSpec, args, out: TextIO) -> int:
-    from .deform import deformed_ring
     from .horn import check_character, check_dimension, check_refined
 
-    group = _group_for(spec)
-    parab = _parabolic_for(spec, group)
-    ring = deformed_ring(parab)
-    ws = _elements(parab, parse_words(args.words, group.rs.rank))
+    ring = _ring_for(spec)
+    ws = _tuple_for(ring, args.words)
     which = args.check
     reports: list[tuple[str, HornReport]] = []
     if which in ("all", "character"):
@@ -463,9 +450,9 @@ def cmd_horn_check(spec: JobSpec, args, out: TextIO) -> int:
     if which == "dimension" or (which == "all" and wants_dimension):
         if args.inner_levi is None or args.outer_levi is None:
             raise ValueError("dimension checks need --inner-levi and --outer-levi")
-        inner = _parse_levi(args.inner_levi, group.rs.rank, "inner Levi")
-        outer = _parse_levi(args.outer_levi, group.rs.rank, "outer Levi")
-        utuple = parse_words(args.levi_words, group.rs.rank) if args.levi_words else \
+        inner = _parse_levi(args.inner_levi, ring.rs.rank, "inner Levi")
+        outer = _parse_levi(args.outer_levi, ring.rs.rank, "outer Levi")
+        utuple = parse_words(args.levi_words, ring.rs.rank) if args.levi_words else \
             tuple(() for _ in ws)
         reports.append(("dimension", check_dimension(ring, ws, inner, outer, utuple)))
     failures = sum(len(rep.failures()) for _, rep in reports)
@@ -507,15 +494,12 @@ def _system_tables(system: InequalitySystem) -> list[Table]:
 def cmd_eigencone(spec: JobSpec, args, out: TextIO) -> int:
     from .eigencone import generate_system, prune_redundant
 
-    group = _group_for(spec)
-    system = generate_system(group, spec.s, spec.mode)
+    system = generate_system(_group_for(spec), spec.s, spec.mode)
     if args.prune:
         system = prune_redundant(system)
     payload = system.as_dict()
     if args.output:
-        doc = {"schema_version": JSON_SCHEMA_VERSION, "job": spec.as_dict()}
-        doc.update(payload)
-        Path(args.output).write_text(json.dumps(_jsonable(doc), indent=2) + "\n")
+        Path(args.output).write_text(_document(spec, payload))
     emit(spec, _system_tables(system), payload, out)
     return EXIT_OK
 
@@ -585,8 +569,7 @@ def cmd_redundancy(spec: JobSpec, args, out: TextIO) -> int:
     else:
         if spec.family is None or spec.rank is None:
             raise ValueError("need either --input FILE or --type/--rank")
-        group = _group_for(spec)
-        system = generate_system(group, spec.s, spec.mode)
+        system = generate_system(_group_for(spec), spec.s, spec.mode)
     system = prune_redundant(system)
     tables = _system_tables(system)
     redundant_ids = [k + 1 for k, r in enumerate(system.redundant) if r]
@@ -597,20 +580,15 @@ def cmd_redundancy(spec: JobSpec, args, out: TextIO) -> int:
     payload = system.as_dict()
     payload["redundant_ids"] = redundant_ids
     if args.output:
-        doc = {"schema_version": JSON_SCHEMA_VERSION, "job": spec.as_dict()}
-        doc.update(payload)
-        Path(args.output).write_text(json.dumps(_jsonable(doc), indent=2) + "\n")
+        Path(args.output).write_text(_document(spec, payload))
     emit(spec, tables, payload, out)
     return EXIT_OK
 
 
 def cmd_leviprod_check(spec: JobSpec, args, out: TextIO) -> int:
-    from .deform import deformed_ring
     from .invsets import crosscheck_gb
 
-    group = _group_for(spec)
-    ring = deformed_ring(parabolic(group, []))
-    report = crosscheck_gb(ring)
+    report = crosscheck_gb(_ring_for(spec))
     rows = [["type", report.label], ["pairs", report.pairs],
             ["mismatches", len(report.mismatches)], ["passed", report.passed]]
     tables = [Table("degenerate product vs inversion-set rule", ["key", "value"], rows)]
@@ -631,11 +609,10 @@ def cmd_leviprod_check(spec: JobSpec, args, out: TextIO) -> int:
 def cmd_verify_golden(spec: JobSpec, args, out: TextIO) -> int:
     from .golden import GoldenTable, verify_table
 
-    names = [args.table] if args.table else list(GOLDEN_NAMES)
-    for name in names:
-        fam, rank = name[0].upper(), int(name[1])
-        _basis_for(spec, weyl_group(root_system(fam, rank)))
-    results = [verify_table(GoldenTable.load(name)) for name in names]
+    goldens = [GoldenTable.load(name) for name in ([args.table] if args.table else GOLDEN_NAMES)]
+    for g in goldens:
+        _basis_for(spec, weyl_group(root_system(g.family, g.rank)))
+    results = [verify_table(g) for g in goldens]
     rows = []
     for r in results:
         note = r.detail if not r.matched else \
@@ -651,21 +628,19 @@ def cmd_verify_golden(spec: JobSpec, args, out: TextIO) -> int:
 
 
 def cmd_horn_converse(spec: JobSpec, args, out: TextIO) -> int:
-    from .deform import deformed_ring
     from .horn import converse_search
 
     if args.limit < 0:
         raise ValueError(f"--limit must be 0 (unlimited) or positive, not {args.limit}")
-    group = _group_for(spec)
-    parab = _parabolic_for(spec, group)
-    ring = deformed_ring(parab)
+    ring = _ring_for(spec)
+    levi = [i + 1 for i in ring.parabolic.levi]
     found = converse_search(ring, s=spec.s, limit=args.limit or None)
     rows = [[k + 1, "; ".join(word_str(w) for w in rep.words)]
             for k, rep in enumerate(found)]
     tables = [
         Table("summary", ["key", "value"], [
             ["system", ring.rs.label],
-            ["levi", ",".join(str(i + 1) for i in parab.levi) or "-"],
+            ["levi", ",".join(map(str, levi)) or "-"],
             ["candidates", len(found)],
         ]),
         Table("zero-product tuples passing every character inequality",
@@ -673,7 +648,7 @@ def cmd_horn_converse(spec: JobSpec, args, out: TextIO) -> int:
     ]
     payload = {
         "system": ring.rs.label,
-        "levi": [i + 1 for i in parab.levi],
+        "levi": levi,
         "candidates": [rep.as_dict() for rep in found],
     }
     emit(spec, tables, payload, out)
@@ -692,6 +667,11 @@ def _add_common(p: argparse.ArgumentParser, parab: bool = True,
                        help="1-based simple indices of the Levi, e.g. '1,3' ('-' for Borel)")
         p.add_argument("--parabolic", type=int,
                        help="maximal parabolic by its omitted 1-based simple index")
+    _add_output(p)
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
+    """The format and cache flags of every command."""
     p.add_argument("--format", dest="fmt", choices=("md", "csv", "json"), default="md")
     p.add_argument("--cache-dir", help="directory for the structure-constant cache")
     p.add_argument("--no-cache", action="store_true")
@@ -751,9 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-golden", help="check bundled multiplication tables")
     p.add_argument("--table", choices=GOLDEN_NAMES, help="single table (default: all)")
-    p.add_argument("--format", dest="fmt", choices=("md", "csv", "json"), default="md")
-    p.add_argument("--cache-dir")
-    p.add_argument("--no-cache", action="store_true")
+    _add_output(p)
 
     p = sub.add_parser("horn-converse-experiment",
                        help="search for zero-product tuples passing the character checks")
@@ -765,26 +743,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> JobSpec:
-    spec = JobSpec(command=args.command, fmt=getattr(args, "fmt", "md"))
-    spec.family = getattr(args, "type", None)
-    spec.rank = getattr(args, "rank", None)
+    spec = JobSpec(command=args.command, family=getattr(args, "type", None),
+                   rank=getattr(args, "rank", None), s=getattr(args, "s", None),
+                   mode=getattr(args, "mode", None), fmt=args.fmt,
+                   cache_dir=args.cache_dir, no_cache=args.no_cache)
     if getattr(args, "levi", None) is not None:
         if spec.rank is None:
             raise ValueError("--levi needs --rank")
         spec.levi = _parse_levi(args.levi, spec.rank, "levi")
     elif getattr(args, "parabolic", None) is not None:
         spec.maximal = args.parabolic - 1
-    if getattr(args, "s", None) is not None:
-        spec.s = args.s
-    if getattr(args, "mode", None) is not None:
-        spec.mode = args.mode
     for name in ("words", "check", "inner_levi", "outer_levi", "levi_words",
                  "table", "limit", "prune", "input", "output"):
         val = getattr(args, name, None)
         if val is not None and val is not False:
             spec.extra[name.replace("_", "-")] = val
-    spec.cache_dir = getattr(args, "cache_dir", None)
-    spec.no_cache = getattr(args, "no_cache", False)
     return spec
 
 
@@ -817,10 +790,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
+    except (ValueError, OSError) as e:  # OSError: the --input and --output files
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:

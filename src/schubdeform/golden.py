@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import TYPE_CHECKING
 
 from .weyl import parabolic, weyl_group
@@ -35,6 +34,8 @@ class GoldenTable:
 
     @classmethod
     def load(cls, key: str) -> "GoldenTable":
+        from importlib import resources  # listing GOLDEN_NAMES reads no resource
+
         path = resources.files("schubdeform.data.golden").joinpath(f"{key}.json")
         doc = json.loads(path.read_text())
         products = {}

@@ -52,8 +52,7 @@ class SchubertBasis:
     Weyl group generated by the simple reflections of `within` (all of them
     by default)."""
 
-    def __init__(self, group: WeylGroup, within: tuple[int, ...] | None = None,
-                 cache_dir: str | os.PathLike | None = None):
+    def __init__(self, group: WeylGroup, within: tuple[int, ...] | None = None):
         self.group = group
         self.rs = group.rs
         self.within = tuple(range(self.rs.rank)) if within is None else within
@@ -68,9 +67,8 @@ class SchubertBasis:
             group.identity.index: {(0,) * self.rs.rank: 1}}
         self._steps: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
         self._products: dict[tuple[int, int], dict[int, int]] = {}
-        self._cache_path: Path | None = None
+        self._cache_path: Path | None = None  # no disk cache until `use_cache_dir`
         self._dirty = False
-        self.use_cache_dir(cache_dir)
 
     # -- basis polynomials ----------------------------------------------
 

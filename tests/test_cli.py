@@ -1,8 +1,12 @@
 """Command-line front end: formats, exit codes, determinism, caching."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,88 @@ def test_weyl_csv_comment_headers(capsys):
     assert "representatives,6" in lines
     header = lines.index("#,word,length,codim")
     assert len([l for l in lines[header + 1:] if l]) == 6
+
+
+# Job shapes no benchmark pin covers: an output file, an input file, the cache
+# flags on their own, `--limit 0` and every horn-check option.  Paths are
+# relative to the test's working directory, so the header bytes are fixed.
+HEADER_JOBS = [
+    (["eigencone", "--type", "A", "--rank", "2", "--prune", "--output", "system.json",
+      "--cache-dir", "cache"],
+     "# command=eigencone type=A rank=2 s=3 mode=classical prune=True output=system.json"
+     " format=md cache-dir=cache",
+     {"command": "eigencone", "type": "A", "rank": 2, "s": 3, "mode": "classical",
+      "prune": True, "output": "system.json", "format": "json", "cache_dir": "cache"}),
+    (["redundancy", "--input", "system.json", "--no-cache"],
+     "# command=redundancy s=3 mode=classical input=system.json format=md no-cache",
+     {"command": "redundancy", "s": 3, "mode": "classical", "input": "system.json",
+      "format": "json", "no_cache": True}),
+    (["horn-converse-experiment", "--type", "A", "--rank", "2", "--parabolic", "1",
+      "--limit", "0"],
+     "# command=horn-converse-experiment type=A rank=2 parabolic=1 s=3 limit=0 format=md",
+     {"command": "horn-converse-experiment", "type": "A", "rank": 2, "parabolic": 1,
+      "s": 3, "limit": 0, "format": "json"}),
+    (["verify-golden", "--table", "b3_p2", "--cache-dir", "cache"],
+     "# command=verify-golden table=b3_p2 format=md cache-dir=cache",
+     {"command": "verify-golden", "table": "b3_p2", "format": "json", "cache_dir": "cache"}),
+    (["horn-check", "--type", "B", "--rank", "3", "--levi", "1,3",
+      "--words", "3,2;1,3,2,1,3,2;1,3,2,1,3,2", "--check", "dimension",
+      "--inner-levi", "1", "--outer-levi", "1,2", "--levi-words", "3;3;e"],
+     "# command=horn-check type=B rank=3 levi=1,3 words=3,2;1,3,2,1,3,2;1,3,2,1,3,2"
+     " check=dimension inner-levi=1 outer-levi=1,2 levi-words=3;3;e format=md",
+     {"command": "horn-check", "type": "B", "rank": 3, "levi": [1, 3],
+      "words": "3,2;1,3,2,1,3,2;1,3,2,1,3,2", "check": "dimension", "inner-levi": "1",
+      "outer-levi": "1,2", "levi-words": "3;3;e", "format": "json"}),
+]
+
+
+def test_job_headers_of_unpinned_shapes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    for argv, header, job in HEADER_JOBS:
+        for fmt in ("md", "csv"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert code == 0 and not err, argv
+            assert out.splitlines()[0] == header.replace("format=md", f"format={fmt}")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and list(json.loads(out)["job"].items()) == list(job.items())
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in HEADER_JOBS] + [
+    ["roots", "--type", "G", "--rank", "2", "--format", "csv"],
+    ["weyl", "--type", "B", "--rank", "3", "--levi", "-", "--no-cache"],
+    ["product", "--type", "A", "--rank", "2", "--words", "1;2", "--cache-dir", "c"],
+])
+def test_header_line_and_json_job_walk_the_same_fields(argv):
+    spec = cli._spec_from_args(cli.build_parser().parse_args(argv))
+    header_keys = [bit.split("=", 1)[0] for bit in spec.summary().split(" ")]
+    assert header_keys == [k.replace("_", "-") for k in spec.as_dict()]
+
+
+def _to_closed_pipe(*argv):
+    """Run the CLI in a fresh interpreter whose stdout reader has already gone."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop(CACHE_ENV_VAR, None)
+    try:
+        return subprocess.run([sys.executable, "-m", "schubdeform.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--type", "A", "--rank", "1"),
+    ("roots", "--type", "B", "--rank", "3", "--format", "json"),
+    ("weyl", "--type", "A", "--rank", "4"),
+    ("weyl", "--type", "A", "--rank", "3", "--format", "json"),
+])
+def test_closed_stdout_keeps_the_exit_code(argv):
+    proc = _to_closed_pipe(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_argparse_rejections():

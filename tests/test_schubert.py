@@ -171,21 +171,24 @@ def test_levi_quotient_matches_standalone_ring(family, rank, within, alone):
 
 def test_cache_round_trip(tmp_path):
     g = group_for("B", 2)
-    fresh = SchubertBasis(g, cache_dir=tmp_path)
+    fresh = SchubertBasis(g)
+    fresh.use_cache_dir(tmp_path)
     u = g.simple_reflection(0)
     v = g.simple_reflection(1)
     row = fresh.product(u, v)
     fresh.save_cache()
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 1
-    reloaded = SchubertBasis(g, cache_dir=tmp_path)
+    reloaded = SchubertBasis(g)
+    reloaded.use_cache_dir(tmp_path)
     assert reloaded._products[(min(u.index, v.index), max(u.index, v.index))] == row
     assert reloaded.product(u, v) == row
 
 
 def test_cache_rejects_corruption(tmp_path):
     g = group_for("A", 2)
-    fresh = SchubertBasis(g, cache_dir=tmp_path)
+    fresh = SchubertBasis(g)
+    fresh.use_cache_dir(tmp_path)
     fresh.product(g.simple_reflection(0), g.simple_reflection(1))
     fresh.save_cache()
     path = next(tmp_path.glob("*.json"))
@@ -193,18 +196,21 @@ def test_cache_rejects_corruption(tmp_path):
     first = next(iter(doc["entries"].values()))
     first[next(iter(first))] += 1  # tamper without updating the digest
     path.write_text(json.dumps(doc))
-    clean = SchubertBasis(g, cache_dir=tmp_path)
+    clean = SchubertBasis(g)
+    clean.use_cache_dir(tmp_path)
     assert clean._products == {}  # checksum mismatch ignored
 
 
 def test_cache_ignores_other_group(tmp_path):
     a2 = group_for("A", 2)
     b2 = group_for("B", 2)
-    first = SchubertBasis(a2, cache_dir=tmp_path)
+    first = SchubertBasis(a2)
+    first.use_cache_dir(tmp_path)
     first.product(a2.simple_reflection(0), a2.simple_reflection(1))
     first.save_cache()
     path = next(tmp_path.glob("*.json"))
     renamed = path.with_name(path.name.replace("A2", "B2"))
     path.rename(renamed)
-    other = SchubertBasis(b2, cache_dir=tmp_path)
+    other = SchubertBasis(b2)
+    other.use_cache_dir(tmp_path)
     assert other._products == {}  # Cartan matrix mismatch ignored

@@ -52,6 +52,14 @@ def test_light_jobs_load_no_cone_layer(argv):
     assert not layers & CONE_LAYERS
 
 
+def test_listing_golden_tables_reads_no_resource_module():
+    # without `site`, which may import importlib.resources itself
+    proc = _fresh("-S", "-X", "importtime", "-m", "schubdeform.cli",
+                  "roots", "--type", "A", "--rank", "1")
+    assert proc.returncode == 0 and "schubdeform.golden" in proc.stderr
+    assert "importlib.resources" not in proc.stderr
+
+
 NAMESPACE_PROBE = """
 import json
 import schubdeform as sd

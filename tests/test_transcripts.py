@@ -1,8 +1,9 @@
 """Byte-identity gate: CLI transcripts against the benchmark's pinned hashes.
 
 `bench/pins.json` pins the exit code and the stdout sha256 of every benchmark
-job.  Replaying a cross-section of them in one process checks the output
-bytes and that state kept between in-process `main()` runs changes nothing.
+job.  Replaying every pinned command-line job in one process checks the
+output bytes and that state kept between in-process `main()` runs changes
+nothing.
 """
 
 import hashlib
@@ -15,33 +16,21 @@ PINS = Path(__file__).resolve().parent.parent / "bench" / "pins.json"
 
 
 def _replayed_jobs():
-    """First non-defect pinned job per (subcommand, type) of rank <= 3, and every
-    non-defect `horn-check` job whose Levi has rank >= 2, in pool order.
+    """Every pinned `cli` job except those pinned as defects, in pin order.
 
-    The `horn-check` jobs are the outputs that depend on the order of the
-    representatives of the Levi quotients.
+    These are the markdown jobs of the pool and the fixed `--no-cache
+    --format json` jobs, the only pins of the JSON `job` object.
     """
     pins = json.loads(PINS.read_text())
-    seen, jobs = set(), []
-    for job in pins["pool"]:
-        args = job[1:]
-        family = args[args.index("--type") + 1]
-        rank = int(args[args.index("--rank") + 1])
-        levi = args[args.index("--levi") + 1] if "--levi" in args else "-"
-        pin = pins["jobs"][" ".join(job)]
-        if pin.get("defect"):
-            continue
-        first = rank <= 3 and (args[0], family, rank) not in seen
-        seen.add((args[0], family, rank))
-        if first or (args[0] == "horn-check" and len(levi.split(",")) >= 2):
-            jobs.append((args, pin))
-    return jobs
+    return [(key.split()[1:], pin) for key, pin in pins["jobs"].items()
+            if key.startswith("cli ") and not pin.get("defect")]
 
 
 def test_pinned_transcripts_in_one_process(capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     jobs = _replayed_jobs()
-    assert len(jobs) == 89
+    assert len(jobs) == 447
+    assert sum("--format" in args for args, _ in jobs) == 15
     wrong = []
     for args, pin in jobs:
         code = cli.main(list(args))
