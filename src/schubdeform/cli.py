@@ -789,13 +789,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = _dispatch(spec, args, sys.stdout)
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+        code = EXIT_BUDGET
     except (ValueError, OSError) as e:  # OSError: the --input and --output files
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
+        code = EXIT_USAGE
+    try:
         for basis in bases:
             basis.save_cache()
+    except OSError as e:  # a --cache-dir that cannot be created or written
+        print(f"error: cannot save the cache: {e}", file=sys.stderr)
+        return code or EXIT_USAGE
     return code
 
 

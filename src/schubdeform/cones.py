@@ -6,17 +6,22 @@ terminates) and cut out by homogeneous inequalities (minimal generators
 via incremental double description with the combinatorial adjacency test
 on tight-row sets).
 
-The simplex keeps every tableau row, and the reduced-cost row, as a list
-of integers standing for a positive multiple of the rational row.  A pivot
-replaces row i by piv*T[i] - T[i][enter]*T[leave] divided by its gcd and
-leaves the pivot row as it is.  Positive row scaling keeps every sign and
-every per-row ratio, so Bland's choices and the verdict are those of the
-rational simplex on the same tableau.
+The simplex is revised: every tableau row is a combination of the initial
+rows, whose artificial block is the identity, so a row is kept as that
+block (its coefficients over the initial rows) and its rhs, and a column is
+computed only when it enters.  The reduced costs are y.column for a
+generator column and y_k + alpha for artificial k, kept as the integer
+vector (y, alpha).  Each kept vector stands for a positive multiple of the
+rational one.  A pivot replaces row i by piv*T[i] - T[i][enter]*T[leave]
+divided by its gcd and leaves the pivot row as it is.  Positive row scaling
+keeps every sign and every per-row ratio, so Bland's choices and the verdict
+are those of the rational simplex on the full tableau.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -68,48 +73,59 @@ def cone_contains(target: Sequence, generators: Sequence[Sequence]) -> bool:
     for g in generators:
         if len(g) != m:
             raise ValueError("generator dimension mismatch")
-    # tableau rows: [generator columns | artificial identity | rhs], one per
-    # coordinate, scaled to integers and signed so that the rhs is >= 0
-    T = []
+    # initial tableau rows [generator columns | artificial identity | rhs], one
+    # per coordinate, scaled to integers and signed so that the rhs is >= 0;
+    # its generator and rhs columns are kept, and each current row as
+    # [coefficients over the initial rows | rhs]
+    rows = []
     for i in range(m):
         row = _clear_denominators([g[i] for g in generators] + [target[i]])
         if row[-1] < 0:
             row = [-x for x in row]
-        row[n:n] = [int(i == k) for k in range(m)]
-        T.append(row)
+        rows.append(row)
+    columns = [tuple(row[j] for row in rows) for j in range(n + 1)]
+    T = [[int(i == k) for k in range(m)] + [rows[i][n]] for i in range(m)]
     basis = list(range(n, n + m))
-    width = n + m
-    # phase-one reduced costs: unit cost on the artificials
-    red = [-sum(row[j] for row in T) for j in range(width + 1)]
-    for j in range(n, width):
-        red[j] += 1
+    # phase-one reduced costs (unit cost on the artificials) as [y | alpha]
+    dual = [-1] * m + [1]
     while True:
-        enter = next((j for j in range(width) if red[j] < 0), None)
-        if enter is None:
-            break
-        # ratio test rhs/T[i][enter] by cross-multiplication (denominators > 0)
+        enter = None
+        for j in range(n):
+            cost = sum(map(mul, dual, columns[j]))
+            if cost < 0:
+                enter = j
+                break
+        else:
+            enter = next((n + k for k in range(m) if dual[k] + dual[m] < 0), None)
+            if enter is None:
+                break
+            cost = dual[enter - n] + dual[m]
+        if enter < n:
+            col = [sum(map(mul, row, columns[enter])) for row in T]
+        else:
+            col = [row[enter - n] for row in T]
+        # ratio test rhs/col[i] by cross-multiplication (denominators > 0)
         leave = None
         for i, row in enumerate(T):
-            a = row[enter]
+            a = col[i]
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
-                lhs = row[width] * T[leave][enter]
-                rhs = T[leave][width] * a
+                lhs = row[m] * col[leave]
+                rhs = T[leave][m] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-one objective unbounded below")
         pivot_row = T[leave]
-        piv = pivot_row[enter]
+        piv = col[leave]
         for i, row in enumerate(T):
-            if i != leave and row[enter]:
-                T[i] = _eliminate(row, pivot_row, piv, row[enter])
-        if red[enter]:
-            red = _eliminate(red, pivot_row, piv, red[enter])
+            if i != leave and col[i]:
+                T[i] = _eliminate(row, pivot_row, piv, col[i])
+        dual = _eliminate(dual, pivot_row[:m] + [0], piv, cost)
         basis[leave] = enter
-    return red[width] == 0
+    return sum(map(mul, dual, columns[n])) == 0
 
 
 def extreme_rays(rows: Sequence[Sequence], dim: int | None = None

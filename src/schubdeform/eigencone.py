@@ -11,14 +11,15 @@ cone membership against the other inequalities plus dominance.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cones import cone_contains
 from .deform import MODES, DeformedRing, deformed_ring
 from .horn import TUPLE_CAP, check_tuple_budget, dimension_tuples
-from .rootsystem import Coweight, RootSystem
+from .rootsystem import BudgetError, Coweight, RootSystem
 from .weyl import WeylElement, WeylGroup, parabolic
 
 
@@ -183,32 +184,117 @@ def dominance_rows(rs: RootSystem, s: int) -> list[tuple[int, ...]]:
     return rows
 
 
+# Tableau cells of one cone-membership LP: a tableau this size holds about
+# 8 MB of references, and every pivot touches each cell.  The largest LP of a
+# generated rank-4 system at s = 3 (B4 classical, 957 rows) has 11,784 cells.
+LP_CELL_CAP = 1_000_000
+
+
+def _check_lp_budget(rows: int, rs: RootSystem, s: int) -> None:
+    """Raise BudgetError when one LP against `rows` rows plus dominance would
+    have a tableau of more than LP_CELL_CAP cells.
+
+    The tableau has one row per coordinate (s * rank) and a column per
+    generator (the rows and the s * rank dominance rows), per artificial
+    variable and for the right-hand side.  Callers check before building
+    any dominance row, so a huge s costs nothing.
+    """
+    dim = s * rs.rank
+    cells = dim * (rows + 2 * dim + 1)
+    if cells > LP_CELL_CAP:
+        raise BudgetError(f"LP tableau of {cells} cells exceeds cap {LP_CELL_CAP} "
+                          f"for {rs.label}, s={s}")
+
+
+def orbit_labels(rows: Sequence[tuple[int, ...]], s: int) -> list[int]:
+    """Label each row with the index of the first row of its S_s-orbit.
+
+    S_s permutes the s blocks of a flat row.  Its orbits are walked by
+    breadth-first search over two generators, swapping blocks 1 and 2 and
+    rotating the blocks, so the cost is linear in the number of rows, never
+    s!.  They are walked only when the rows, counted with multiplicity, are
+    closed under both generators; otherwise each orbit is one row and its
+    equal copies.
+    """
+    count = Counter(rows)
+    k = len(rows[0]) // s if rows else 0
+
+    def moves(r: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return (r[k:2 * k] + r[:k] + r[2 * k:], r[k:] + r[:k])
+
+    closed = all(count[m] == c for r, c in count.items() for m in moves(r))
+    step = moves if closed else lambda r: ()
+    first: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(rows):
+        if row in first:
+            continue
+        first[row] = i
+        queue = [row]
+        while queue:
+            for m in step(queue.pop()):
+                if m not in first:
+                    first[m] = i
+                    queue.append(m)
+    return [first[r] for r in rows]
+
+
+def _contained(rows: Sequence[tuple[int, ...]], labels: Sequence[int],
+               generators: Callable[[int], list[tuple[int, ...]]]) -> Iterator[bool]:
+    """cone_contains(rows[k], generators(k)) for each k in order, solved once
+    per label; a row that occurs among its own generators needs no LP.
+
+    Sound when the generators of rows with one label are images of each
+    other under the block permutation that maps the rows.
+    """
+    verdicts: dict[int, bool] = {}
+    for k, label in enumerate(labels):
+        if label not in verdicts:
+            gens = generators(k)
+            verdicts[label] = rows[k] in gens or cone_contains(rows[k], gens)
+        yield verdicts[label]
+
+
 def prune_redundant(system: InequalitySystem) -> InequalitySystem:
     """Annotate each inequality implied by the others plus dominance.
 
     Implication is exact cone membership of the functional in the span
     of the remaining functionals and the negated dominance rows; the
-    annotation order matches the inequality order.
+    annotation order matches the inequality order.  Redundancy is invariant
+    under permuting the s factors, so when the rows are closed under that
+    (every generated system is) one LP per S_s-orbit decides the whole
+    orbit; a saved system that is not closed takes one LP per row.  A row
+    with an equal copy is redundant without an LP.
     """
     flats = [q.flat() for q in system.inequalities]
+    _check_lp_budget(len(flats), system.rs, system.s)
     dom = dominance_rows(system.rs, system.s)
-    redundant = []
-    for k in range(len(flats)):
-        gens = [f for l, f in enumerate(flats) if l != k] + dom
-        redundant.append(cone_contains(flats[k], gens))
+    redundant = list(_contained(flats, orbit_labels(flats, system.s),
+                                lambda k: flats[:k] + flats[k + 1:] + dom))
     return InequalitySystem(system.rs, system.s, system.mode,
                             list(system.inequalities), redundant)
 
 
 def systems_equivalent(a: InequalitySystem, b: InequalitySystem) -> bool:
-    """Whether two systems cut out the same set of dominant tuples."""
+    """Whether two systems cut out the same set of dominant tuples.
+
+    Each row of one system must lie in the cone of the other's rows plus
+    dominance.  When both systems are closed under permuting the s factors,
+    one LP per S_s-orbit of rows decides its orbit; a row that is also a row
+    of the other system needs no LP.
+    """
     if a.rs is not b.rs or a.s != b.s:
         raise ValueError("systems must be over the same group and length")
-    dom = dominance_rows(a.rs, a.s)
     fa = [q.flat() for q in a.inequalities]
     fb = [q.flat() for q in b.inequalities]
-    return (all(cone_contains(f, fb + dom) for f in fa)
-            and all(cone_contains(f, fa + dom) for f in fb))
+    _check_lp_budget(max(len(fa), len(fb)), a.rs, a.s)
+    dom = dominance_rows(a.rs, a.s)
+    # a side mark in every block: the marked rows are closed only when both
+    # systems are, and no orbit mixes the two
+    n = a.rs.rank
+    marked = [tuple(x for j in range(a.s) for x in f[j * n:(j + 1) * n] + (side,))
+              for side, flats in enumerate((fa, fb)) for f in flats]
+    return all(_contained(fa + fb, orbit_labels(marked, a.s),
+                          lambda k: (fb if k < len(fa) else fa) + dom))
 
 
 def cone_rows(system: InequalitySystem) -> list[tuple[int, ...]]:

@@ -6,12 +6,17 @@ by hand.  `divided_difference_table` is the reference for the integer kernel
 of `SchubertBasis.product`: it applies whole-polynomial divided differences to
 the rational top class prod(positive roots)/|W| and reads off constant terms,
 sharing only `Poly` and `divided_difference` with the library.
+`redundant_reference` and `equivalent_reference` are the references for the
+orbit-at-a-time `prune_redundant` and `systems_equivalent`: one LP per row,
+with no symmetry used, sharing only `cone_contains` and `dominance_rows`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from schubdeform.cones import cone_contains
+from schubdeform.eigencone import dominance_rows
 from schubdeform.poly import Poly
 from schubdeform.schubert import divided_difference
 
@@ -169,3 +174,21 @@ def divided_difference_table(group) -> dict[tuple[int, int], dict[int, int]]:
                         row[w.index] = int(c)
             table[(u.index, v.index)] = row
     return table
+
+
+def redundant_reference(system) -> list[bool]:
+    """Per inequality, whether it lies in the cone of all the others plus
+    dominance: one LP per row, in row order."""
+    flats = [q.flat() for q in system.inequalities]
+    dom = dominance_rows(system.rs, system.s)
+    return [cone_contains(flats[k], [f for l, f in enumerate(flats) if l != k] + dom)
+            for k in range(len(flats))]
+
+
+def equivalent_reference(a, b) -> bool:
+    """Whether each system's rows lie in the cone of the other's plus dominance."""
+    dom = dominance_rows(a.rs, a.s)
+    fa = [q.flat() for q in a.inequalities]
+    fb = [q.flat() for q in b.inequalities]
+    return (all(cone_contains(f, fb + dom) for f in fa)
+            and all(cone_contains(f, fa + dom) for f in fb))

@@ -221,6 +221,19 @@ def test_root_system_budget_exit_3_fast(tmp_path, capsys):
         assert err.startswith("error:") and "positive roots" in err, argv
 
 
+def test_lp_budget_exit_3_fast(tmp_path, capsys):
+    # without the check, the 2000 dominance rows of length 2000 take about
+    # 32 MB and the run exits 0
+    path = tmp_path / "a2_s1000.json"
+    path.write_text(json.dumps({"system": "A2", "s": 1000, "mode": "deformed",
+                                "inequalities": []}))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "redundancy", "--input", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and not out
+    assert err.startswith("error:") and "cap 1000000" in err and len(err) < 200
+
+
 def test_verify_golden_single_table(capsys):
     code, out, _ = run(capsys, "verify-golden", "--table", "c3_p1",
                        "--format", "json")
@@ -449,6 +462,18 @@ def test_warm_run_leaves_cache_file_alone(tmp_path, capsys):
     assert run(capsys, *argv, "--no-cache")[0] == 0
     assert run(capsys, *argv, "--cache-dir", str(cache))[0] == 0
     assert file_state(cache / "constants-A2.json") == written
+
+
+def test_unwritable_cache_dir_exit_2_after_the_result(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    argv = ("deform-table", "--type", "A", "--rank", "2")
+    code, out, err = run(capsys, *argv, "--cache-dir", str(blocker / "sub"))
+    assert code == 2
+    assert err.startswith("error: cannot save the cache:") and err.count("\n") == 1
+    assert out.splitlines()[0].endswith(f"cache-dir={blocker / 'sub'}")
+    _, expect, _ = run(capsys, *argv, "--no-cache")
+    assert out.splitlines()[1:] == expect.splitlines()[1:]
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

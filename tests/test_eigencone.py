@@ -17,13 +17,17 @@ from schubdeform import (
     systems_equivalent,
 )
 from schubdeform.eigencone import (
+    MODES,
+    InequalitySystem,
     cone_rows,
     dominance_rows,
     enumerate_tuples,
+    orbit_labels,
     tuple_inequality,
 )
 
 from common import ALL_TYPES, group_for, maximal_ring, ring_for
+from oracles import equivalent_reference, redundant_reference
 
 
 def mixed_coweight(rs, coeffs):
@@ -52,6 +56,86 @@ def test_rank_four_generation_counts(family, deformed, classical):
     g = group_for(family, 4)
     assert len(generate_system(g, 3, "deformed").inequalities) == deformed
     assert len(generate_system(g, 3, "classical").inequalities) == classical
+
+
+@pytest.mark.parametrize("family,deformed,classical,redundant", [
+    ("A", 142, 142, 0), ("D", 294, 477, 183),
+    pytest.param("B", 474, 957, 483, marks=pytest.mark.slow),
+    pytest.param("C", 474, 948, 474, marks=pytest.mark.slow)])
+def test_rank_four_eigencone_gate(family, deformed, classical, redundant):
+    """Three factors at rank 4: the deformed system has no redundant row
+    (Ressayre's irredundancy theorem), its rows are exactly the essential
+    classical rows, and the two systems cut out the same cone."""
+    g = group_for(family, 4)
+    sys_d = generate_system(g, 3, "deformed")
+    sys_c = generate_system(g, 3, "classical")
+    assert (len(sys_d.inequalities), len(sys_c.inequalities)) == (deformed, classical)
+    assert not any(prune_redundant(sys_d).redundant)
+    pruned_c = prune_redundant(sys_c)
+    assert sum(pruned_c.redundant) == redundant
+    key = lambda q: (q.omitted, q.functional)
+    assert sorted(map(key, pruned_c.essential())) == sorted(map(key, sys_d.inequalities))
+    assert systems_equivalent(sys_c, sys_d)
+
+
+def _variant(system, rows):
+    return InequalitySystem(system.rs, system.s, system.mode, rows)
+
+
+def test_orbit_pruning_matches_the_per_row_loop():
+    """`redundant` lists equal the one-LP-per-row reference element for
+    element, on closed systems and on two that are not closed under S_s."""
+    cases = [(f, r, 3) for f, r in ALL_TYPES] + [(f, 2, 4) for f in "ABCG"]
+    for family, rank, s in cases:
+        g = group_for(family, rank)
+        for mode in MODES:
+            system = generate_system(g, s, mode)
+            assert prune_redundant(system).redundant == redundant_reference(system), \
+                (family, rank, s, mode)
+    # one LP per orbit: B3 has 25 orbits of classical rows and 18 of deformed
+    g = group_for("B", 3)
+    sys_c = generate_system(g, 3, "classical")
+    sys_d = generate_system(g, 3, "deformed")
+    for system, orbits in ((sys_c, 25), (sys_d, 18)):
+        labels = orbit_labels([q.flat() for q in system.inequalities], 3)
+        assert len(set(labels)) == orbits
+    # row 0 dropped: redundant row 94 loses the implication that row 0 gave
+    # it, while rows 111 and 116 of its orbit stay redundant
+    dropped = _variant(sys_c, sys_c.inequalities[1:])
+    assert prune_redundant(dropped).redundant == redundant_reference(dropped)
+    assert systems_equivalent(sys_c, dropped) is equivalent_reference(sys_c, dropped)
+    # one row of an essential orbit twice: closed as a set, not as a multiset
+    sys_b2 = generate_system(group_for("B", 2), 3, "deformed")
+    doubled = _variant(sys_b2, sys_b2.inequalities + sys_b2.inequalities[:1])
+    verdicts = prune_redundant(doubled).redundant
+    assert verdicts == redundant_reference(doubled)
+    assert sum(verdicts) == 2
+
+
+def test_equivalence_uses_orbits_only_when_both_sides_are_closed():
+    g = group_for("B", 2)
+    sys_c = generate_system(g, 3, "classical")
+    sys_d = generate_system(g, 3, "deformed")
+    labels = orbit_labels([q.flat() for q in sys_d.inequalities], 3)
+    # drop a row that is not the first of its orbit: the rows that remain
+    # of that orbit lie in the smaller cone, the dropped one does not
+    k = next(k for k, label in enumerate(labels) if label != k)
+    smaller = _variant(sys_d, sys_d.inequalities[:k] + sys_d.inequalities[k + 1:])
+    assert not equivalent_reference(sys_c, smaller)
+    assert systems_equivalent(sys_c, smaller) is False
+    assert systems_equivalent(smaller, sys_c) is False
+    # the two row lists together are closed, neither is alone
+    extra = _variant(sys_d, sys_d.inequalities + sys_d.inequalities[k:k + 1])
+    assert systems_equivalent(smaller, extra) is False
+    assert systems_equivalent(sys_c, sys_d) is equivalent_reference(sys_c, sys_d) is True
+
+
+def test_lp_budget_is_checked_before_any_row_is_built():
+    rs = group_for("A", 2).rs
+    huge = InequalitySystem(rs, 1000, "classical", [])
+    for check in (prune_redundant, lambda x: systems_equivalent(x, x)):
+        with pytest.raises(BudgetError, match="cap 1000000"):
+            check(huge)
 
 
 def test_two_factor_tuples_are_dual_pairs():
