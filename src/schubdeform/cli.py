@@ -214,9 +214,9 @@ def word_str(word: Sequence[int]) -> str:
 
 
 def _basis_for(spec: JobSpec, group: WeylGroup) -> SchubertBasis:
-    """The group's basis, pointed at this run's cache directory (or at none)."""
+    """The group's basis, pointed at this run's cache directory; --no-cache beats --cache-dir."""
     basis = schubert_basis(group)
-    basis.use_cache_dir(spec.cache_dir or default_cache_dir(spec.no_cache))
+    basis.use_cache_dir(None if spec.no_cache else spec.cache_dir or default_cache_dir())
     if basis not in spec.bases:
         spec.bases.append(basis)
     return basis
@@ -663,10 +663,11 @@ def _add_common(p: argparse.ArgumentParser, parab: bool = True,
                    help="Cartan family")
     p.add_argument("--rank", type=int, required=required_type)
     if parab:
-        p.add_argument("--levi",
-                       help="1-based simple indices of the Levi, e.g. '1,3' ('-' for Borel)")
-        p.add_argument("--parabolic", type=int,
-                       help="maximal parabolic by its omitted 1-based simple index")
+        choice = p.add_mutually_exclusive_group()
+        choice.add_argument("--levi",
+                            help="1-based simple indices of the Levi, e.g. '1,3' ('-' for Borel)")
+        choice.add_argument("--parabolic", type=int,
+                            help="maximal parabolic by its omitted 1-based simple index")
     _add_output(p)
 
 

@@ -121,7 +121,7 @@ class DeformedRing:
         self.parabolic = parab
         self.group = parab.group
         self.rs = parab.rs
-        self.basis = schubert_basis(parab.group, parab.within)
+        self.basis = schubert_basis(parab.group)
         self.omitted = parab.omitted
         self.reps = parab.reps
         self._chi: list[tuple[int, ...]] = [self._chi_coords(w) for w in self.reps]
@@ -164,6 +164,9 @@ class DeformedRing:
         out: dict[int, int] = {}
         for k, c in row.items():
             el = self.group.elements[k]
+            # restriction to L/B_L drops every class outside W_L
+            if not self.group.inversion_set(el) <= p.within_roots:
+                continue
             if not p.contains(el):
                 raise AssertionError(
                     f"product of minimal representatives left W^P at {el}")

@@ -188,11 +188,15 @@ def dominance_rows(rs: RootSystem, s: int) -> list[tuple[int, ...]]:
 # 8 MB of references, and every pivot touches each cell.  The largest LP of a
 # generated rank-4 system at s = 3 (B4 classical, 957 rows) has 11,784 cells.
 LP_CELL_CAP = 1_000_000
+# Tableau cells over the LPs of one run, one LP per orbit label: at s = 3, B4
+# needs about 2.0 M to prune its classical rows and 3.0 M for equivalence.
+LP_RUN_CAP = 10_000_000
 
 
-def _check_lp_budget(rows: int, rs: RootSystem, s: int) -> None:
+def _check_lp_budget(rows: int, labels: Sequence[int], rs: RootSystem, s: int) -> None:
     """Raise BudgetError when one LP against `rows` rows plus dominance would
-    have a tableau of more than LP_CELL_CAP cells.
+    have a tableau of more than LP_CELL_CAP cells, or when one LP per
+    distinct label would have more than LP_RUN_CAP cells in all.
 
     The tableau has one row per coordinate (s * rank) and a column per
     generator (the rows and the s * rank dominance rows), per artificial
@@ -203,6 +207,10 @@ def _check_lp_budget(rows: int, rs: RootSystem, s: int) -> None:
     cells = dim * (rows + 2 * dim + 1)
     if cells > LP_CELL_CAP:
         raise BudgetError(f"LP tableau of {cells} cells exceeds cap {LP_CELL_CAP} "
+                          f"for {rs.label}, s={s}")
+    lps = len(set(labels))
+    if lps * cells > LP_RUN_CAP:
+        raise BudgetError(f"{lps} LPs of {cells} cells exceed the run cap {LP_RUN_CAP} "
                           f"for {rs.label}, s={s}")
 
 
@@ -266,10 +274,10 @@ def prune_redundant(system: InequalitySystem) -> InequalitySystem:
     with an equal copy is redundant without an LP.
     """
     flats = [q.flat() for q in system.inequalities]
-    _check_lp_budget(len(flats), system.rs, system.s)
+    labels = orbit_labels(flats, system.s)
+    _check_lp_budget(len(flats), labels, system.rs, system.s)
     dom = dominance_rows(system.rs, system.s)
-    redundant = list(_contained(flats, orbit_labels(flats, system.s),
-                                lambda k: flats[:k] + flats[k + 1:] + dom))
+    redundant = list(_contained(flats, labels, lambda k: flats[:k] + flats[k + 1:] + dom))
     return InequalitySystem(system.rs, system.s, system.mode,
                             list(system.inequalities), redundant)
 
@@ -286,15 +294,15 @@ def systems_equivalent(a: InequalitySystem, b: InequalitySystem) -> bool:
         raise ValueError("systems must be over the same group and length")
     fa = [q.flat() for q in a.inequalities]
     fb = [q.flat() for q in b.inequalities]
-    _check_lp_budget(max(len(fa), len(fb)), a.rs, a.s)
-    dom = dominance_rows(a.rs, a.s)
     # a side mark in every block: the marked rows are closed only when both
     # systems are, and no orbit mixes the two
     n = a.rs.rank
     marked = [tuple(x for j in range(a.s) for x in f[j * n:(j + 1) * n] + (side,))
               for side, flats in enumerate((fa, fb)) for f in flats]
-    return all(_contained(fa + fb, orbit_labels(marked, a.s),
-                          lambda k: (fb if k < len(fa) else fa) + dom))
+    labels = orbit_labels(marked, a.s)
+    _check_lp_budget(max(len(fa), len(fb)), labels, a.rs, a.s)
+    dom = dominance_rows(a.rs, a.s)
+    return all(_contained(fa + fb, labels, lambda k: (fb if k < len(fa) else fa) + dom))
 
 
 def cone_rows(system: InequalitySystem) -> list[tuple[int, ...]]:

@@ -406,13 +406,11 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
         "dimension-bound", sum(qhat_parab.codim(h) for h in hats),
         qhat_parab.dim, "<=", {"outer_levi": qh, "hat_words": hat_words}))
     if set(qh) & set(parab.levi) == set(q):
+        sides = [codim_difference_identity(ring, w, u, q, qh) for w, u in zip(ws, us)]
+        if any(lhs != rhs for lhs, rhs in sides):
+            raise AssertionError("codimension difference identity failed")
+        terms = [rhs for _, rhs in sides]
         overlap = qhat_parab.nilradical_roots & parab.nilradical_roots
-        terms = []
-        for r, u in zip(raw, us):
-            t = len(overlap - group.inversion_set(r))
-            if t != coset_codim(qhat_parab, r) - sub.codim(u):
-                raise AssertionError("codimension difference identity failed")
-            terms.append(t)
         checks.append(HornCheck(
             "dimension", sum(terms), len(overlap), "<=",
             {"inner_levi": q, "outer_levi": qh, "terms": tuple(terms),

@@ -13,15 +13,15 @@ degree l(w), shared by every product of the basis and memoised per (w, m)
 through E_w(m) = sum_m' [d_j x^m]_m' E_{w s_j}(m') for the last letter j of
 the reduced word of w.
 
-Constants for G/P are index restrictions of the G/B constants.  The Levi
-flag varieties L/(L cap Q) use the basis of the standard parabolic subgroup
-W_L instead: top class prod(positive roots of L) in the same variables,
-division by |W_L|^2, and the recursion kept inside W_L.
+Constants for G/P are index restrictions of the G/B constants, and so are
+those of the Levi flag varieties L/(L cap Q): restriction to the fibre L/B_L
+of G/B -> G/P_L is a ring map keeping the class of each w in W_L and sending
+the others to zero.  A Weyl group thus has one basis, memo set and cache file.
 
-A disk cache (versioned, checksummed) can be attached to the basis of the
-whole group; it is never trusted over a fresh computation: a failed checksum
-or a version mismatch silently triggers a rebuild, and a constant already
-computed is never replaced by a stored one.
+A disk cache (versioned, checksummed) can be attached to the basis; it is
+never trusted over a fresh computation: a failed checksum or a version
+mismatch silently triggers a rebuild, and a constant already computed is
+never replaced by a stored one.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import json
 import os
 from operator import mul
 from pathlib import Path
-from typing import AbstractSet, Iterable
+from typing import AbstractSet
 
 from .poly import Monomial, Poly
 from .rootsystem import RootSystem
@@ -48,20 +48,15 @@ def divided_difference(rs: RootSystem, i: int, f: Poly) -> Poly:
 
 
 class SchubertBasis:
-    """Basis polynomials and structure constants for the subgroup W_L of one
-    Weyl group generated by the simple reflections of `within` (all of them
-    by default)."""
+    """Basis polynomials and structure constants of one Weyl group."""
 
-    def __init__(self, group: WeylGroup, within: tuple[int, ...] | None = None):
+    def __init__(self, group: WeylGroup):
         self.group = group
         self.rs = group.rs
-        self.within = tuple(range(self.rs.rank)) if within is None else within
-        self.roots = frozenset(self.rs.levi_positive(self.within))
-        self._by_length: list[list[WeylElement]] = [[] for _ in range(len(self.roots) + 1)]
+        self._by_length: list[list[WeylElement]] = [
+            [] for _ in range(self.rs.num_positive_roots + 1)]
         for w in group.elements:
-            if group.inversion_set(w) <= self.roots:
-                self._by_length[w.length].append(w)
-        self.order = sum(map(len, self._by_length))
+            self._by_length[w.length].append(w)
         self._polys: dict[int, Poly] = {}
         self._functionals: dict[int, dict[Monomial, int]] = {
             group.identity.index: {(0,) * self.rs.rank: 1}}
@@ -73,24 +68,24 @@ class SchubertBasis:
     # -- basis polynomials ----------------------------------------------
 
     def top_polynomial(self) -> Poly:
-        """prod R+(L) with coefficient 1: |W_L| times the class of the point."""
+        """prod R+ with coefficient 1: |W| times the class of the point."""
         prod = Poly.const(self.rs.rank, 1)
-        for k in sorted(self.roots):
-            prod = prod * Poly.linear(self.rs.positive_roots[k])
+        for root in self.rs.positive_roots:
+            prod = prod * Poly.linear(root)
         return prod
 
     def polynomial(self, w: WeylElement) -> Poly:
-        """|W_L| times the representative polynomial of the codimension-l(w) class of w."""
+        """|W| times the representative polynomial of the codimension-l(w) class of w."""
         idx = w.index
         if idx in self._polys:
             return self._polys[idx]
-        if w.length == len(self.roots):
+        if w.length == self.rs.num_positive_roots:
             p = self.top_polynomial()
         else:
             # P_w = d_i P_{w s_i} for any ascent i of w
             g = self.group
             i = next(
-                i for i in self.within
+                i for i in range(self.rs.rank)
                 if g.mult(w, g.simple_reflection(i)).length > w.length
             )
             p = divided_difference(self.rs, i, self.polynomial(g.mult(w, g.simple_reflection(i))))
@@ -104,9 +99,8 @@ class SchubertBasis:
 
         Gradings add: only elements of length l(u)+l(v) can appear.
         """
-        n_pos = len(self.roots)
         d = u.length + v.length
-        if d > n_pos:
+        if d > self.rs.num_positive_roots:
             return {}
         key = (u.index, v.index) if u.index <= v.index else (v.index, u.index)
         hit = self._products.get(key)
@@ -114,7 +108,7 @@ class SchubertBasis:
             return hit
         f = self.polynomial(u) * self.polynomial(v)
         monos, coeffs = f.terms.keys(), list(f.terms.values())
-        scale = self.order ** 2
+        scale = self.group.order ** 2
         out: dict[int, int] = {}
         for w in self._by_length[d]:
             dot = sum(map(mul, coeffs, map(self.functional(w, monos).__getitem__, monos)))
@@ -252,23 +246,17 @@ def chevalley_oracle(p: Parabolic, i: int, w: WeylElement) -> dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
-def schubert_basis(group: WeylGroup, within: Iterable[int] | None = None) -> SchubertBasis:
-    """The SchubertBasis of W_L for the simple indices `within` (default: all of W),
-    built on first use and kept on `group`.
+def schubert_basis(group: WeylGroup) -> SchubertBasis:
+    """The SchubertBasis of `group`, built on first use and kept on it.
 
     It has no disk cache until `SchubertBasis.use_cache_dir` chooses one.
     """
-    key = tuple(sorted(set(range(group.rs.rank) if within is None else within)))
-    if key not in group._bases:
-        group._bases[key] = SchubertBasis(group, key)
-    return group._bases[key]
+    if group._basis is None:
+        group._basis = SchubertBasis(group)
+    return group._basis
 
 
-def default_cache_dir(no_cache: bool = False) -> Path | None:
-    """Cache directory from the environment, or None when caching is off."""
-    if no_cache:
-        return None
+def default_cache_dir() -> Path | None:
+    """Cache directory from the environment, or None when it names none."""
     env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return None
+    return Path(env) if env else None

@@ -105,7 +105,7 @@ class WeylGroup:
             self._compute_inversions(w) for w in self.elements
         ]
         self._parabolics: dict[tuple, Parabolic] = {}  # filled by parabolic
-        self._bases: dict[tuple[int, ...], object] = {}  # by index set, from schubert.schubert_basis
+        self._basis = None  # built by schubert.schubert_basis
         self._by_inversions = None  # built by invsets.element_with_inversions
         self._reflections: dict[tuple, WeylElement] = {}  # filled by reflection
 

@@ -125,7 +125,7 @@ def grassmannian_partition(perm, k: int) -> tuple[int, ...]:
     return tuple(x for x in lam if x)
 
 
-def divided_difference_table(group) -> dict[tuple[int, int], dict[int, int]]:
+def divided_difference_table(group, within=None) -> dict[tuple[int, int], dict[int, int]]:
     """Every G/B product class(u)*class(v), u.index <= v.index, as {w index: c}.
 
     P_w is the divided difference along a reduced word of w^-1 w_o applied to
@@ -134,27 +134,36 @@ def divided_difference_table(group) -> dict[tuple[int, int], dict[int, int]]:
     whole polynomial.  The operators run on |W| P_u times |W| P_v, whose
     coefficients are integers, and each constant term is divided back by
     |W|^2: the same linear map, without rational arithmetic in the inner loop.
+
+    With `within`, a set of simple indices generating a Levi subgroup W_L,
+    the table is that of the flag variety L/B_L built on its own: u, v and w
+    run over W_L, the top class is prod(positive roots of L)/|W_L|, ascents
+    stay inside L and the division is by |W_L|^2.
     """
     rs = group.rs
+    within = range(rs.rank) if within is None else sorted(set(within))
+    roots = rs.levi_positive(within)
+    elements = [w for w in group.elements if group.inversion_set(w) <= set(roots)]
+    order = len(elements)
     top = Poly.const(rs.rank, 1)
-    for root in rs.positive_roots:
-        top = top * Poly.linear(root)
-    top = Poly(rs.rank, {m: Fraction(c, group.order) for m, c in top.terms.items()})
+    for k in roots:
+        top = top * Poly.linear(rs.positive_roots[k])
+    top = Poly(rs.rank, {m: Fraction(c, order) for m, c in top.terms.items()})
     polys = {}
-    for w in sorted(group.elements, key=lambda w: -w.length):
-        ascent = next((i for i in range(rs.rank)
+    for w in sorted(elements, key=lambda w: -w.length):
+        ascent = next((i for i in within
                        if group.mult(w, group.simple_reflection(i)).length > w.length), None)
         polys[w.index] = top if ascent is None else divided_difference(
             rs, ascent, polys[group.mult(w, group.simple_reflection(ascent)).index])
     cleared = {}
     for k, p in polys.items():
-        assert all((c * group.order).denominator == 1 for c in p.terms.values())
-        cleared[k] = Poly(rs.rank, {m: int(c * group.order) for m, c in p.terms.items()})
+        assert all((c * order).denominator == 1 for c in p.terms.values())
+        cleared[k] = Poly(rs.rank, {m: int(c * order) for m, c in p.terms.items()})
     table = {}
-    for u in group.elements:
-        for v in group.elements[u.index:]:
+    for u in elements:
+        for v in elements:
             d = u.length + v.length
-            if d > rs.num_positive_roots:
+            if v.index < u.index or d > len(roots):
                 continue
             memo = {group.identity.index: cleared[u.index] * cleared[v.index]}
 
@@ -166,9 +175,9 @@ def divided_difference_table(group) -> dict[tuple[int, int], dict[int, int]]:
                 return memo[y.index]
 
             row = {}
-            for w in group.elements:
+            for w in elements:
                 if w.length == d:
-                    c = Fraction(apply(w).constant_term(), group.order ** 2)
+                    c = Fraction(apply(w).constant_term(), order ** 2)
                     if c:
                         assert c.denominator == 1 and c > 0, (u, v, w, c)
                         row[w.index] = int(c)

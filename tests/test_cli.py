@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -232,6 +233,24 @@ def test_lp_budget_exit_3_fast(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and not out
     assert err.startswith("error:") and "cap 1000000" in err and len(err) < 200
+
+
+def test_lp_run_budget_exit_3_fast(tmp_path, capsys):
+    # 2,000 distinct rows, not closed under permuting the factors, need one LP
+    # each: 24.2 M tableau cells in all; unchecked, the run takes minutes and exits 0
+    rng = random.Random(20261018)
+    rows = set()
+    while len(rows) < 2000:
+        rows.add(tuple(tuple(rng.randint(-5, 5) for _ in range(2)) for _ in range(3)))
+    path = tmp_path / "a2_rows.json"
+    path.write_text(json.dumps({"system": "A2", "s": 3, "mode": "classical", "inequalities": [
+        {"parabolic": 1, "words": [[], [], []], "functional": [list(b) for b in row]}
+        for row in sorted(rows)]}))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "redundancy", "--input", str(path))
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 3 and not out
+    assert err.startswith("error:") and "run cap 10000000" in err and len(err) < 200
 
 
 def test_verify_golden_single_table(capsys):
@@ -474,6 +493,57 @@ def test_unwritable_cache_dir_exit_2_after_the_result(tmp_path, capsys):
     assert out.splitlines()[0].endswith(f"cache-dir={blocker / 'sub'}")
     _, expect, _ = run(capsys, *argv, "--no-cache")
     assert out.splitlines()[1:] == expect.splitlines()[1:]
+
+
+def test_no_cache_wins_over_cache_dir(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ("product", "--type", "A", "--rank", "2", "--words", "1,2;2,1",
+            "--cache-dir", str(cache), "--no-cache")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == ("# command=product type=A rank=2 words=1,2;2,1"
+                                   f" format=md cache-dir={cache} no-cache")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["job"] == {
+        "command": "product", "type": "A", "rank": 2, "words": "1,2;2,1", "format": "json",
+        "cache_dir": str(cache), "no_cache": True}
+    assert not cache.exists()
+
+
+# one fresh interpreter per run: the structure constants it computes, and so
+# its divided differences, are counted from nothing
+_COUNTED_RUN = """
+import sys
+import schubdeform.schubert as schubert
+from schubdeform import cli
+calls = []
+dd = schubert.divided_difference
+schubert.divided_difference = lambda *args: calls.append(1) or dd(*args)
+code = cli.main(sys.argv[1:])
+print(code, len(calls), file=sys.stderr)
+"""
+
+
+def test_levi_constants_persist_with_their_group(tmp_path):
+    """The Levi quotients of a horn-check read and write the group's own cache file."""
+    argv = ["horn-check", "--type", "B", "--rank", "3", "--levi", "1,3",
+            "--words", "3,2;1,3,2,1,3,2;1,3,2,1,3,2", "--cache-dir", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop(CACHE_ENV_VAR, None)
+    runs = [subprocess.run([sys.executable, "-c", _COUNTED_RUN, *argv], capture_output=True,
+                           text=True, env=env, timeout=120) for _ in range(2)]
+    (code, cold), (code2, warm) = (map(int, r.stderr.split()) for r in runs)
+    assert (code, code2) == (0, 0) and cold > 0 and warm == 0
+    assert runs[0].stdout == runs[1].stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["constants-B3.json"]
+
+
+def test_levi_and_parabolic_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["weyl", "--type", "A", "--rank", "2", "--levi", "1", "--parabolic", "1"])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,8 @@
 import pytest
 
 from schubdeform import (
+    CartanType,
+    RootSystem,
     central_characters,
     check_character,
     check_dimension,
@@ -10,10 +12,14 @@ from schubdeform import (
     codim_difference_identity,
     converse_search,
     coset_codim,
+    deformed_ring,
     dimension_tuples,
     parabolic,
+    weyl_group,
 )
 from schubdeform.horn import levi_blocks
+from schubdeform.rootsystem import cartan_matrix
+from schubdeform.schubert import SchubertBasis
 
 from common import all_rings, group_for, maximal_ring, ring_for
 
@@ -157,6 +163,23 @@ def test_check_dimension_identity_and_errors():
         check_dimension(ring, pairs[0], (1,), (0, 1), ((), ()))  # inner not in Levi
     with pytest.raises(ValueError):
         check_dimension(ring, pairs[0], (0,), (2,), ((), ()))  # outer misses inner
+
+
+def test_levi_quotients_share_the_group_basis(monkeypatch):
+    """The checks of a B3 ring with Levi 1,3 recurse into Levi quotients L/(L cap Q),
+    and every one of them reads the constants of the group's single basis."""
+    built = []
+    init = SchubertBasis.__init__
+    monkeypatch.setattr(SchubertBasis, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    g = weyl_group(RootSystem(cartan_matrix(CartanType("B", 3)), label="B3"))  # nothing memoised
+    ring = deformed_ring(parabolic(g, (0, 2)))
+    ws = [g.from_word(w) for w in ((2, 1), (0, 2, 1, 0, 2, 1), (0, 2, 1, 0, 2, 1))]
+    assert check_character(ring, ws).passed
+    assert check_refined(ring, ws).passed
+    dim = check_dimension(ring, ws, (0,), (0, 1), ((2,), (2,), ()))
+    assert dim.passed and "dimension" in [c.kind for c in dim.checks]
+    assert built == [(g,)]
 
 
 def test_codim_difference_identity_samples():

@@ -127,7 +127,7 @@ def test_chevalley_oracle_levi_quotients():
 
     Every Levi of the rank-3 types and G2, and every proper Levi of A4: the
     whole A4 Levi is the A4 flag variety, whose degree-1 table alone takes
-    about 35 s.  The products come from the basis of W_L.
+    about 35 s.  The products come from the group's basis, restricted to W_L.
     """
     cases = 0
     for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 3), ("G", 2), ("A", 4)]:
@@ -135,7 +135,7 @@ def test_chevalley_oracle_levi_quotients():
         for levi in _subsets(range(rank)):
             if rank == 4 and len(levi) == rank:
                 continue
-            basis = schubert_basis(g, levi)
+            basis = schubert_basis(g)
             for q in _subsets(levi):
                 sub = parabolic(g, q, within=levi)
                 for i in sub.omitted:
@@ -214,3 +214,27 @@ def test_cache_ignores_other_group(tmp_path):
     other = SchubertBasis(b2)
     other.use_cache_dir(tmp_path)
     assert other._products == {}  # Cartan matrix mismatch ignored
+
+
+def test_levi_flag_varieties_restrict_the_group_basis():
+    """Every product on L/B_L, for every nonempty proper Levi of every rank <= 3 type,
+    against the basis of W_L built on its own: top class prod(positive roots of L),
+    division by |W_L|^2 and ascents inside L.  The ring reads them from the group's
+    basis, dropping the classes outside W_L; a product past the top degree of L is 0."""
+    cases = 0
+    for family, rank in ALL_TYPES:
+        g = group_for(family, rank)
+        for levi in _subsets(range(rank)):
+            if not 0 < len(levi) < rank:
+                continue
+            ring = deformed_ring(parabolic(g, (), within=levi))
+            p = ring.parabolic
+            table = oracles.divided_difference_table(g, levi)
+            for u in p.reps:
+                for v in p.reps:
+                    row = table.get((min(u.index, v.index), max(u.index, v.index)), {})
+                    expect = {ring.position(p.iota(g.elements[k])): c for k, c in row.items()}
+                    assert ring.classical_product(p.iota(u), p.iota(v)) == expect, \
+                        (family, rank, levi, u, v)
+                    cases += 1
+    assert cases == 488
