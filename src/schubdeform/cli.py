@@ -234,8 +234,6 @@ def _parabolic_for(spec: JobSpec, group: WeylGroup) -> Parabolic:
     if spec.levi is not None:
         return parabolic(group, spec.levi)
     if spec.maximal is not None:
-        if not 0 <= spec.maximal < rank:
-            raise ValueError(f"parabolic index {spec.maximal + 1} outside 1..{rank}")
         return parabolic(group, [k for k in range(rank) if k != spec.maximal])
     return parabolic(group, [])
 
@@ -338,21 +336,19 @@ def cmd_product(spec: JobSpec, args, out: TextIO) -> int:
     acc = ring.basis_class(ws[0])
     for w in ws[1:]:
         acc = ring.multiply(acc, ring.basis_class(w))
-    order = {pos: k for k, pos in enumerate(ring.table_order())}
     rows = []
     expansion = []
-    for pos in sorted(acc.coeffs, key=order.__getitem__):
+    for pos, exps, coeff in acc.terms():
         w = ring.reps[pos]
-        for exps, coeff in sorted(acc.coeffs[pos].items()):
-            rows.append([ring.labels[pos], word_str(w.word), parab.codim(w),
-                         ring.monomial(exps) or "1", coeff])
-            expansion.append({
-                "label": ring.labels[pos],
-                "word": [i + 1 for i in w.word],
-                "codim": parab.codim(w),
-                "exponents": list(exps),
-                "coefficient": coeff,
-            })
+        rows.append([ring.labels[pos], word_str(w.word), parab.codim(w),
+                     ring.monomial(exps) or "1", coeff])
+        expansion.append({
+            "label": ring.labels[pos],
+            "word": [i + 1 for i in w.word],
+            "codim": parab.codim(w),
+            "exponents": list(exps),
+            "coefficient": coeff,
+        })
     rendered = repr(acc)
     factors = " * ".join(ring.labels[ring.position(w)] for w in ws)
     summary = Table("product", ["expression", "value"], [[factors, rendered]])
@@ -753,6 +749,8 @@ def _spec_from_args(args) -> JobSpec:
             raise ValueError("--levi needs --rank")
         spec.levi = _parse_levi(args.levi, spec.rank, "levi")
     elif getattr(args, "parabolic", None) is not None:
+        if not 1 <= args.parabolic <= spec.rank:
+            raise ValueError(f"parabolic index {args.parabolic} outside 1..{spec.rank}")
         spec.maximal = args.parabolic - 1
     for name in ("words", "check", "inner_levi", "outer_levi", "levi_words",
                  "table", "limit", "prune", "input", "output"):

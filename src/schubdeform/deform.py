@@ -15,7 +15,7 @@ the Levi-movable ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .rootsystem import Weight
 from .schubert import schubert_basis
@@ -72,11 +72,7 @@ class DeformedClass:
         for pos, mono in other.coeffs.items():
             tgt = out.setdefault(pos, {})
             for e, c in mono.items():
-                s = tgt.get(e, 0) + c
-                if s:
-                    tgt[e] = s
-                elif e in tgt:
-                    del tgt[e]
+                tgt[e] = tgt.get(e, 0) + c
         return DeformedClass(self.ring, out)
 
     def specialize(self, tau: Sequence[int]) -> dict[int, int]:
@@ -101,16 +97,22 @@ class DeformedClass:
         """Specialization at tau = 0 (keep exponent-zero monomials only)."""
         return self.specialize((0,) * len(self.ring.omitted))
 
+    def terms(self) -> Iterator[tuple[int, ExpVec, int]]:
+        """(rep position, exponents, coefficient) of every term: classes in
+        table order, the monomials of one class by sorted exponents."""
+        rank = self.ring._table_rank
+        for pos in sorted(self.coeffs, key=rank.__getitem__):
+            for exps, coeff in sorted(self.coeffs[pos].items()):
+                yield pos, exps, coeff
+
     def __repr__(self):
         """Expansion with the classes in codimension order, e.g. `2*t2*c6 + c7`."""
         ring = self.ring
-        order = {pos: k for k, pos in enumerate(ring.table_order())}
         bits = []
-        for pos in sorted(self.coeffs, key=order.__getitem__):
-            for exps, coeff in sorted(self.coeffs[pos].items()):
-                mono = ring.monomial(exps)
-                head = "" if coeff == 1 else f"{coeff}*"
-                bits.append(head + (mono + "*" if mono else "") + ring.labels[pos])
+        for pos, exps, coeff in self.terms():
+            mono = ring.monomial(exps)
+            head = "" if coeff == 1 else f"{coeff}*"
+            bits.append(head + (mono + "*" if mono else "") + ring.labels[pos])
         return " + ".join(bits) if bits else "0"
 
 
@@ -127,7 +129,17 @@ class DeformedRing:
         self._chi: list[tuple[int, ...]] = [self._chi_coords(w) for w in self.reps]
         self._classical: dict[tuple[int, int], dict[int, int]] = {}
         self._levi_blocks: dict[int, list] = {}  # by number of factors, from horn.levi_blocks
-        self.labels = self._make_labels()
+        # rep positions of each codimension in rep order, by increasing codimension
+        groups: dict[int, list[int]] = {}
+        for pos, w in enumerate(self.reps):
+            groups.setdefault(parab.codim(w), []).append(pos)
+        self.by_codim = dict(sorted(groups.items()))
+        self._table_order = [pos for group in self.by_codim.values() for pos in group]
+        self._table_rank = {pos: k for k, pos in enumerate(self._table_order)}
+        self.labels = [""] * len(self.reps)
+        for codim, group in self.by_codim.items():
+            for k, pos in enumerate(group):
+                self.labels[pos] = f"c{codim}" + ("" if len(group) == 1 else _suffix(k))
 
     # -- characters ------------------------------------------------------
 
@@ -195,26 +207,18 @@ class DeformedRing:
 
     def multiply(self, a: DeformedClass, b: DeformedClass) -> DeformedClass:
         """Deformed product of two general classes."""
-        total = DeformedClass(self)
+        out: dict[int, dict[ExpVec, int]] = {}
         for pu, mu in a.coeffs.items():
             for pv, mv in b.coeffs.items():
                 base = self.deformed_product(self.reps[pu], self.reps[pv])
-                out: dict[int, dict[ExpVec, int]] = {}
                 for pos, mono in base.coeffs.items():
-                    tgt: dict[ExpVec, int] = {}
+                    tgt = out.setdefault(pos, {})
                     for e0, c0 in mono.items():
                         for eu, cu in mu.items():
                             for ev, cv in mv.items():
                                 e = tuple(x + y + z for x, y, z in zip(e0, eu, ev))
-                                s = tgt.get(e, 0) + c0 * cu * cv
-                                if s:
-                                    tgt[e] = s
-                                elif e in tgt:
-                                    del tgt[e]
-                    if tgt:
-                        out[pos] = tgt
-                total = total + DeformedClass(self, out)
-        return total
+                                tgt[e] = tgt.get(e, 0) + c0 * cu * cv
+        return DeformedClass(self, out)
 
     def basis_class(self, w: WeylElement) -> DeformedClass:
         zero = (0,) * len(self.omitted)
@@ -322,20 +326,9 @@ class DeformedRing:
         return "".join(f"t{self.omitted[k] + 1}" + (f"^{e}" if e > 1 else "")
                        for k, e in enumerate(exps) if e)
 
-    def _make_labels(self) -> list[str]:
-        by_codim: dict[int, list[int]] = {}
-        for pos in self.table_order():
-            by_codim.setdefault(self.parabolic.codim(self.reps[pos]), []).append(pos)
-        labels = [""] * len(self.reps)
-        for codim, group in by_codim.items():
-            for k, pos in enumerate(group):
-                labels[pos] = f"c{codim}" + ("" if len(group) == 1 else _suffix(k))
-        return labels
-
     def table_order(self) -> list[int]:
-        """Rep positions sorted by codimension (unit class first)."""
-        return sorted(range(len(self.reps)),
-                      key=lambda pos: (self.parabolic.codim(self.reps[pos]), pos))
+        """Rep positions sorted by codimension (unit class first), in rep order within one."""
+        return self._table_order
 
     def is_minuscule(self) -> bool:
         """Maximal parabolic whose omitted simple root has coefficient 1 in the highest root."""

@@ -123,15 +123,20 @@ def tuple_inequality(ring: DeformedRing, ws: Sequence[WeylElement]) -> Inequalit
     """The inequality generated by one tuple on one maximal parabolic.
 
     Entry k of block j is <w_j omega, alpha_k^vee>, the i0-th coroot
-    coordinate of w_j^{-1} alpha_k^vee.
+    coordinate of w_j^{-1} alpha_k^vee: column k of w_j^{-1} (w_j^{-1} alpha_k
+    in root coordinates) at i0, times d_i0 / d_k for the half squared lengths d.
     """
-    group, n = ring.group, ring.rs.rank
+    group, d = ring.group, ring.rs.lengths
     i0 = ring.omitted[0]
-    coroots = [tuple(int(k == j) for j in range(n)) for k in range(n)]
     blocks = []
     for w in ws:
-        inv = group.inverse(w)
-        blocks.append(tuple(inv.act_coweight_coords(a)[i0] for a in coroots))
+        block = []
+        for k, col in enumerate(group.inverse(w).cols):
+            entry, rest = divmod(col[i0] * d[i0], d[k])
+            if rest:
+                raise AssertionError(f"non-integral pairing at {w}, coroot {k + 1}")
+            block.append(entry)
+        blocks.append(tuple(block))
     return Inequality(i0, tuple(w.word for w in ws), tuple(blocks))
 
 

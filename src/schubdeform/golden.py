@@ -71,17 +71,14 @@ def _ring_for(table: GoldenTable) -> DeformedRing:
 
 def _bijections(table: GoldenTable, ring: DeformedRing):
     """All codimension-preserving maps from table labels to rep positions."""
-    internal_by_codim: dict[int, list[int]] = {}
-    for pos, w in enumerate(ring.reps):
-        internal_by_codim.setdefault(ring.parabolic.codim(w), []).append(pos)
     table_by_codim: dict[int, list[str]] = {}
     for lab, cd in table.classes.items():
         table_by_codim.setdefault(cd, []).append(lab)
     codims = sorted(table_by_codim)
     for cd in codims:
-        if len(table_by_codim[cd]) != len(internal_by_codim.get(cd, [])):
+        if len(table_by_codim[cd]) != len(ring.by_codim.get(cd, [])):
             return
-    choices = [itertools.permutations(internal_by_codim[cd]) for cd in codims]
+    choices = [itertools.permutations(ring.by_codim[cd]) for cd in codims]
     for combo in itertools.product(*choices):
         mapping: dict[str, int] = {}
         for cd, perm in zip(codims, combo):

@@ -9,6 +9,9 @@ sharing only `Poly` and `divided_difference` with the library.
 `redundant_reference` and `equivalent_reference` are the references for the
 orbit-at-a-time `prune_redundant` and `systems_equivalent`: one LP per row,
 with no symmetry used, sharing only `cone_contains` and `dominance_rows`.
+`inequality_blocks_reference` is the reference for the blocks of
+`tuple_inequality`: it moves each simple coroot through the reduced word
+instead of reading the element's columns.
 """
 
 from __future__ import annotations
@@ -201,3 +204,14 @@ def equivalent_reference(a, b) -> bool:
     fb = [q.flat() for q in b.inequalities]
     return (all(cone_contains(f, fb + dom) for f in fa)
             and all(cone_contains(f, fa + dom) for f in fb))
+
+
+def inequality_blocks_reference(ring, ws) -> tuple[tuple[int, ...], ...]:
+    """The blocks of `tuple_inequality(ring, ws)`: entry k of block j is the
+    i0-th coroot coordinate of w_j^{-1} alpha_k^vee, with w_j^{-1} applied by
+    folding its reduced word one simple reflection at a time."""
+    n = ring.rs.rank
+    i0 = ring.omitted[0]
+    coroots = [tuple(int(k == j) for j in range(n)) for k in range(n)]
+    return tuple(tuple(ring.group.inverse(w).act_coweight_coords(a)[i0] for a in coroots)
+                 for w in ws)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from schubdeform import CACHE_ENV_VAR, GoldenResult, HornCheck
-from schubdeform import cli, golden, horn
+from schubdeform import cli, golden, horn, weyl
 from schubdeform.horn import HornReport
 
 
@@ -179,6 +179,22 @@ def test_invalid_input_exit_2(capsys):
     code, _, err = run(capsys, "product", "--type", "A", "--rank", "2",
                        "--levi", "1", "--words", "1;2")
     assert code == 2 and "minimal" in err
+
+
+def test_parabolic_range_is_checked_while_parsing(capsys, monkeypatch):
+    """An out-of-range --parabolic is refused, as --levi is, before any Weyl
+    group is enumerated (F4 takes a noticeable time to build)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Weyl group was built")
+
+    monkeypatch.setattr(weyl.WeylGroup, "__init__", refuse)
+    monkeypatch.setattr(cli, "weyl_group", refuse)  # also the group kept on the root system
+    for command in ("deform-table", "weyl"):
+        for k in ("9", "0"):
+            code, out, err = run(capsys, command, "--type", "F", "--rank", "4",
+                                 "--parabolic", k)
+            assert (code, out) == (2, ""), (command, k)
+            assert err == f"error: parabolic index {k} outside 1..4\n"
 
 
 def test_budget_exceeded_exit_3(capsys):

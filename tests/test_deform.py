@@ -1,5 +1,7 @@
 """Deformed ring: characters, exponents, movability, presentation."""
 
+import random
+
 import pytest
 
 from schubdeform import DimensionError, deformed_ring, parabolic
@@ -88,6 +90,35 @@ def test_multiply_distributes():
     lhs = ring.multiply(a + b, c)
     rhs = ring.multiply(a, c) + ring.multiply(b, c)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("family", [
+    "A", "D", pytest.param("B", marks=pytest.mark.slow),
+    pytest.param("C", marks=pytest.mark.slow)])
+def test_rank_four_ring_laws_on_sampled_triples(family):
+    """Criteria 03 and 04 on a fixed sample of rank-4 classes: on every maximal
+    parabolic the deformed product of sampled basis classes commutes and
+    associates, and at tau = 0 a class times the dual of a class of its
+    codimension is the point class exactly when the two are equal."""
+    rng = random.Random(20261018)
+    unequal = 0
+    for omitted in range(4):
+        ring = maximal_ring(family, 4, omitted)
+        p = ring.parabolic
+        point = {ring.position(ring.point()): 1}
+        for _ in range(40):
+            u, v, w = (rng.choice(p.reps) for _ in range(3))
+            a, b, c = (ring.basis_class(x) for x in (u, v, w))
+            ab = ring.multiply(a, b)
+            assert ab == ring.multiply(b, a), (family, omitted, u, v)
+            assert ring.multiply(ab, c) == ring.multiply(a, ring.multiply(b, c)), \
+                (family, omitted, u, v, w)
+            x = rng.choice([x for x in p.reps if x.length == u.length])
+            for y in (u, x):
+                assert ring.product0(u, p.iota(y)) == (point if y == u else {}), \
+                    (family, omitted, u, y)
+            unequal += x != u
+    assert unequal > 0
 
 
 def test_point_coefficient_on_padded_dual_pairs():

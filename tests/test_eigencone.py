@@ -27,7 +27,7 @@ from schubdeform.eigencone import (
 )
 
 from common import ALL_TYPES, group_for, maximal_ring, ring_for
-from oracles import equivalent_reference, redundant_reference
+from oracles import equivalent_reference, inequality_blocks_reference, redundant_reference
 
 
 def mixed_coweight(rs, coeffs):
@@ -178,6 +178,18 @@ def test_inequality_value_is_the_natural_pairing():
                 assert len(q.flat()) == 3 * rs.rank
 
 
+def test_inequality_blocks_match_the_word_fold():
+    """Reading w^{-1}'s columns gives the blocks that folding the reduced word
+    gives, for every element and every maximal parabolic."""
+    cases = ALL_TYPES + [("D", 4), ("B", 4), ("C", 4), ("F", 4)]
+    for family, rank in cases:
+        for i0 in range(rank):
+            ring = maximal_ring(family, rank, i0)
+            ws = ring.group.elements
+            assert tuple_inequality(ring, ws).functional == \
+                inequality_blocks_reference(ring, ws), (family, rank, i0)
+
+
 def test_sum_zero_triples_are_members():
     for family, rank in [("A", 2), ("B", 2), ("G", 2)]:
         g = group_for(family, rank)
@@ -261,6 +273,41 @@ def test_prune_b2_and_mode_equivalence():
     flats = [q.flat() for q in sys_c.inequalities]
     gens = flats[:k] + flats[k + 1:] + dominance_rows(g.rs, 3)
     assert cone_contains(flats[k], gens)
+
+
+def _common_rows(system):
+    """The rows of a B_n or C_n system in the coordinates x of R^n, scaled to
+    integers, then the rows of x_1 >= ... >= x_n >= 0 for every factor.
+
+    A coweight of C_n has coroot coordinates t_k = x_1+...+x_k; one of B_n
+    has the same for k < n and t_n = (x_1+...+x_n)/2.  B's rows are doubled.
+    """
+    n = system.rs.rank
+    scale = [2] * (n - 1) + [1] if system.rs.label.startswith("B") else [1] * n
+    rows = []
+    for q in system.inequalities:
+        rows.append(tuple(sum(c * a for c, a in zip(scale[i:], block[i:]))
+                          for block in q.functional for i in range(n)))
+    for j in range(system.s):
+        for i in range(n):
+            row = [0] * (system.s * n)
+            row[j * n + i] = -1
+            if i + 1 < n:
+                row[j * n + i + 1] = 1
+            rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_odd_orthogonal_and_symplectic_cones_agree(rank):
+    """Belkale-Kumar: the eigencones of so(2n+1) and sp(2n) are one cone in
+    the common coordinates x; each side's rows lie in the other's cone."""
+    for mode in MODES:
+        b_rows, c_rows = (_common_rows(generate_system(group_for(f, rank), 3, mode))
+                          for f in "BC")
+        for rows, other in ((b_rows, c_rows), (c_rows, b_rows)):
+            shared = set(other)
+            assert all(r in shared or cone_contains(r, other) for r in rows), (rank, mode)
 
 
 def test_two_factor_cone_rays_are_conjugate_pairs():
