@@ -15,18 +15,16 @@ _LAYERS = {
                    "root_system"),
     "weyl": ("WeylGroup", "WeylElement", "Parabolic", "weyl_group", "parabolic",
              "BudgetError"),
-    "schubert": ("SchubertBasis", "schubert_basis", "chevalley_oracle", "default_cache_dir",
-                 "CACHE_ENV_VAR"),
+    "schubert": ("SchubertBasis", "schubert_basis", "default_cache_dir", "CACHE_ENV_VAR"),
     "deform": ("DeformedRing", "DeformedClass", "MovabilityCertificate", "DimensionError",
                "deformed_ring"),
-    "invsets": ("inversion_product", "is_inversion_set", "kostant_decomposition",
-                "crosscheck_gb", "CrossCheckReport"),
+    "invsets": ("inversion_product", "is_inversion_set", "crosscheck_gb", "CrossCheckReport"),
     "horn": ("HornCheck", "HornReport", "central_characters", "coset_codim",
              "dimension_tuples", "check_character", "check_refined", "check_dimension",
              "codim_difference_identity", "converse_search"),
     "eigencone": ("Inequality", "InequalitySystem", "Verdict", "generate_system", "evaluate",
                   "prune_redundant", "systems_equivalent", "dual_coweight"),
-    "cones": ("primitive", "cone_contains", "extreme_rays"),
+    "cones": ("cone_contains",),
     "golden": ("GoldenTable", "GoldenResult", "GOLDEN_NAMES", "verify_table", "verify_all"),
 }
 _HOMES = {name: home for home, names in _LAYERS.items() for name in names}

@@ -1,10 +1,7 @@
-"""Exact polyhedral helpers: cone membership and extreme rays.
+"""Exact cone membership.
 
-No floating point anywhere.  Cones appear in two forms: generated
-(membership is a fraction-free phase-one simplex with Bland's rule, so it
-terminates) and cut out by homogeneous inequalities (minimal generators
-via incremental double description with the combinatorial adjacency test
-on tight-row sets).
+No floating point anywhere.  A cone is given by generators, and membership
+is a fraction-free phase-one simplex with Bland's rule, so it terminates.
 
 The simplex is revised: every tableau row is a combination of the initial
 rows, whose artificial block is the identity, so a row is kept as that
@@ -22,21 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
-
-Vec = tuple[Fraction, ...]
-
-
-def _vec(v: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in v)
-
-
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for x, y in zip(a, b):
-        if x and y:
-            total += x * y
-    return total
+from typing import Sequence
 
 
 def _clear_denominators(v: Sequence) -> list[int]:
@@ -46,15 +29,6 @@ def _clear_denominators(v: Sequence) -> list[int]:
     fr = [Fraction(x) for x in v]
     den = lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]
-
-
-def primitive(v: Sequence) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    ints = _clear_denominators(v)
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no direction")
-    return tuple(x // g for x in ints)
 
 
 def _eliminate(row: list[int], pivot_row: list[int], piv: int, f: int) -> list[int]:
@@ -126,78 +100,3 @@ def cone_contains(target: Sequence, generators: Sequence[Sequence]) -> bool:
         dual = _eliminate(dual, pivot_row[:m] + [0], piv, cost)
         basis[leave] = enter
     return sum(map(mul, dual, columns[n])) == 0
-
-
-def extreme_rays(rows: Sequence[Sequence], dim: int | None = None
-                 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Minimal generators of the cone {x : r.x <= 0 for every row r}.
-
-    Returns (lineality basis, extreme rays) as primitive integer vectors;
-    the cone is the rational span of the lineality plus nonnegative
-    combinations of the rays.  The ray list is sorted and canonical; the
-    lineality basis is one choice of basis, not canonical.
-    """
-    rws = [_vec(r) for r in rows]
-    if dim is None:
-        if not rws:
-            raise ValueError("dimension required when there are no rows")
-        dim = len(rws[0])
-    for r in rws:
-        if len(r) != dim:
-            raise ValueError("row dimension mismatch")
-    lineality: list[Vec] = [
-        tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-    rays: list[tuple[Vec, frozenset[int]]] = []
-    for idx, a in enumerate(rws):
-        vals = [_dot(a, l) for l in lineality]
-        k0 = next((k for k, v in enumerate(vals) if v != 0), None)
-        if k0 is not None:
-            # slice the lineality: one direction becomes a ray
-            l0, v0 = lineality[k0], vals[k0]
-            new_lin = []
-            for k, l in enumerate(lineality):
-                if k != k0:
-                    f = vals[k] / v0
-                    new_lin.append(tuple(x - f * y for x, y in zip(l, l0)))
-            new_rays = []
-            for vec, zs in rays:
-                f = _dot(a, vec) / v0
-                new_rays.append(
-                    (tuple(x - f * y for x, y in zip(vec, l0)), zs | {idx}))
-            r0 = l0 if v0 < 0 else tuple(-x for x in l0)
-            new_rays.append((r0, frozenset(range(idx))))
-            lineality = new_lin
-            rays = new_rays
-            continue
-        zero, neg, pos = [], [], []
-        for vec, zs in rays:
-            v = _dot(a, vec)
-            if v == 0:
-                zero.append((vec, zs | {idx}))
-            elif v < 0:
-                neg.append((vec, zs, v))
-            else:
-                pos.append((vec, zs, v))
-        if not pos:
-            rays = zero + [(vec, zs) for vec, zs, _ in neg]
-            continue
-        others = ([zs for _, zs in zero] + [zs for _, zs, _ in neg]
-                  + [zs for _, zs, _ in pos])
-        combos = []
-        for ni, (vn, zn, dn) in enumerate(neg):
-            for pi, (vp, zp, dp) in enumerate(pos):
-                common = zn & zp
-                adjacent = True
-                for oi, other in enumerate(others):
-                    if oi == len(zero) + ni or oi == len(zero) + len(neg) + pi:
-                        continue
-                    if common <= other:
-                        adjacent = False
-                        break
-                if adjacent:
-                    vec = tuple(dp * x - dn * y for x, y in zip(vn, vp))
-                    combos.append((vec, common | {idx}))
-        rays = zero + [(vec, zs) for vec, zs, _ in neg] + combos
-    lin_out = [primitive(l) for l in lineality]
-    ray_out = sorted(primitive(v) for v, _ in rays)
-    return lin_out, ray_out

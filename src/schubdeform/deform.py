@@ -64,9 +64,6 @@ class DeformedClass:
         return (isinstance(other, DeformedClass) and self.ring is other.ring
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        raise TypeError("unhashable")
-
     def __add__(self, other: "DeformedClass") -> "DeformedClass":
         out = {pos: dict(m) for pos, m in self.coeffs.items()}
         for pos, mono in other.coeffs.items():
@@ -287,37 +284,6 @@ class DeformedRing:
         gaps = {i: sum(self._chi[self.position(w)][i] for w in ws) - chi_e[i]
                 for i in self.omitted}
         return MovabilityCertificate(self.point_coefficient(ws), gaps)
-
-    # -- tangent combinatorics -------------------------------------------
-
-    def tangent_roots(self, w: WeylElement) -> frozenset[int]:
-        """Roots of the tangent space at the base point of the cell of w.
-
-        The tangent roots are negative; they are returned as the indices of
-        their positive counterparts.  For w in W^P this set equals the
-        inversion set of w (checked), so its size is l(w).
-        """
-        p = self.parabolic
-        out = set()
-        for k in p.nilradical_roots:
-            neg = tuple(-c for c in self.rs.positive_roots[k])
-            img = w.act_root(neg)
-            if all(c >= 0 for c in img):  # w(-beta) positive
-                out.add(k)
-        got = frozenset(out)
-        if got != self.group.inversion_set(w):
-            raise AssertionError(f"tangent roots disagree with inversions at {w}")
-        return got
-
-    def tangent_complement_check(self, w: WeylElement) -> bool:
-        """Partition R(u_P) = tangent(w) | w_o^L(tangent(iota w))."""
-        p = self.parabolic
-        first = self.tangent_roots(w)
-        second = set()
-        for k in self.tangent_roots(p.iota(w)):
-            img = p.w_o_levi.act_root(self.rs.positive_roots[k])
-            second.add(self.rs.root_index[img])
-        return (not (first & second)) and (first | second) == p.nilradical_roots
 
     # -- presentation ----------------------------------------------------
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 from .cones import cone_contains
 from .deform import MODES, DeformedRing, deformed_ring
-from .horn import TUPLE_CAP, check_tuple_budget, dimension_tuples
+from .horn import check_tuple_budget, dimension_tuples
 from .rootsystem import BudgetError, Coweight, RootSystem
 from .weyl import WeylElement, WeylGroup, parabolic
 
@@ -140,13 +140,12 @@ def tuple_inequality(ring: DeformedRing, ws: Sequence[WeylElement]) -> Inequalit
     return Inequality(i0, tuple(w.word for w in ws), tuple(blocks))
 
 
-def generate_system(group: WeylGroup, s: int, mode: str,
-                    cap: int = TUPLE_CAP) -> InequalitySystem:
+def generate_system(group: WeylGroup, s: int, mode: str) -> InequalitySystem:
     """Union of the inequalities over all standard maximal parabolics."""
     rs = group.rs
     rings = [deformed_ring(parabolic(group, tuple(j for j in range(rs.rank) if j != i)))
              for i in range(rs.rank)]
-    check_tuple_budget((len(ring.reps) for ring in rings), s, rs.label, cap)
+    check_tuple_budget((len(ring.reps) for ring in rings), s, rs.label)
     ineqs = []
     for ring in rings:
         for ws in enumerate_tuples(ring, s, mode):
@@ -160,6 +159,9 @@ def evaluate(system: InequalitySystem, hs: Sequence[Coweight]) -> Verdict:
     if len(hs) != system.s:
         raise ValueError(f"expected {system.s} coweights, got {len(hs)}")
     for h in hs:
+        if len(h.coords) != rs.rank:
+            raise ValueError(f"coweight {h.coords} has {len(h.coords)} coordinates, "
+                             f"expected {rs.rank} for {rs.label}")
         for i in range(rs.rank):
             e_i = tuple(int(i == j) for j in range(rs.rank))
             if rs.eval_coweight(e_i, h.coords) < 0:
@@ -308,12 +310,6 @@ def systems_equivalent(a: InequalitySystem, b: InequalitySystem) -> bool:
     _check_lp_budget(max(len(fa), len(fb)), labels, a.rs, a.s)
     dom = dominance_rows(a.rs, a.s)
     return all(_contained(fa + fb, labels, lambda k: (fb if k < len(fa) else fa) + dom))
-
-
-def cone_rows(system: InequalitySystem) -> list[tuple[int, ...]]:
-    """Full homogeneous description: functionals plus dominance rows."""
-    return [q.flat() for q in system.inequalities] + dominance_rows(
-        system.rs, system.s)
 
 
 def dual_coweight(group: WeylGroup, h: Coweight) -> Coweight:

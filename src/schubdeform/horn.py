@@ -161,9 +161,9 @@ def dimension_tuples(parab: Parabolic, s: int) -> Iterator[tuple[WeylElement, ..
 TUPLE_CAP = 5_000_000
 
 
-def check_tuple_budget(sizes: Iterable[int], s: int, label: str, cap: int = TUPLE_CAP) -> None:
+def check_tuple_budget(sizes: Iterable[int], s: int, label: str) -> None:
     """Raise BudgetError when s-fold scans over quotients with these numbers
-    of representatives could take more than `cap` tuples, by the bound
+    of representatives could take more than TUPLE_CAP tuples, by the bound
     sum(n ** (s - 1) for n in sizes).
 
     The sum stops growing once it passes the cap, so a huge s costs a few
@@ -174,11 +174,11 @@ def check_tuple_budget(sizes: Iterable[int], s: int, label: str, cap: int = TUPL
         term = 1
         for _ in range(s - 1 if n > 1 else 0):
             term *= n
-            if total + term > cap:
+            if total + term > TUPLE_CAP:
                 break
         total += term
-        if total > cap:
-            raise BudgetError(f"enumeration bound exceeds cap {cap} for {label}, s={s}")
+        if total > TUPLE_CAP:
+            raise BudgetError(f"enumeration bound exceeds cap {TUPLE_CAP} for {label}, s={s}")
 
 
 # -- Levi recursion ------------------------------------------------------

@@ -6,19 +6,15 @@ eps_u * eps_v = eps_w when Phi_u and Phi_v are disjoint and their union is
 the inversion set Phi_w of some (then unique) w, and 0 otherwise.
 
 A subset of the positive roots is an inversion set iff it is closed under
-root addition and so is its complement; the graded pieces of the nil-radical
-cohomology are indexed by the w of each length, with lowest weight data
-w^{-1} rho - rho.
+root addition and so is its complement.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .deform import DeformedRing
-from .rootsystem import Weight
-from .weyl import Parabolic, WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup
 
 
 def inversion_product(group: WeylGroup, u: WeylElement, v: WeylElement) -> WeylElement | None:
@@ -65,42 +61,6 @@ def is_inversion_set(group: WeylGroup, roots: Iterable[int]) -> WeylElement | No
     if combinatorial != (found is not None):
         raise AssertionError(f"closed/coclosed test disagrees with enumeration on {sorted(s)}")
     return found
-
-
-@dataclass
-class KostantModule:
-    """One irreducible summand of a graded piece of the nil-radical cohomology."""
-
-    element: WeylElement
-    degree: int
-    lowest_weight: Weight  # w^{-1} rho - rho, in fundamental-weight coordinates
-
-
-def kostant_decomposition(parab: Parabolic, degree: int) -> list[KostantModule]:
-    """Summands of the degree-d piece for the nil-radical of the parabolic.
-
-    Indexed by minimal representatives of length d; the recorded weight
-    w^{-1} rho - rho equals minus the sum of the inversion set of w and is
-    dominant for the Levi (checked).
-    """
-    rs = parab.rs
-    group = parab.group
-    rho = rs.rho().coords
-    out = []
-    for w in parab.reps:
-        if w.length != degree:
-            continue
-        winv = group.inverse(w)
-        coords = tuple(Fraction(a) - Fraction(b) for a, b in
-                       zip(winv.act_root(rho), rho))
-        if tuple(-c for c in rs.root_sum(group.inversion_set(w))) != coords:
-            raise AssertionError(f"weight formulas disagree at {w}")
-        fw = rs.to_fweight(coords)
-        for i in parab.levi:
-            if fw[i] < 0:
-                raise AssertionError(f"weight of {w} not dominant for the Levi")
-        out.append(KostantModule(w, degree, Weight(tuple(fw), "fweight")))
-    return out
 
 
 @dataclass

@@ -60,9 +60,6 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -77,11 +74,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+            out[m] = out.get(m, 0) + c
         return Poly(self.nvars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":

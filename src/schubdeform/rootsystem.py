@@ -150,10 +150,6 @@ class Coweight:
     coords: Vector
 
 
-def _as_fracs(v: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in v)
-
-
 class RootSystem:
     """A (possibly reducible) root system given by a Cartan matrix.
 
@@ -250,16 +246,6 @@ class RootSystem:
         """<v, alpha_i^vee> for v in root coordinates."""
         return sum(self.cartan[i][j] * v[j] for j in range(self.rank) if v[j])
 
-    def root_coroot(self, r: Sequence) -> Vector:
-        """Coroot-basis coordinates of beta^vee for a root beta in root coordinates."""
-        bb = self.form(r, r)
-        return tuple(Fraction(2 * self.lengths[k] * r[k], 1) / bb for k in range(self.rank))
-
-    def reflect(self, v: Sequence, i: int) -> tuple:
-        """s_i acting on root coordinates."""
-        p = self.coroot_pairing(v, i)
-        return tuple(v[j] - p if j == i else v[j] for j in range(self.rank))
-
     def reflect_coweight(self, t: Sequence, i: int) -> tuple:
         """s_i acting on coroot coordinates: h -> h - alpha_i(h) alpha_i^vee."""
         val = sum(t[k] * self.cartan[k][i] for k in range(self.rank) if t[k])
@@ -304,15 +290,6 @@ class RootSystem:
 
     def to_fweight(self, coords_root: Sequence) -> Vector:
         return tuple(self.coroot_pairing(coords_root, j) for j in range(self.rank))
-
-    def to_root(self, coords_fweight: Sequence) -> Vector:
-        return tuple(
-            sum(self.cartan_inv[j][i] * Fraction(coords_fweight[i]) for i in range(self.rank))
-            for j in range(self.rank)
-        )
-
-    def weight_root_coords(self, w: Weight) -> Vector:
-        return _as_fracs(w.coords) if w.basis == "root" else self.to_root(w.coords)
 
     def pair(self, w: Weight, h: Coweight) -> Fraction:
         """Natural pairing lambda(h)."""

@@ -33,7 +33,7 @@ from typing import AbstractSet
 
 from .poly import Monomial, Poly
 from .rootsystem import RootSystem
-from .weyl import Parabolic, WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup
 
 CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "SCHUBDEFORM_CACHE_DIR"
@@ -215,35 +215,6 @@ class SchubertBasis:
             a, b = key.split(",")
             out[(int(a), int(b))] = {int(w): int(c) for w, c in row.items()}
         return out
-
-
-def chevalley_oracle(p: Parabolic, i: int, w: WeylElement) -> dict[int, int]:
-    """Degree-1 product class(s_i)*class(w) on G/P by the reflection-sum rule.
-
-    Independent of the divided-difference path: the coefficient of w s_beta
-    (when it has length l(w)+1 and is a minimal representative) is
-    omega_i(beta^vee).  Requires i in `p.omitted` and w in W^P.
-    Returns {element index: coefficient}.
-    """
-    if i not in p.omitted:
-        raise ValueError("degree-1 classes of G/P are indexed by simple roots outside the Levi")
-    if not p.contains(w):
-        raise ValueError("w is not a minimal coset representative")
-    rs = p.rs
-    g = p.group
-    omega = rs.fundamental_weight(i).coords
-    out: dict[int, int] = {}
-    for beta in rs.positive_roots:
-        s_beta = g.reflection(beta)
-        cand = g.mult(w, s_beta)
-        if cand.length != w.length + 1 or not p.contains(cand):
-            continue
-        bb = rs.form(beta, beta)
-        mult = 2 * rs.form(omega, beta) / bb
-        assert mult.denominator == 1 and mult >= 0
-        if mult:
-            out[cand.index] = out.get(cand.index, 0) + int(mult)
-    return {k: v for k, v in out.items() if v}
 
 
 def schubert_basis(group: WeylGroup) -> SchubertBasis:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rootsystem import BudgetError, Coweight, RootSystem, Weight
+from .rootsystem import BudgetError, Coweight, RootSystem
 
 Cols = tuple[tuple[int, ...], ...]
 
@@ -57,11 +57,6 @@ class WeylElement:
             cur = rs.reflect_coweight(cur, i)
         return cur
 
-    def act_weight(self, w: Weight) -> Weight:
-        rs = self.group.rs
-        coords = rs.weight_root_coords(w)
-        return Weight(tuple(Fraction(x) for x in self.act_root(coords)), "root")
-
     def act_coweight(self, h: Coweight) -> Coweight:
         return Coweight(tuple(Fraction(x) for x in self.act_coweight_coords(h.coords)))
 
@@ -82,19 +77,15 @@ class WeylElement:
         return f"W[{word}]"
 
 
-def _check_cap(rs: RootSystem, order: int, cap: int) -> None:
-    if order > cap:
-        raise BudgetError(
-            f"Weyl group of {rs.label} has order {order}, exceeding the cap {cap}"
-        )
-
-
 class WeylGroup:
     """Fully enumerated Weyl group of a root system."""
 
-    def __init__(self, rs: RootSystem, cap: int = DEFAULT_CAP):
+    def __init__(self, rs: RootSystem):
         order = rs.weyl_order()
-        _check_cap(rs, order, cap)
+        if order > DEFAULT_CAP:
+            raise BudgetError(
+                f"Weyl group of {rs.label} has order {order}, exceeding the cap {DEFAULT_CAP}"
+            )
         self.rs = rs
         self.order = order
         self.elements: list[WeylElement] = []
@@ -107,7 +98,6 @@ class WeylGroup:
         self._parabolics: dict[tuple, Parabolic] = {}  # filled by parabolic
         self._basis = None  # built by schubert.schubert_basis
         self._by_inversions = None  # built by invsets.element_with_inversions
-        self._reflections: dict[tuple, WeylElement] = {}  # filled by reflection
 
     # -- enumeration ----------------------------------------------------
 
@@ -164,26 +154,6 @@ class WeylGroup:
 
     def simple_reflection(self, i: int) -> WeylElement:
         return self._by_cols[self._gen_cols(i)]
-
-    def reflection(self, root_coords: Sequence[int]) -> WeylElement:
-        """The reflection s_beta for a root beta in root coordinates."""
-        key = tuple(root_coords)
-        if key in self._reflections:
-            return self._reflections[key]
-        rs = self.rs
-        n = rs.rank
-        bb = rs.form(root_coords, root_coords)
-        cols = []
-        for j in range(n):
-            ej = tuple(int(j == k) for k in range(n))
-            p = 2 * rs.form(ej, root_coords) / bb
-            col = tuple(ej[k] - p * root_coords[k] for k in range(n))
-            icol = tuple(int(x) for x in col)
-            if tuple(Fraction(x) for x in icol) != tuple(Fraction(x) for x in col):
-                raise AssertionError("non-integral reflection matrix")
-            cols.append(icol)
-        self._reflections[key] = self._by_cols[tuple(cols)]
-        return self._reflections[key]
 
     def mult(self, u: WeylElement, v: WeylElement) -> WeylElement:
         n = self.rs.rank
@@ -310,14 +280,10 @@ class Parabolic:
         return f"Parabolic({self.rs.label}, levi=[{lv}]{within}, dim={self.dim})"
 
 
-def weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
-    """The Weyl group of a root system, enumerated once and kept on `rs`.
-
-    The cap applies to every call, including those answered from the memo.
-    """
+def weyl_group(rs: RootSystem) -> WeylGroup:
+    """The Weyl group of a root system, enumerated once and kept on `rs`."""
     if rs._weyl_group is None:
-        rs._weyl_group = WeylGroup(rs, cap=cap)
-    _check_cap(rs, rs._weyl_group.order, cap)
+        rs._weyl_group = WeylGroup(rs)
     return rs._weyl_group
 
 

@@ -1,4 +1,7 @@
-"""Independent oracles for cross-checking structure constants.
+"""Independent oracles and reference checks for the test suite.
+
+Every reference a test compares the library against lives here, and none of
+it ships in the package.
 
 The tableau count implements the classical combinatorial rule directly, and
 the permutation helpers translate type-A Weyl elements to Grassmannian data
@@ -6,22 +9,34 @@ by hand.  `divided_difference_table` is the reference for the integer kernel
 of `SchubertBasis.product`: it applies whole-polynomial divided differences to
 the rational top class prod(positive roots)/|W| and reads off constant terms,
 sharing only `Poly` and `divided_difference` with the library.
+`chevalley_oracle` recomputes degree-1 products by the reflection-sum
+(Chevalley) rule from reflection matrices it builds itself.
 `redundant_reference` and `equivalent_reference` are the references for the
 orbit-at-a-time `prune_redundant` and `systems_equivalent`: one LP per row,
 with no symmetry used, sharing only `cone_contains` and `dominance_rows`.
 `inequality_blocks_reference` is the reference for the blocks of
 `tuple_inequality`: it moves each simple coroot through the reduced word
-instead of reading the element's columns.
+instead of reading the element's columns.  `extreme_rays` is incremental
+double description, the polar check of `cone_contains`, and `horn_rows`
+builds the type-A eigencone inequalities from Horn's recursion, with no
+Schubert calculus at all.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from schubdeform.cones import cone_contains
 from schubdeform.eigencone import dominance_rows
 from schubdeform.poly import Poly
+from schubdeform.rootsystem import Weight
 from schubdeform.schubert import divided_difference
+from schubdeform.weyl import WeylElement
 
 
 def pad(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -180,7 +195,7 @@ def divided_difference_table(group, within=None) -> dict[tuple[int, int], dict[i
             row = {}
             for w in elements:
                 if w.length == d:
-                    c = Fraction(apply(w).constant_term(), order ** 2)
+                    c = Fraction(constant_term(apply(w)), order ** 2)
                     if c:
                         assert c.denominator == 1 and c > 0, (u, v, w, c)
                         row[w.index] = int(c)
@@ -215,3 +230,291 @@ def inequality_blocks_reference(ring, ws) -> tuple[tuple[int, ...], ...]:
     coroots = [tuple(int(k == j) for j in range(n)) for k in range(n)]
     return tuple(tuple(ring.group.inverse(w).act_coweight_coords(a)[i0] for a in coroots)
                  for w in ws)
+
+
+# -- small conversions -------------------------------------------------
+
+
+def constant_term(p: Poly) -> int:
+    return p.terms.get((0,) * p.nvars, 0)
+
+
+def reflect(rs, v: Sequence, i: int) -> tuple:
+    """s_i acting on root coordinates."""
+    p = rs.coroot_pairing(v, i)
+    return tuple(v[j] - p if j == i else v[j] for j in range(rs.rank))
+
+
+def root_coroot(rs, r: Sequence) -> tuple[Fraction, ...]:
+    """Coroot-basis coordinates of beta^vee for a root beta in root coordinates."""
+    bb = rs.form(r, r)
+    return tuple(Fraction(2 * rs.lengths[k] * r[k], 1) / bb for k in range(rs.rank))
+
+
+def act_weight(w: WeylElement, weight: Weight) -> Weight:
+    """w acting on a weight in root coordinates."""
+    if weight.basis != "root":
+        raise ValueError("act_weight takes a weight in root coordinates")
+    return Weight(tuple(Fraction(x) for x in w.act_root(weight.coords)), "root")
+
+
+# -- the reflection-sum (Chevalley) rule --------------------------------
+
+
+@functools.cache
+def reflection(group, root_coords: tuple[int, ...]) -> WeylElement:
+    """The reflection s_beta for a root beta in root coordinates."""
+    rs = group.rs
+    n = rs.rank
+    bb = rs.form(root_coords, root_coords)
+    cols = []
+    for j in range(n):
+        ej = tuple(int(j == k) for k in range(n))
+        p = 2 * rs.form(ej, root_coords) / bb
+        col = tuple(ej[k] - p * root_coords[k] for k in range(n))
+        icol = tuple(int(x) for x in col)
+        if tuple(Fraction(x) for x in icol) != tuple(Fraction(x) for x in col):
+            raise AssertionError("non-integral reflection matrix")
+        cols.append(icol)
+    cols = tuple(cols)
+    return next(w for w in group.elements if w.cols == cols)
+
+
+def chevalley_oracle(p, i: int, w: WeylElement) -> dict[int, int]:
+    """Degree-1 product class(s_i)*class(w) on G/P by the reflection-sum rule.
+
+    Independent of the divided-difference path: the coefficient of w s_beta
+    (when it has length l(w)+1 and is a minimal representative) is
+    omega_i(beta^vee).  Requires i in `p.omitted` and w in W^P.
+    Returns {element index: coefficient}.
+    """
+    if i not in p.omitted:
+        raise ValueError("degree-1 classes of G/P are indexed by simple roots outside the Levi")
+    if not p.contains(w):
+        raise ValueError("w is not a minimal coset representative")
+    rs = p.rs
+    g = p.group
+    omega = rs.fundamental_weight(i).coords
+    out: dict[int, int] = {}
+    for beta in rs.positive_roots:
+        s_beta = reflection(g, beta)
+        cand = g.mult(w, s_beta)
+        if cand.length != w.length + 1 or not p.contains(cand):
+            continue
+        bb = rs.form(beta, beta)
+        mult = 2 * rs.form(omega, beta) / bb
+        assert mult.denominator == 1 and mult >= 0
+        if mult:
+            out[cand.index] = out.get(cand.index, 0) + int(mult)
+    return {k: v for k, v in out.items() if v}
+
+
+# -- nil-radical cohomology and tangent spaces --------------------------
+
+
+@dataclass
+class KostantModule:
+    """One irreducible summand of a graded piece of the nil-radical cohomology."""
+
+    element: WeylElement
+    degree: int
+    lowest_weight: Weight  # w^{-1} rho - rho, in fundamental-weight coordinates
+
+
+def kostant_decomposition(parab, degree: int) -> list[KostantModule]:
+    """Summands of the degree-d piece for the nil-radical of the parabolic.
+
+    Indexed by minimal representatives of length d; the recorded weight
+    w^{-1} rho - rho equals minus the sum of the inversion set of w and is
+    dominant for the Levi (checked).
+    """
+    rs = parab.rs
+    group = parab.group
+    rho = rs.rho().coords
+    out = []
+    for w in parab.reps:
+        if w.length != degree:
+            continue
+        winv = group.inverse(w)
+        coords = tuple(Fraction(a) - Fraction(b) for a, b in
+                       zip(winv.act_root(rho), rho))
+        if tuple(-c for c in rs.root_sum(group.inversion_set(w))) != coords:
+            raise AssertionError(f"weight formulas disagree at {w}")
+        fw = rs.to_fweight(coords)
+        for i in parab.levi:
+            if fw[i] < 0:
+                raise AssertionError(f"weight of {w} not dominant for the Levi")
+        out.append(KostantModule(w, degree, Weight(tuple(fw), "fweight")))
+    return out
+
+
+def tangent_complement_check(ring, w: WeylElement) -> bool:
+    """Partition R(u_P) = Phi_w | w_o^L(Phi_{iota w}).
+
+    For w in W^P the tangent roots at the base point of the cell of w are the
+    negatives of its inversion set Phi_w.
+    """
+    p = ring.parabolic
+    rs = ring.rs
+    first = ring.group.inversion_set(w)
+    second = set()
+    for k in ring.group.inversion_set(p.iota(w)):
+        img = p.w_o_levi.act_root(rs.positive_roots[k])
+        second.add(rs.root_index[img])
+    return (not (first & second)) and (first | second) == p.nilradical_roots
+
+
+# -- double description -------------------------------------------------
+
+Vec = tuple[Fraction, ...]
+
+
+def _vec(v: Iterable) -> Vec:
+    return tuple(Fraction(x) for x in v)
+
+
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    total = Fraction(0)
+    for x, y in zip(a, b):
+        if x and y:
+            total += x * y
+    return total
+
+
+def primitive(v: Sequence) -> tuple[int, ...]:
+    """Scale a nonzero rational vector to coprime integers, keeping direction."""
+    fr = [Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in fr))
+    ints = [x.numerator * (den // x.denominator) for x in fr]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no direction")
+    return tuple(x // g for x in ints)
+
+
+def extreme_rays(rows: Sequence[Sequence], dim: int | None = None
+                 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Minimal generators of the cone {x : r.x <= 0 for every row r}.
+
+    Returns (lineality basis, extreme rays) as primitive integer vectors;
+    the cone is the rational span of the lineality plus nonnegative
+    combinations of the rays.  The ray list is sorted and canonical; the
+    lineality basis is one choice of basis, not canonical.  Incremental
+    double description with the combinatorial adjacency test on tight-row
+    sets.
+    """
+    rws = [_vec(r) for r in rows]
+    if dim is None:
+        if not rws:
+            raise ValueError("dimension required when there are no rows")
+        dim = len(rws[0])
+    for r in rws:
+        if len(r) != dim:
+            raise ValueError("row dimension mismatch")
+    lineality: list[Vec] = [
+        tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[Vec, frozenset[int]]] = []
+    for idx, a in enumerate(rws):
+        vals = [_dot(a, l) for l in lineality]
+        k0 = next((k for k, v in enumerate(vals) if v != 0), None)
+        if k0 is not None:
+            # slice the lineality: one direction becomes a ray
+            l0, v0 = lineality[k0], vals[k0]
+            new_lin = []
+            for k, l in enumerate(lineality):
+                if k != k0:
+                    f = vals[k] / v0
+                    new_lin.append(tuple(x - f * y for x, y in zip(l, l0)))
+            new_rays = []
+            for vec, zs in rays:
+                f = _dot(a, vec) / v0
+                new_rays.append(
+                    (tuple(x - f * y for x, y in zip(vec, l0)), zs | {idx}))
+            r0 = l0 if v0 < 0 else tuple(-x for x in l0)
+            new_rays.append((r0, frozenset(range(idx))))
+            lineality = new_lin
+            rays = new_rays
+            continue
+        zero, neg, pos = [], [], []
+        for vec, zs in rays:
+            v = _dot(a, vec)
+            if v == 0:
+                zero.append((vec, zs | {idx}))
+            elif v < 0:
+                neg.append((vec, zs, v))
+            else:
+                pos.append((vec, zs, v))
+        if not pos:
+            rays = zero + [(vec, zs) for vec, zs, _ in neg]
+            continue
+        others = ([zs for _, zs in zero] + [zs for _, zs, _ in neg]
+                  + [zs for _, zs, _ in pos])
+        combos = []
+        for ni, (vn, zn, dn) in enumerate(neg):
+            for pi, (vp, zp, dp) in enumerate(pos):
+                common = zn & zp
+                adjacent = True
+                for oi, other in enumerate(others):
+                    if oi == len(zero) + ni or oi == len(zero) + len(neg) + pi:
+                        continue
+                    if common <= other:
+                        adjacent = False
+                        break
+                if adjacent:
+                    vec = tuple(dp * x - dn * y for x, y in zip(vn, vp))
+                    combos.append((vec, common | {idx}))
+        rays = zero + [(vec, zs) for vec, zs, _ in neg] + combos
+    lin_out = [primitive(l) for l in lineality]
+    ray_out = sorted(primitive(v) for v, _ in rays)
+    return lin_out, ray_out
+
+
+def cone_rows(system) -> list[tuple[int, ...]]:
+    """Full homogeneous description: functionals plus dominance rows."""
+    return [q.flat() for q in system.inequalities] + dominance_rows(
+        system.rs, system.s)
+
+
+# -- Horn's recursion ----------------------------------------------------
+
+
+@functools.cache
+def horn_triples(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Horn's set T^n_r (Fulton, Bull. Amer. Math. Soc. 37, 2000, section 1).
+
+    The triples (I, J, K) of r-element subsets of {1..n}, each sorted, with
+    sum(I) + sum(J) = sum(K) + r(r+1)/2 and, for every p < r and every
+    (F, G, H) in T^r_p, sum_F i_f + sum_G j_g <= sum_H k_h + p(p+1)/2.
+    """
+    smaller = [(p, horn_triples(r, p)) for p in range(1, r)]
+    subsets = list(itertools.combinations(range(1, n + 1), r))
+    out = []
+    for I in subsets:
+        for J in subsets:
+            for K in subsets:
+                if sum(I) + sum(J) != sum(K) + r * (r + 1) // 2:
+                    continue
+                if all(sum(I[f - 1] for f in F) + sum(J[g - 1] for g in G)
+                       <= sum(K[h - 1] for h in H) + p * (p + 1) // 2
+                       for p, triples in smaller for F, G, H in triples):
+                    out.append((I, J, K))
+    return tuple(out)
+
+
+def horn_rows(n: int) -> set[tuple[int, ...]]:
+    """The three-factor rows of A_{n-1} from T^n_r, r = 1..n-1, as flat rows
+    in the coroot coordinates of `generate_system`.
+
+    The row of (I, J, K) puts -1 on I in block 1, on J in block 2 and on
+    {n+1-k : k in K} in block 3, as vectors a of R^n; the coefficient of the
+    coroot coordinate t_k is a_k - a_{k+1}.
+    """
+    rows = set()
+    for r in range(1, n):
+        for I, J, K in horn_triples(n, r):
+            row = []
+            for block in (I, J, tuple(n + 1 - k for k in K)):
+                a = [-int(i in block) for i in range(1, n + 1)]
+                row.extend(a[k] - a[k + 1] for k in range(n - 1))
+            rows.add(tuple(row))
+    return rows

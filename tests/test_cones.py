@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from schubdeform import cone_contains, extreme_rays, primitive
+from schubdeform import cone_contains
+
+from oracles import extreme_rays, primitive
 
 
 def test_primitive():

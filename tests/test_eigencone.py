@@ -11,15 +11,13 @@ from schubdeform import (
     dual_coweight,
     evaluate,
     generate_system,
-    extreme_rays,
-    primitive,
     prune_redundant,
     systems_equivalent,
 )
+from schubdeform import horn
 from schubdeform.eigencone import (
     MODES,
     InequalitySystem,
-    cone_rows,
     dominance_rows,
     enumerate_tuples,
     orbit_labels,
@@ -27,7 +25,16 @@ from schubdeform.eigencone import (
 )
 
 from common import ALL_TYPES, group_for, maximal_ring, ring_for
-from oracles import equivalent_reference, inequality_blocks_reference, redundant_reference
+from oracles import (
+    act_weight,
+    cone_rows,
+    equivalent_reference,
+    extreme_rays,
+    horn_rows,
+    inequality_blocks_reference,
+    primitive,
+    redundant_reference,
+)
 
 
 def mixed_coweight(rs, coeffs):
@@ -173,7 +180,7 @@ def test_inequality_value_is_the_natural_pairing():
             assert tuples
             for ws in tuples:
                 q = tuple_inequality(ring, ws)
-                manual = sum(rs.pair(w.act_weight(omega), h) for w, h in zip(ws, hs))
+                manual = sum(rs.pair(act_weight(w, omega), h) for w, h in zip(ws, hs))
                 assert q.value(hs) == manual
                 assert len(q.flat()) == 3 * rs.rank
 
@@ -228,6 +235,16 @@ def test_evaluate_rejects_bad_input():
         evaluate(system, (ok,))
     with pytest.raises(ValueError):
         evaluate(system, (ok, Coweight((Fraction(-1), Fraction(0)))))
+
+
+def test_evaluate_checks_coweight_length():
+    """A coweight with too few or too many coordinates is refused by name,
+    never read as a member, as "not dominant" or as an IndexError."""
+    system = generate_system(group_for("B", 3), 3, "deformed")
+    for coords in ((0,), (2, 2), (1, 0, 0, 0)):
+        h = Coweight(tuple(Fraction(c) for c in coords))
+        with pytest.raises(ValueError, match=f"has {len(coords)} coordinates, expected 3 for B3"):
+            evaluate(system, (h, h, h))
 
 
 def test_dominance_rows_structure():
@@ -298,7 +315,7 @@ def _common_rows(system):
     return rows
 
 
-@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("rank", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_odd_orthogonal_and_symplectic_cones_agree(rank):
     """Belkale-Kumar: the eigencones of so(2n+1) and sp(2n) are one cone in
     the common coordinates x; each side's rows lie in the other's cone."""
@@ -308,6 +325,19 @@ def test_odd_orthogonal_and_symplectic_cones_agree(rank):
         for rows, other in ((b_rows, c_rows), (c_rows, b_rows)):
             shared = set(other)
             assert all(r in shared or cone_contains(r, other) for r in rows), (rank, mode)
+
+
+@pytest.mark.parametrize("rank,rows", [(2, 12), (3, 41), (4, 142)])
+def test_type_a_rows_are_horns_inequalities(rank, rows):
+    """For SL(n) both modes give exactly the rows of Horn's recursive T^n_r
+    (Knutson-Tao-Woodward: the system is irredundant), built with no Schubert
+    calculus."""
+    expect = horn_rows(rank + 1)
+    assert len(expect) == rows
+    g = group_for("A", rank)
+    for mode in MODES:
+        flats = [q.flat() for q in generate_system(g, 3, mode).inequalities]
+        assert len(flats) == rows and set(flats) == expect, mode
 
 
 def test_two_factor_cone_rays_are_conjugate_pairs():
@@ -324,9 +354,10 @@ def test_two_factor_cone_rays_are_conjugate_pairs():
     assert set(rays) == expect
 
 
-def test_generate_system_budget():
-    with pytest.raises(BudgetError):
-        generate_system(group_for("A", 2), 3, "classical", cap=10)
+def test_generate_system_budget(monkeypatch):
+    monkeypatch.setattr(horn, "TUPLE_CAP", 10)
+    with pytest.raises(BudgetError, match="enumeration bound exceeds cap 10 for A2, s=3"):
+        generate_system(group_for("A", 2), 3, "classical")
 
 
 def test_as_dict_shapes():

@@ -8,6 +8,7 @@ from schubdeform import CartanType, Coweight, Weight, build_root_system, root_sy
 from schubdeform.rootsystem import cartan_matrix
 
 from common import ALL_TYPES
+from oracles import reflect, root_coroot
 
 
 def test_cartan_matrices_known():
@@ -73,9 +74,9 @@ def test_reflections_permute_other_positives(family, rank):
     rs = root_system(family, rank)
     for i in range(rank):
         alpha_i = tuple(int(i == k) for k in range(rank))
-        assert rs.reflect(alpha_i, i) == tuple(-c for c in alpha_i)
+        assert reflect(rs, alpha_i, i) == tuple(-c for c in alpha_i)
         others = {r for r in rs.positive_roots if r != alpha_i}
-        assert {rs.reflect(r, i) for r in others} == others
+        assert {reflect(rs, r, i) for r in others} == others
 
 
 def test_reflect_coweight_matches_pairings():
@@ -85,16 +86,16 @@ def test_reflect_coweight_matches_pairings():
         img = rs.reflect_coweight(h, i)
         # pairing with any root transforms contragrediently
         for r in rs.positive_roots:
-            assert rs.eval_coweight(rs.reflect(r, i), h) == rs.eval_coweight(r, img)
+            assert rs.eval_coweight(reflect(rs, r, i), h) == rs.eval_coweight(r, img)
 
 
 def test_root_coroot_normalization():
     rs = root_system("G", 2)
     for i in range(rs.rank):
         alpha = tuple(int(i == k) for k in range(rs.rank))
-        assert rs.root_coroot(alpha) == tuple(Fraction(int(i == k)) for k in range(rs.rank))
+        assert root_coroot(rs, alpha) == tuple(Fraction(int(i == k)) for k in range(rs.rank))
     for r in rs.positive_roots:
-        rv = rs.root_coroot(r)
+        rv = root_coroot(rs, r)
         # <beta, beta^vee> = 2 for every root
         assert sum(c * rs.coroot_pairing(r, k) for k, c in enumerate(rv)) == 2
 

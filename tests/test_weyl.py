@@ -2,7 +2,9 @@
 
 import pytest
 
-from schubdeform import BudgetError, parabolic, root_system, weyl_group
+from schubdeform import BudgetError, CartanType, RootSystem, parabolic, root_system, weyl_group
+from schubdeform import weyl
+from schubdeform.rootsystem import cartan_matrix
 
 from common import ALL_TYPES, group_for
 
@@ -16,17 +18,18 @@ def test_group_orders(family, rank, order):
     assert g.order == order == len(g.elements)
 
 
-def test_budget_cap():
+def _fresh(family, rank):
+    """A root system of its own, so that no memoised group answers."""
+    return RootSystem(cartan_matrix(CartanType(family, rank)), label=f"{family}{rank}")
+
+
+def test_budget_cap(monkeypatch):
     with pytest.raises(BudgetError):
         weyl_group(root_system("E", 8))
-    weyl_group(root_system("A", 2), cap=6)
-    with pytest.raises(BudgetError):
-        weyl_group(root_system("F", 4), cap=100)
-    # the cap holds when the group is already memoized
-    a3 = weyl_group(root_system("A", 3))
-    with pytest.raises(BudgetError):
-        weyl_group(root_system("A", 3), cap=10)
-    assert weyl_group(root_system("A", 3), cap=24) is a3
+    monkeypatch.setattr(weyl, "DEFAULT_CAP", 6)
+    assert weyl_group(_fresh("A", 2)).order == 6
+    with pytest.raises(BudgetError, match="Weyl group of F4 has order 1152, exceeding the cap 6$"):
+        weyl_group(_fresh("F", 4))
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
