@@ -21,10 +21,9 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence, TextIO
+from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
 # what the parser and the shared helpers need; each command imports its own layers
 from .deform import MODES
@@ -48,23 +47,28 @@ JSON_SCHEMA_VERSION = 1
 
 # -- job description ------------------------------------------------------
 
-@dataclass
 class JobSpec:
     """Everything needed to reproduce one run; echoed into every output."""
 
-    command: str
-    family: str | None = None
-    rank: int | None = None
-    levi: tuple[int, ...] | None = None  # 0-based simple indices
-    maximal: int | None = None           # 0-based omitted index
-    s: int | None = None
-    mode: str | None = None
-    fmt: str = "md"
-    cache_dir: str | None = None
-    no_cache: bool = False
-    extra: dict = field(default_factory=dict)
-    # bases this run pointed at its cache directory; saved when the run ends
-    bases: list[SchubertBasis] = field(default_factory=list, repr=False, compare=False)
+    __slots__ = ("command", "family", "rank", "levi", "maximal", "s", "mode", "fmt",
+                 "cache_dir", "no_cache", "extra", "bases")
+
+    def __init__(self, command: str, family: str | None = None, rank: int | None = None,
+                 s: int | None = None, mode: str | None = None, fmt: str = "md",
+                 cache_dir: str | None = None, no_cache: bool = False):
+        self.command = command
+        self.family = family
+        self.rank = rank
+        self.levi: tuple[int, ...] | None = None  # 0-based simple indices
+        self.maximal: int | None = None           # 0-based omitted index
+        self.s = s
+        self.mode = mode
+        self.fmt = fmt
+        self.cache_dir = cache_dir
+        self.no_cache = no_cache
+        self.extra: dict = {}
+        # bases this run pointed at its cache directory; saved when the run ends
+        self.bases: list[SchubertBasis] = []
 
     def as_dict(self) -> dict:
         """The job's fields in header order; the JSON `job` object."""
@@ -96,8 +100,7 @@ class JobSpec:
 
 # -- formatting -----------------------------------------------------------
 
-@dataclass
-class Table:
+class Table(NamedTuple):
     title: str
     columns: list[str]
     rows: list[list]

@@ -14,8 +14,7 @@ the Levi-movable ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .rootsystem import Weight
 from .schubert import schubert_basis
@@ -31,8 +30,7 @@ class DimensionError(ValueError):
     """Codimension sum does not meet the dimension condition."""
 
 
-@dataclass
-class MovabilityCertificate:
+class MovabilityCertificate(NamedTuple):
     """Evidence for a Levi-movability verdict."""
 
     coefficient: int
@@ -280,10 +278,14 @@ class DeformedRing:
         if total != p.dim:
             raise DimensionError(
                 f"codimensions sum to {total}, expected dim G/P = {p.dim}")
+        return MovabilityCertificate(self.point_coefficient(ws), self.character_gaps(ws))
+
+    def character_gaps(self, ws: Sequence[WeylElement]) -> dict[int, int]:
+        """(sum chi_wj - chi_e)(x_i) for each i outside the Levi: no structure constant is
+        needed, and a tuple with nonzero point coefficient is movable when all are 0."""
         chi_e = self._chi[self.position(self.group.identity)]
-        gaps = {i: sum(self._chi[self.position(w)][i] for w in ws) - chi_e[i]
+        return {i: sum(self._chi[self.position(w)][i] for w in ws) - chi_e[i]
                 for i in self.omitted}
-        return MovabilityCertificate(self.point_coefficient(ws), gaps)
 
     # -- presentation ----------------------------------------------------
 

@@ -12,9 +12,8 @@ cone membership against the other inequalities plus dominance.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .cones import cone_contains
 from .deform import MODES, DeformedRing, deformed_ring
@@ -23,8 +22,7 @@ from .rootsystem import BudgetError, Coweight, RootSystem
 from .weyl import WeylElement, WeylGroup, parabolic
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     """One linear condition on an s-tuple of dominant coweights.
 
     The blocks are the weights w_j omega in fundamental-weight
@@ -58,8 +56,7 @@ class Inequality:
         }
 
 
-@dataclass
-class InequalitySystem:
+class InequalitySystem(NamedTuple):
     """All inequalities of one mode for one group and number of factors."""
 
     rs: RootSystem
@@ -91,8 +88,7 @@ class InequalitySystem:
         return out
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """Membership result with the violated inequalities and exact values."""
 
     member: bool
@@ -103,7 +99,8 @@ def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylEl
     """Generating tuples: balanced codimensions, product equal to the point.
 
     In deformed mode the tuple must also be Levi-movable, so that the point
-    coefficient of the degenerate product is one.
+    coefficient of the degenerate product is one; a tuple with a nonzero
+    character gap is not, and is dropped before any product is folded.
     """
     if len(ring.omitted) != 1:
         raise ValueError("inequalities come from maximal parabolics only")
@@ -113,6 +110,8 @@ def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylEl
         raise ValueError(f"mode must be one of {MODES}")
     out = []
     for ws in dimension_tuples(ring.parabolic, s):
+        if mode == "deformed" and any(ring.character_gaps(ws).values()):
+            continue
         cert = ring.is_levi_movable(ws)
         if cert.coefficient == 1 and (mode == "classical" or cert.movable):
             out.append(ws)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .weyl import parabolic, weyl_group
 from .rootsystem import root_system
@@ -23,8 +22,7 @@ if TYPE_CHECKING:
 GOLDEN_NAMES = ("b3_p2", "b3_p3", "c3_p1", "c3_p2")
 
 
-@dataclass
-class GoldenTable:
+class GoldenTable(NamedTuple):
     name: str
     family: str
     rank: int
@@ -52,12 +50,16 @@ class GoldenTable:
         )
 
 
-@dataclass
-class GoldenResult:
-    name: str
-    matched: bool
-    bijection: dict[str, str] = field(default_factory=dict)  # table label -> internal label
-    detail: str = ""
+class GoldenResult(NamedTuple("GoldenResult", [("name", str), ("matched", bool),
+                                                ("bijection", dict), ("detail", str)])):
+    """A verdict, with the bijection (table label -> internal label) that matched."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, matched: bool, bijection: dict[str, str] | None = None,
+                detail: str = ""):
+        # a result built without a bijection gets a dict of its own
+        return super().__new__(cls, name, matched, {} if bijection is None else bijection, detail)
 
 
 def _ring_for(table: GoldenTable) -> DeformedRing:

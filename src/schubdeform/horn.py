@@ -21,8 +21,7 @@ re-evaluate to the recorded verdicts.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .deform import DeformedRing, MovabilityCertificate, deformed_ring
 from .weyl import BudgetError, Parabolic, WeylElement, parabolic
@@ -30,8 +29,7 @@ from .weyl import BudgetError, Parabolic, WeylElement, parabolic
 _REL = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
 
-@dataclass(frozen=True)
-class CentralChar:
+class CentralChar(NamedTuple):
     """Restriction of a nilradical root to the center of the Levi.
 
     Two roots restrict to the same character exactly when their
@@ -43,15 +41,15 @@ class CentralChar:
     signature: tuple[int, ...]
 
 
-@dataclass
-class HornCheck:
+class HornCheck(NamedTuple("HornCheck", [("kind", str), ("lhs", int), ("rhs", int),
+                                          ("relation", str), ("data", dict)])):
     """One exact inequality or identity, with its generating data."""
 
-    kind: str
-    lhs: int
-    rhs: int
-    relation: str
-    data: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, kind: str, lhs: int, rhs: int, relation: str, data: dict | None = None):
+        # a check built without data gets a dict of its own
+        return super().__new__(cls, kind, lhs, rhs, relation, {} if data is None else data)
 
     @property
     def passed(self) -> bool:
@@ -74,8 +72,7 @@ class HornCheck:
                 "relation": self.relation, "passed": self.passed, "data": data}
 
 
-@dataclass
-class HornReport:
+class HornReport(NamedTuple):
     """Outcome of one family of checks on one tuple."""
 
     system: str
@@ -202,8 +199,7 @@ def _levi_element(sub: Parabolic, u) -> WeylElement:
     return sub.group.from_word(u)
 
 
-@dataclass
-class LeviBlock:
+class LeviBlock(NamedTuple):
     """Pairing data from one maximal parabolic quotient of the Levi.
 
     `coweight_index` is the simple index p omitted from the quotient;

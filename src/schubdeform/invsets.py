@@ -10,8 +10,7 @@ root addition and so is its complement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .deform import DeformedRing
 from .weyl import WeylElement, WeylGroup
@@ -63,8 +62,7 @@ def is_inversion_set(group: WeylGroup, roots: Iterable[int]) -> WeylElement | No
     return found
 
 
-@dataclass
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     label: str
     pairs: int
     mismatches: list[tuple]

@@ -13,10 +13,9 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -51,20 +50,21 @@ _FAMILY_RANKS = {
 }
 
 
-@dataclass(frozen=True)
-class CartanType:
-    """A simple Cartan type, e.g. CartanType("B", 3)."""
+class CartanType(NamedTuple("CartanType", [("family", str), ("rank", int)])):
+    """A simple Cartan type, e.g. CartanType("B", 3); the family is upper-cased.
 
-    family: str
-    rank: int
+    Immutable and hashable, since build_root_system memoises on it.
+    """
 
-    def __post_init__(self):
-        fam = self.family.upper()
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        fam = family.upper()
         if fam not in _FAMILY_RANKS:
-            raise ValueError(f"unknown family {self.family!r}; expected one of A-G")
-        if not _FAMILY_RANKS[fam](self.rank):
-            raise ValueError(f"rank {self.rank} not admissible for family {fam}")
-        object.__setattr__(self, "family", fam)
+            raise ValueError(f"unknown family {family!r}; expected one of A-G")
+        if not _FAMILY_RANKS[fam](rank):
+            raise ValueError(f"rank {rank} not admissible for family {fam}")
+        return super().__new__(cls, fam, rank)
 
     @property
     def num_positive_roots(self) -> int:
@@ -135,16 +135,14 @@ def _invert(mat: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ..
     return tuple(tuple(row[n:]) for row in aug)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """Element of the rational span of the weight lattice."""
 
     coords: Vector
     basis: Literal["root", "fweight"] = "root"
 
 
-@dataclass(frozen=True)
-class Coweight:
+class Coweight(NamedTuple):
     """Element of the rational span of the coweight lattice, in coroot coordinates."""
 
     coords: Vector

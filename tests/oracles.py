@@ -16,7 +16,9 @@ orbit-at-a-time `prune_redundant` and `systems_equivalent`: one LP per row,
 with no symmetry used, sharing only `cone_contains` and `dominance_rows`.
 `inequality_blocks_reference` is the reference for the blocks of
 `tuple_inequality`: it moves each simple coroot through the reduced word
-instead of reading the element's columns.  `extreme_rays` is incremental
+instead of reading the element's columns.  `movable_rows_reference` is the
+reference for gaps-first generation: it folds the point coefficient of every
+dimension tuple before it looks at the character gaps.  `extreme_rays` is incremental
 double description, the polar check of `cone_contains`, and `horn_rows`
 builds the type-A eigencone inequalities from Horn's recursion, with no
 Schubert calculus at all.
@@ -32,11 +34,13 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from schubdeform.cones import cone_contains
-from schubdeform.eigencone import dominance_rows
+from schubdeform.deform import deformed_ring
+from schubdeform.eigencone import dominance_rows, tuple_inequality
+from schubdeform.horn import dimension_tuples
 from schubdeform.poly import Poly
 from schubdeform.rootsystem import Weight
 from schubdeform.schubert import divided_difference
-from schubdeform.weyl import WeylElement
+from schubdeform.weyl import WeylElement, parabolic
 
 
 def pad(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -230,6 +234,20 @@ def inequality_blocks_reference(ring, ws) -> tuple[tuple[int, ...], ...]:
     coroots = [tuple(int(k == j) for j in range(n)) for k in range(n)]
     return tuple(tuple(ring.group.inverse(w).act_coweight_coords(a)[i0] for a in coroots)
                  for w in ws)
+
+
+def movable_rows_reference(group, s: int, mode: str) -> list:
+    """The inequalities of `generate_system(group, s, mode)`, in order, from
+    `is_levi_movable` on every dimension tuple: the point coefficient is folded
+    for each tuple, whatever its character gaps."""
+    out = []
+    for i in range(group.rs.rank):
+        ring = deformed_ring(parabolic(group, [j for j in range(group.rs.rank) if j != i]))
+        for ws in dimension_tuples(ring.parabolic, s):
+            cert = ring.is_levi_movable(ws)
+            if cert.coefficient == 1 and (mode == "classical" or cert.movable):
+                out.append(tuple_inequality(ring, ws))
+    return out
 
 
 # -- small conversions -------------------------------------------------

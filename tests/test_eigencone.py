@@ -32,6 +32,7 @@ from oracles import (
     extreme_rays,
     horn_rows,
     inequality_blocks_reference,
+    movable_rows_reference,
     primitive,
     redundant_reference,
 )
@@ -293,18 +294,25 @@ def test_prune_b2_and_mode_equivalence():
 
 
 def _common_rows(system):
-    """The rows of a B_n or C_n system in the coordinates x of R^n, scaled to
-    integers, then the rows of x_1 >= ... >= x_n >= 0 for every factor.
+    """The rows of a B_n, C_n or A_{2n-1} system in the coordinates x of R^n,
+    scaled to integers, then the rows of x_1 >= ... >= x_n >= 0 for every factor.
 
     A coweight of C_n has coroot coordinates t_k = x_1+...+x_k; one of B_n
-    has the same for k < n and t_n = (x_1+...+x_n)/2.  B's rows are doubled.
+    has the same for k < n and t_n = (x_1+...+x_n)/2, and B's rows are
+    doubled.  One of A_{2n-1} in the Cartan of sp(2n), diag(x, -reversed x),
+    has t_k = x_1+...+x_k for k <= n and t_{2n-k} = t_k, so A's blocks are
+    first folded onto t_1..t_n.
     """
-    n = system.rs.rank
-    scale = [2] * (n - 1) + [1] if system.rs.label.startswith("B") else [1] * n
+    family, m = system.rs.label[0], system.rs.rank
+    n = (m + 1) // 2 if family == "A" else m
+    scale = [2] * (n - 1) + [1] if family == "B" else [1] * n
     rows = []
     for q in system.inequalities:
+        blocks = q.functional
+        if family == "A":
+            blocks = [[b[k] + b[m - 1 - k] for k in range(n - 1)] + [b[n - 1]] for b in blocks]
         rows.append(tuple(sum(c * a for c, a in zip(scale[i:], block[i:]))
-                          for block in q.functional for i in range(n)))
+                          for block in blocks for i in range(n)))
     for j in range(system.s):
         for i in range(n):
             row = [0] * (system.s * n)
@@ -315,16 +323,41 @@ def _common_rows(system):
     return rows
 
 
+def _assert_symplectic_cone_agrees(family: str, rank: int, n: int) -> None:
+    """In both modes, each row of the (family, rank) system and of C_n, in the
+    common coordinates x, lies in the other side's cone."""
+    for mode in MODES:
+        rows, c_rows = (_common_rows(generate_system(group_for(f, r), 3, mode))
+                        for f, r in ((family, rank), ("C", n)))
+        for mine, other in ((rows, c_rows), (c_rows, rows)):
+            shared = set(other)
+            assert all(r in shared or cone_contains(r, other) for r in mine), (rank, mode)
+
+
 @pytest.mark.parametrize("rank", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_odd_orthogonal_and_symplectic_cones_agree(rank):
     """Belkale-Kumar: the eigencones of so(2n+1) and sp(2n) are one cone in
     the common coordinates x; each side's rows lie in the other's cone."""
-    for mode in MODES:
-        b_rows, c_rows = (_common_rows(generate_system(group_for(f, rank), 3, mode))
-                          for f in "BC")
-        for rows, other in ((b_rows, c_rows), (c_rows, b_rows)):
-            shared = set(other)
-            assert all(r in shared or cone_contains(r, other) for r in rows), (rank, mode)
+    _assert_symplectic_cone_agrees("B", rank, rank)
+
+
+@pytest.mark.parametrize("n", [2, pytest.param(3, marks=pytest.mark.slow)])
+def test_symplectic_cone_is_the_special_linear_cone_on_its_coweights(n):
+    """Belkale-Kumar: Gamma(sp(2n)) = Gamma(sl(2n)) cut by the Cartan of sp(2n).
+    The A_{2n-1} rows restricted there (t_{2n-k} = t_k) and the C_n rows cut
+    out one cone of x-dominant tuples."""
+    _assert_symplectic_cone_agrees("A", 2 * n - 1, n)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES + [
+    ("A", 4), ("D", 4),
+    pytest.param("B", 4, marks=pytest.mark.slow), pytest.param("C", 4, marks=pytest.mark.slow)])
+def test_gaps_first_generation_matches_the_movability_reference(family, rank):
+    """Deformed generation drops a tuple with a nonzero character gap before
+    folding its product; the inequalities, in order, are those of
+    `is_levi_movable` run on every dimension tuple."""
+    g = group_for(family, rank)
+    assert generate_system(g, 3, "deformed").inequalities == movable_rows_reference(g, 3, "deformed")
 
 
 @pytest.mark.parametrize("rank,rows", [(2, 12), (3, 41), (4, 142)])

@@ -25,11 +25,15 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
                           env=env, timeout=120)
 
 
+def _modules(importtime_log: str) -> set[str]:
+    """Every module named in a `-X importtime` log."""
+    return {line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()
+            if line.startswith("import time:")}
+
+
 def _layers(importtime_log: str) -> set[str]:
     """Package modules named in a `-X importtime` log, without the package prefix."""
-    names = (line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()
-             if line.startswith("import time:"))
-    return {n.split(".", 1)[1] for n in names if n.startswith("schubdeform.")}
+    return {n.split(".", 1)[1] for n in _modules(importtime_log) if n.startswith("schubdeform.")}
 
 
 def test_import_loads_no_layer():
@@ -50,6 +54,30 @@ def test_light_jobs_load_no_cone_layer(argv):
     layers = _layers(proc.stderr)
     assert "rootsystem" in layers
     assert not layers & CONE_LAYERS
+
+
+# one job of each command the benchmark runs, and the API it calls
+BENCH_JOBS = [
+    ("-m", "schubdeform.cli", "roots", "--type", "A", "--rank", "1"),
+    ("-m", "schubdeform.cli", "weyl", "--type", "B", "--rank", "2", "--levi", "1"),
+    ("-m", "schubdeform.cli", "leviprod-check", "--type", "A", "--rank", "2", "--no-cache"),
+    ("-m", "schubdeform.cli", "deform-table", "--type", "A", "--rank", "2", "--no-cache"),
+    ("-m", "schubdeform.cli", "eigencone", "--type", "A", "--rank", "2", "--mode", "deformed",
+     "--no-cache"),
+    ("-m", "schubdeform.cli", "redundancy", "--type", "A", "--rank", "2", "--no-cache"),
+    ("-m", "schubdeform.cli", "verify-golden", "--table", "c3_p1", "--no-cache"),
+    ("-c", "from schubdeform import generate_system, systems_equivalent"),
+]
+
+
+@pytest.mark.parametrize("job", BENCH_JOBS, ids=lambda job: job[2] if job[0] == "-m" else "api")
+def test_jobs_load_no_dataclasses_or_inspect(job):
+    # -S: without `site`, whose own imports would be in the log
+    proc = _fresh("-S", "-X", "importtime", *job)
+    assert proc.returncode == 0, proc.stderr
+    modules = _modules(proc.stderr)
+    assert "schubdeform.rootsystem" in modules  # the log is there
+    assert not modules & {"dataclasses", "inspect"}
 
 
 def test_listing_golden_tables_reads_no_resource_module():
