@@ -121,7 +121,11 @@ class DeformedRing:
         self.basis = schubert_basis(parab.group)
         self.omitted = parab.omitted
         self.reps = parab.reps
-        self._chi: list[tuple[int, ...]] = [self._chi_coords(w) for w in self.reps]
+        # 2 rho of `within` and 2 rho_Q, for the cross-check of every character
+        two_rho = self.rs.root_sum(parab.within_roots)
+        two_rho_q = self.rs.root_sum(parab.levi_roots)
+        self._chi: list[tuple[int, ...]] = [
+            self._chi_coords(w, two_rho, two_rho_q) for w in self.reps]
         self._classical: dict[tuple[int, int], dict[int, int]] = {}
         self._levi_blocks: dict[int, list] = {}  # by number of factors, from horn.levi_blocks
         # rep positions of each codimension in rep order, by increasing codimension
@@ -138,16 +142,15 @@ class DeformedRing:
 
     # -- characters ------------------------------------------------------
 
-    def _chi_coords(self, w: WeylElement) -> tuple[int, ...]:
-        rs = self.rs
-        acc = rs.root_sum(self.parabolic.nilradical_roots - self.group.inversion_set(w))
-        # cross-check against rho - 2 rho_Q + w^{-1} rho, rho that of `within`
-        rho = rs.rho(self.parabolic.within).coords
-        rho_l = rs.rho(self.parabolic.levi).coords
-        wr = self.group.inverse(w).act_root(rho)
-        alt = tuple(r - 2 * l + x for r, l, x in zip(rho, rho_l, wr))
-        if acc != alt:
-            raise AssertionError(f"character formulas disagree at {w}: {list(acc)} vs {alt}")
+    def _chi_coords(self, w: WeylElement, two_rho: tuple[int, ...],
+                    two_rho_q: tuple[int, ...]) -> tuple[int, ...]:
+        acc = self.rs.root_sum(self.parabolic.nilradical_roots - self.group.inversion_set(w))
+        # cross-check, doubled: chi_w = rho - 2 rho_Q + w^{-1} rho, rho that of `within`
+        wr = self.group.inverse(w).act_root(two_rho)
+        alt = tuple(r - 2 * q + x for r, q, x in zip(two_rho, two_rho_q, wr))
+        if any(2 * a != b for a, b in zip(acc, alt)):
+            raise AssertionError(
+                f"character formulas disagree at {w}: 2*{list(acc)} vs {list(alt)}")
         return acc
 
     def chi(self, w: WeylElement) -> Weight:

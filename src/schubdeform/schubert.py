@@ -13,6 +13,12 @@ degree l(w), shared by every product of the basis and memoised per (w, m)
 through E_w(m) = sum_m' [d_j x^m]_m' E_{w s_j}(m') for the last letter j of
 the reduced word of w.
 
+Only the constants that can be nonzero are computed: c_{uv}^w = 0 unless
+every right descent of w is a right descent of u or of v.  Take P with Levi
+the simple indices that are descents of neither; then u and v lie in W^P,
+and pullback H*(G/P) -> H*(G/B) is an injective ring map onto the span of
+the classes of W^P, so their product lies in that span.
+
 Constants for G/P are index restrictions of the G/B constants, and so are
 those of the Levi flag varieties L/(L cap Q): restriction to the fibre L/B_L
 of G/B -> G/P_L is a ring map keeping the class of each w in W_L and sending
@@ -83,12 +89,8 @@ class SchubertBasis:
             p = self.top_polynomial()
         else:
             # P_w = d_i P_{w s_i} for any ascent i of w
-            g = self.group
-            i = next(
-                i for i in range(self.rs.rank)
-                if g.mult(w, g.simple_reflection(i)).length > w.length
-            )
-            p = divided_difference(self.rs, i, self.polynomial(g.mult(w, g.simple_reflection(i))))
+            i = next(i for i in range(self.rs.rank) if not w.descents >> i & 1)
+            p = divided_difference(self.rs, i, self.polynomial(self.group.times_simple(w, i)))
         self._polys[idx] = p
         return p
 
@@ -97,7 +99,9 @@ class SchubertBasis:
     def product(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
         """Expansion of class(u)*class(v) as {element index: coefficient}.
 
-        Gradings add: only elements of length l(u)+l(v) can appear.
+        Gradings add: only elements of length l(u)+l(v) can appear, and only
+        those whose right descents all lie in D(u) | D(v); every other
+        constant of the row is zero without being computed.
         """
         d = u.length + v.length
         if d > self.rs.num_positive_roots:
@@ -109,8 +113,11 @@ class SchubertBasis:
         f = self.polynomial(u) * self.polynomial(v)
         monos, coeffs = f.terms.keys(), list(f.terms.values())
         scale = self.group.order ** 2
+        others = ~(u.descents | v.descents)
         out: dict[int, int] = {}
         for w in self._by_length[d]:
+            if w.descents & others:
+                continue
             dot = sum(map(mul, coeffs, map(self.functional(w, monos).__getitem__, monos)))
             c, rem = divmod(dot, scale)
             if rem or c < 0:
@@ -134,7 +141,7 @@ class SchubertBasis:
         if missing:
             j = w.word[-1]
             steps = {m: self._step(j, m) for m in missing}
-            shorter = self.functional(self.group.mult(w, self.group.simple_reflection(j)),
+            shorter = self.functional(self.group.times_simple(w, j),
                                       {m2 for step in steps.values() for m2 in step})
             for m, step in steps.items():
                 row[m] = sum(c * shorter[m2] for m2, c in step.items())

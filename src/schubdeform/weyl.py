@@ -3,7 +3,8 @@
 Elements are canonicalized by their integer matrix action on the simple
 roots (columns = images of the simple roots).  Enumeration is breadth-first
 over right multiplication by simple reflections, so the stored word of each
-element is reduced.
+element is reduced, and it records every product w s_i in a table that the
+rest of the package reads instead of multiplying matrices.
 """
 from __future__ import annotations
 
@@ -25,13 +26,14 @@ DEFAULT_CAP = 10_000
 class WeylElement:
     """Group element, identified by its action on the simple roots."""
 
-    __slots__ = ("cols", "word", "index", "group")
+    __slots__ = ("cols", "word", "index", "group", "descents")
 
     def __init__(self, cols: Cols, word: tuple[int, ...], group: "WeylGroup"):
         self.cols = cols
         self.word = word
         self.group = group
         self.index = -1  # assigned after the deterministic sort
+        self.descents = 0  # bit i set when w(alpha_i) < 0, i.e. l(w s_i) < l(w)
 
     @property
     def length(self) -> int:
@@ -90,6 +92,7 @@ class WeylGroup:
         self.order = order
         self.elements: list[WeylElement] = []
         self._by_cols: dict[Cols, WeylElement] = {}
+        self._right: list[tuple[WeylElement, ...]] = []  # [w.index][i] = w s_i
         self._enumerate()
         self._inv_index: list[int] = [self._compute_inverse(w).index for w in self.elements]
         self._inversion_sets: list[frozenset[int]] = [
@@ -101,27 +104,26 @@ class WeylGroup:
 
     # -- enumeration ----------------------------------------------------
 
-    def _gen_cols(self, i: int) -> Cols:
-        n = self.rs.rank
-        return tuple(
-            tuple((1 if j == k else 0) - (self.rs.cartan[i][j] if k == i else 0)
-                  for k in range(n))
-            for j in range(n)
-        )
-
     def _enumerate(self):
         n = self.rs.rank
+        cartan = self.rs.cartan
         ident: Cols = tuple(tuple(int(j == k) for k in range(n)) for j in range(n))
         e = WeylElement(ident, (), self)
         found = {ident: e}
+        right: dict[Cols, list[Cols]] = {}
         frontier = [e]
-        gens = [self._gen_cols(i) for i in range(n)]
         while frontier:
             new = []
             for w in frontier:
+                products = right[w.cols] = []
                 for i in range(n):
-                    # right multiplication: (w s_i)(alpha_j) = w(s_i alpha_j)
-                    cols = tuple(w.act_root(gens[i][j]) for j in range(n))
+                    # right multiplication: (w s_i)(alpha_j) = w(alpha_j - a_ij alpha_i)
+                    wi = w.cols[i]
+                    cols = tuple(
+                        col if not cartan[i][j] else
+                        tuple(c - cartan[i][j] * ci for c, ci in zip(col, wi))
+                        for j, col in enumerate(w.cols))
+                    products.append(cols)
                     if cols not in found:
                         el = WeylElement(cols, w.word + (i,), self)
                         found[cols] = el
@@ -136,6 +138,9 @@ class WeylGroup:
             raise AssertionError(
                 f"enumerated {len(els)} elements of {self.rs.label}, expected {self.order}"
             )
+        self._right = [tuple(found[c] for c in right[w.cols]) for w in els]
+        for w, products in zip(els, self._right):
+            w.descents = sum(1 << i for i, x in enumerate(products) if x.length < w.length)
 
     # -- group operations -----------------------------------------------
 
@@ -149,11 +154,15 @@ class WeylGroup:
         for i in word:
             if not 0 <= i < self.rs.rank:
                 raise ValueError(f"simple index {i} out of range")
-            w = self.mult(w, self.simple_reflection(i))
+            w = self._right[w.index][i]
         return w
 
     def simple_reflection(self, i: int) -> WeylElement:
-        return self._by_cols[self._gen_cols(i)]
+        return self._right[0][i]
+
+    def times_simple(self, w: WeylElement, i: int) -> WeylElement:
+        """w s_i, read from the right-multiplication table."""
+        return self._right[w.index][i]
 
     def mult(self, u: WeylElement, v: WeylElement) -> WeylElement:
         n = self.rs.rank
@@ -163,7 +172,7 @@ class WeylGroup:
     def _compute_inverse(self, w: WeylElement) -> WeylElement:
         u = self.identity
         for i in reversed(w.word):
-            u = self.mult(u, self.simple_reflection(i))
+            u = self._right[u.index][i]
         return u
 
     def inverse(self, w: WeylElement) -> WeylElement:
@@ -257,14 +266,11 @@ class Parabolic:
 
     def minimal_rep(self, w: WeylElement) -> WeylElement:
         """Minimal-length representative of the coset w W_P."""
-        g = self.group
         while True:
-            i = next((i for i in self.levi
-                      if any(c < 0 for c in w.act_root(
-                          tuple(int(i == k) for k in range(self.rs.rank))))), None)
+            i = next((i for i in self.levi if w.descents >> i & 1), None)
             if i is None:
                 return w
-            w = g.mult(w, g.simple_reflection(i))
+            w = self.group.times_simple(w, i)
 
     def degree_profile(self) -> tuple[int, ...]:
         """Number of representatives of each length 0..dim."""

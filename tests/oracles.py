@@ -8,7 +8,9 @@ the permutation helpers translate type-A Weyl elements to Grassmannian data
 by hand.  `divided_difference_table` is the reference for the integer kernel
 of `SchubertBasis.product`: it applies whole-polynomial divided differences to
 the rational top class prod(positive roots)/|W| and reads off constant terms,
-sharing only `Poly` and `divided_difference` with the library.
+sharing only `Poly` and `divided_difference` with the library;
+`product_every_target` is the reference for the descent rule of that
+kernel: it takes the dot product for every target of the right length.
 `chevalley_oracle` recomputes degree-1 products by the reflection-sum
 (Chevalley) rule from reflection matrices it builds itself.
 `redundant_reference` and `equivalent_reference` are the references for the
@@ -205,6 +207,24 @@ def divided_difference_table(group, within=None) -> dict[tuple[int, int], dict[i
                         row[w.index] = int(c)
             table[(u.index, v.index)] = row
     return table
+
+
+def product_every_target(basis, u, v) -> dict[int, int]:
+    """class(u)*class(v) from `basis`'s polynomials and functionals, as {w index: c},
+    with the dot product taken for every w of length l(u)+l(v): the loop of
+    `SchubertBasis.product` before it skipped the w with a right descent that
+    neither u nor v has."""
+    f = basis.polynomial(u) * basis.polynomial(v)
+    scale = basis.group.order ** 2
+    row = {}
+    for w in basis.group.elements:
+        if w.length == u.length + v.length:
+            e = basis.functional(w, f.terms.keys())
+            c, rem = divmod(sum(coeff * e[m] for m, coeff in f.terms.items()), scale)
+            assert rem == 0 and c >= 0, (u, v, w, c)
+            if c:
+                row[w.index] = c
+    return row
 
 
 def redundant_reference(system) -> list[bool]:
@@ -519,20 +539,21 @@ def horn_triples(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def horn_rows(n: int) -> set[tuple[int, ...]]:
-    """The three-factor rows of A_{n-1} from T^n_r, r = 1..n-1, as flat rows
-    in the coroot coordinates of `generate_system`.
+def horn_row(n: int, I, J, K) -> tuple[int, ...]:
+    """The flat row of a triple of T^n_r in the coroot coordinates of
+    `generate_system`.
 
-    The row of (I, J, K) puts -1 on I in block 1, on J in block 2 and on
-    {n+1-k : k in K} in block 3, as vectors a of R^n; the coefficient of the
-    coroot coordinate t_k is a_k - a_{k+1}.
+    It puts -1 on I in block 1, on J in block 2 and on {n+1-k : k in K} in
+    block 3, as vectors a of R^n; the coefficient of the coroot coordinate
+    t_k is a_k - a_{k+1}.
     """
-    rows = set()
-    for r in range(1, n):
-        for I, J, K in horn_triples(n, r):
-            row = []
-            for block in (I, J, tuple(n + 1 - k for k in K)):
-                a = [-int(i in block) for i in range(1, n + 1)]
-                row.extend(a[k] - a[k + 1] for k in range(n - 1))
-            rows.add(tuple(row))
-    return rows
+    row = []
+    for block in (I, J, tuple(n + 1 - k for k in K)):
+        a = [-int(i in block) for i in range(1, n + 1)]
+        row.extend(a[k] - a[k + 1] for k in range(n - 1))
+    return tuple(row)
+
+
+def horn_rows(n: int) -> set[tuple[int, ...]]:
+    """The three-factor rows of A_{n-1} from T^n_r, r = 1..n-1 (`horn_row`)."""
+    return {horn_row(n, I, J, K) for r in range(1, n) for I, J, K in horn_triples(n, r)}

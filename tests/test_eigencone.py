@@ -30,8 +30,10 @@ from oracles import (
     cone_rows,
     equivalent_reference,
     extreme_rays,
+    horn_row,
     horn_rows,
     inequality_blocks_reference,
+    lr_coefficient,
     movable_rows_reference,
     primitive,
     redundant_reference,
@@ -371,6 +373,25 @@ def test_type_a_rows_are_horns_inequalities(rank, rows):
     for mode in MODES:
         flats = [q.flat() for q in generate_system(g, 3, mode).inequalities]
         assert len(flats) == rows and set(flats) == expect, mode
+
+
+@pytest.mark.slow
+def test_type_a5_horn_rows_cut_out_the_generated_cone():
+    """At A5 Horn's recursion gives one row more than the 521 of either mode:
+    the triple (1,3,5), (1,3,5), (2,4,6) of T^6_3, whose LR coefficient
+    c^{321}_{21,21} is 2, while generation keeps coefficient-1 tuples.  That
+    row lies in the cone of the generated rows and dominance, so the two
+    systems cut out the same cone."""
+    expect = horn_rows(6)
+    extra = horn_row(6, (1, 3, 5), (1, 3, 5), (2, 4, 6))
+    assert len(expect) == 522 and extra in expect
+    assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
+    g = group_for("A", 5)
+    for mode in MODES:
+        system = generate_system(g, 3, mode)
+        flats = [q.flat() for q in system.inequalities]
+        assert len(flats) == 521 and set(flats) == expect - {extra}, mode
+        assert cone_contains(extra, cone_rows(system)), mode
 
 
 def test_two_factor_cone_rays_are_conjugate_pairs():

@@ -1,5 +1,7 @@
 """Necessary inequalities for nonvanishing: characters, classes, dimensions."""
 
+from itertools import combinations
+
 import pytest
 
 from schubdeform import (
@@ -196,3 +198,40 @@ def test_converse_search_reports_only():
     ring = maximal_ring("A", 2, 0)
     found = converse_search(ring, s=3, limit=5)
     assert found == []  # no false positives on the projective plane
+
+
+# Levi-movable three-factor tuples over all pairs Q < P < G of each type
+RICHMOND_MOVABLE = {("A", 2): 30, ("A", 3): 864, ("B", 2): 42, ("B", 3): 1770,
+                    ("C", 2): 42, ("C", 3): 1776, ("D", 3): 864, ("G", 2): 66}
+
+
+@pytest.mark.parametrize("family,rank", list(RICHMOND_MOVABLE))
+def test_richmond_multiplicative_formula(family, rank):
+    """Richmond (Michigan Math. J. 61, 2012): for Q < P < G, write each w_j in
+    W^Q as u_j v_j with u_j in W^P and v_j in W_P cap W^Q; on a Levi-movable
+    tuple, c^{G/Q}(w) = c^{G/P}(u) c^{P/Q}(v).  Every pair of proper Levis
+    Q < P at s = 3, with the G/P and P/Q constants read from the group's
+    basis; some non-movable tuple breaks the formula, so the check can fail."""
+    g = group_for(family, rank)
+    movable = mismatched = 0
+    for size in range(1, rank):
+        for p in combinations(range(rank), size):
+            ring_p = deformed_ring(parabolic(g, p))
+            for q in (q for k in range(size) for q in combinations(p, k)):
+                ring_q = deformed_ring(parabolic(g, q))
+                ring_pq = deformed_ring(parabolic(g, q, within=p))
+                for ws in dimension_tuples(ring_q.parabolic, 3):
+                    gaps = any(ring_q.character_gaps(ws).values())
+                    if gaps and mismatched:
+                        continue  # one mismatch is enough, and needs no more products
+                    c = ring_q.point_coefficient(ws)
+                    us = [ring_p.parabolic.minimal_rep(w) for w in ws]
+                    vs = [g.mult(g.inverse(u), w) for u, w in zip(us, ws)]
+                    assert all(ring_pq.parabolic.contains(v) for v in vs)
+                    split = ring_p.point_coefficient(us) * ring_pq.point_coefficient(vs)
+                    if c and not gaps:
+                        assert c == split, (p, q, ws)
+                        movable += 1
+                    else:
+                        mismatched += c != split
+    assert movable == RICHMOND_MOVABLE[family, rank] and mismatched

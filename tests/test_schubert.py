@@ -1,6 +1,7 @@
 """Divided-difference structure constants and the disk cache."""
 
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -115,6 +116,32 @@ def test_products_match_whole_polynomial_reference():
         basis._polys[u.index] = wrong(basis.polynomial(u))
         with pytest.raises(AssertionError, match="non-integral or negative"):
             basis.product(u, v)
+
+
+@pytest.mark.parametrize("family,rank,pairs", [
+    ("A", 4, 60), ("D", 4, 60),
+    pytest.param("B", 4, 40, marks=pytest.mark.slow),
+    pytest.param("C", 4, 40, marks=pytest.mark.slow),
+    pytest.param("F", 4, 8, marks=pytest.mark.slow)])
+def test_descent_rule_matches_every_target_loop(family, rank, pairs):
+    """Rows of sampled rank-4 G/B products, computed only on the targets w with
+    D(w) inside D(u) | D(v), equal the rows that take every target of the
+    right length.  Some nonzero constant has a descent that u lacks, and some
+    one that v lacks, so a rule reading the descents of one factor fails."""
+    g = group_for(family, rank)
+    basis, reference = SchubertBasis(g), SchubertBasis(g)
+    rng = random.Random(20261019)
+    top = g.rs.num_positive_roots
+    outside_u = outside_v = 0
+    for _ in range(pairs):
+        u = rng.choice(g.elements)
+        v = rng.choice([x for x in g.elements if u.length + x.length <= top])
+        row = basis.product(u, v)
+        assert row == oracles.product_every_target(reference, u, v), (u, v)
+        targets = [g.elements[k] for k in row]
+        outside_u += any(w.descents & ~u.descents for w in targets)
+        outside_v += any(w.descents & ~v.descents for w in targets)
+    assert outside_u and outside_v
 
 
 def _subsets(indices):

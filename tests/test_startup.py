@@ -3,7 +3,8 @@
 Every command-line run starts its own interpreter, so whatever `import
 schubdeform` and the front end load before any work is paid on each run.
 These tests start interpreters the way the benchmark jobs do (no bytecode
-written, no cache directory) and read which package modules they import.
+written, no cache directory) and read which modules are in `sys.modules`
+when the job ends.
 """
 
 import json
@@ -17,6 +18,21 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 CONE_LAYERS = {"eigencone", "cones", "horn", "invsets"}
 
+# runs a job given as `-m module args...` or `-c code`, then lists sys.modules
+# on stderr at exit: `-X importtime` logs no module that importlib.import_module
+# loads, so it cannot see a layer the lazy namespace imports
+MODULES_PROBE = """
+import atexit, sys
+atexit.register(lambda: print("modules:", *sorted(sys.modules), file=sys.stderr))
+flag, target, *args = sys.argv[1:]
+if flag == "-m":
+    import runpy
+    sys.argv = [target, *args]
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    exec(target)
+"""
+
 
 def _fresh(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
@@ -25,22 +41,25 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
                           env=env, timeout=120)
 
 
-def _modules(importtime_log: str) -> set[str]:
-    """Every module named in a `-X importtime` log."""
-    return {line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()
-            if line.startswith("import time:")}
+def _loaded(*job: str, site: bool = True) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run a job (`-m module args...` or `-c code`) in a fresh interpreter,
+    without `site` and its own imports unless asked, and return the process
+    and every module in its sys.modules at exit."""
+    proc = _fresh(*(() if site else ("-S",)), "-c", MODULES_PROBE, *job)
+    line = next((line for line in proc.stderr.splitlines() if line.startswith("modules: ")), "")
+    return proc, set(line.split()[1:])
 
 
-def _layers(importtime_log: str) -> set[str]:
-    """Package modules named in a `-X importtime` log, without the package prefix."""
-    return {n.split(".", 1)[1] for n in _modules(importtime_log) if n.startswith("schubdeform.")}
+def _layers(modules: set[str]) -> set[str]:
+    """Package modules among `modules`, without the package prefix."""
+    return {n.split(".", 1)[1] for n in modules if n.startswith("schubdeform.")}
 
 
 def test_import_loads_no_layer():
-    proc = _fresh("-X", "importtime", "-c", "import schubdeform")
+    proc, modules = _loaded("-c", "import schubdeform")
     assert proc.returncode == 0, proc.stderr
-    assert "schubdeform" in proc.stderr  # the log is there, and names the package
-    assert _layers(proc.stderr) == set()
+    assert "schubdeform" in modules  # the list is there, and names the package
+    assert _layers(modules) == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -49,14 +68,15 @@ def test_import_loads_no_layer():
     ("deform-table", "--type", "A", "--rank", "2", "--no-cache"),
 ])
 def test_light_jobs_load_no_cone_layer(argv):
-    proc = _fresh("-X", "importtime", "-m", "schubdeform.cli", *argv)
+    proc, modules = _loaded("-m", "schubdeform.cli", *argv)
     assert proc.returncode == 0 and proc.stdout.startswith(f"# command={argv[0]} ")
-    layers = _layers(proc.stderr)
+    layers = _layers(modules)
     assert "rootsystem" in layers
     assert not layers & CONE_LAYERS
 
 
 # one job of each command the benchmark runs, and the API it calls
+API_JOB = ("-c", "from schubdeform import generate_system, systems_equivalent")
 BENCH_JOBS = [
     ("-m", "schubdeform.cli", "roots", "--type", "A", "--rank", "1"),
     ("-m", "schubdeform.cli", "weyl", "--type", "B", "--rank", "2", "--levi", "1"),
@@ -66,26 +86,26 @@ BENCH_JOBS = [
      "--no-cache"),
     ("-m", "schubdeform.cli", "redundancy", "--type", "A", "--rank", "2", "--no-cache"),
     ("-m", "schubdeform.cli", "verify-golden", "--table", "c3_p1", "--no-cache"),
-    ("-c", "from schubdeform import generate_system, systems_equivalent"),
+    API_JOB,
 ]
 
 
 @pytest.mark.parametrize("job", BENCH_JOBS, ids=lambda job: job[2] if job[0] == "-m" else "api")
 def test_jobs_load_no_dataclasses_or_inspect(job):
-    # -S: without `site`, whose own imports would be in the log
-    proc = _fresh("-S", "-X", "importtime", *job)
+    proc, modules = _loaded(*job, site=False)
     assert proc.returncode == 0, proc.stderr
-    modules = _modules(proc.stderr)
-    assert "schubdeform.rootsystem" in modules  # the log is there
+    assert "schubdeform.rootsystem" in modules  # the list is there
     assert not modules & {"dataclasses", "inspect"}
+    if job == API_JOB:  # a layer the namespace loads is seen too
+        assert "schubdeform.eigencone" in modules
 
 
 def test_listing_golden_tables_reads_no_resource_module():
     # without `site`, which may import importlib.resources itself
-    proc = _fresh("-S", "-X", "importtime", "-m", "schubdeform.cli",
-                  "roots", "--type", "A", "--rank", "1")
-    assert proc.returncode == 0 and "schubdeform.golden" in proc.stderr
-    assert "importlib.resources" not in proc.stderr
+    proc, modules = _loaded("-m", "schubdeform.cli", "roots", "--type", "A", "--rank", "1",
+                            site=False)
+    assert proc.returncode == 0 and "schubdeform.golden" in modules
+    assert "importlib.resources" not in modules
 
 
 NAMESPACE_PROBE = """

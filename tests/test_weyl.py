@@ -58,6 +58,20 @@ def test_group_axioms(family, rank):
         assert g.mult(s, s) == e
 
 
+@pytest.mark.parametrize("family,rank", ALL_TYPES + [("F", 4)])
+def test_right_multiplication_table_and_descents(family, rank):
+    """w s_i read from the table is the matrix product, and bit i of the
+    descent mask is set exactly when w sends alpha_i to a negative root."""
+    g = group_for(family, rank)
+    for w in g.elements:
+        for i in range(rank):
+            assert g.times_simple(w, i) is g.mult(w, g.simple_reflection(i))
+            negative = any(c < 0 for c in w.cols[i])
+            assert bool(w.descents >> i & 1) is negative
+            assert negative is (g.times_simple(w, i).length < w.length)
+        assert w.descents >> rank == 0
+
+
 def test_from_word_reduces():
     g = group_for("A", 2)
     assert g.from_word((0, 0)) is g.identity
