@@ -30,7 +30,8 @@ from .deform import MODES
 from .golden import GOLDEN_NAMES
 from .rootsystem import root_system
 from .schubert import SchubertBasis, default_cache_dir, schubert_basis
-from .weyl import BudgetError, Parabolic, WeylElement, WeylGroup, parabolic, weyl_group
+from .weyl import (BudgetError, Parabolic, WeylElement, WeylGroup, one_based, parabolic,
+                   weyl_group)
 
 if TYPE_CHECKING:
     from .deform import DeformedRing
@@ -47,55 +48,28 @@ JSON_SCHEMA_VERSION = 1
 
 # -- job description ------------------------------------------------------
 
-class JobSpec:
-    """Everything needed to reproduce one run; echoed into every output."""
+def _job(args: argparse.Namespace) -> dict:
+    """Everything needed to reproduce the run, in header order: the JSON `job`
+    object, and the fields of the header line.  Options without a value are left out."""
+    job = {}
+    for key in ("command", "type", "rank", "levi", "parabolic", "s", "mode", "words", "check",
+                "inner-levi", "outer-levi", "levi-words", "table", "limit", "prune", "input",
+                "output", "format", "cache_dir", "no_cache"):
+        val = getattr(args, key.replace("-", "_"), None)
+        if val is not None and val is not False:
+            job[key] = [i + 1 for i in val] if key == "levi" else val
+    return job
 
-    __slots__ = ("command", "family", "rank", "levi", "maximal", "s", "mode", "fmt",
-                 "cache_dir", "no_cache", "extra", "bases")
 
-    def __init__(self, command: str, family: str | None = None, rank: int | None = None,
-                 s: int | None = None, mode: str | None = None, fmt: str = "md",
-                 cache_dir: str | None = None, no_cache: bool = False):
-        self.command = command
-        self.family = family
-        self.rank = rank
-        self.levi: tuple[int, ...] | None = None  # 0-based simple indices
-        self.maximal: int | None = None           # 0-based omitted index
-        self.s = s
-        self.mode = mode
-        self.fmt = fmt
-        self.cache_dir = cache_dir
-        self.no_cache = no_cache
-        self.extra: dict = {}
-        # bases this run pointed at its cache directory; saved when the run ends
-        self.bases: list[SchubertBasis] = []
-
-    def as_dict(self) -> dict:
-        """The job's fields in header order; the JSON `job` object."""
-        fields = {
-            "command": self.command,
-            "type": self.family,
-            "rank": self.rank,
-            "levi": None if self.levi is None else [i + 1 for i in self.levi],
-            "parabolic": None if self.maximal is None else self.maximal + 1,
-            "s": self.s,
-            "mode": self.mode,
-            **self.extra,
-            "format": self.fmt,
-            "cache_dir": self.cache_dir or None,
-            "no_cache": self.no_cache or None,
-        }
-        return {k: v for k, v in fields.items() if v is not None}
-
-    def summary(self) -> str:
-        """The same fields as one header line: `key=value`, and a bare `no-cache`."""
-        bits = []
-        for k, v in self.as_dict().items():
-            k = k.replace("_", "-")
-            if isinstance(v, list):
-                v = ",".join(map(str, v)) or "-"
-            bits.append(k if k == "no-cache" else f"{k}={v}")
-        return " ".join(bits)
+def _header(args: argparse.Namespace) -> str:
+    """The job as one line: `key=value`, and a bare `no-cache`."""
+    bits = []
+    for k, v in _job(args).items():
+        k = k.replace("_", "-")
+        if isinstance(v, list):
+            v = ",".join(map(str, v)) or "-"
+        bits.append(k if k == "no-cache" else f"{k}={v}")
+    return "# " + " ".join(bits)
 
 
 # -- formatting -----------------------------------------------------------
@@ -122,9 +96,9 @@ def _jsonable(x):
     return x
 
 
-def _document(spec: JobSpec, payload: dict) -> str:
+def _document(args: argparse.Namespace, payload: dict) -> str:
     """The JSON document of a run: schema version, job, then the payload."""
-    doc = {"schema_version": JSON_SCHEMA_VERSION, "job": spec.as_dict(), **payload}
+    doc = {"schema_version": JSON_SCHEMA_VERSION, "job": _job(args), **payload}
     return json.dumps(_jsonable(doc), indent=2) + "\n"
 
 
@@ -150,15 +124,15 @@ def _write_markdown(out: TextIO, table: Table) -> None:
         line(r)
 
 
-def emit(spec: JobSpec, tables: list[Table], payload: dict, out: TextIO) -> None:
+def emit(args: argparse.Namespace, tables: list[Table], payload: dict, out: TextIO) -> None:
     """Write one run's result to `out`; a reader that has gone away is not an error."""
     try:
-        if spec.fmt == "json":
-            out.write(_document(spec, payload))
+        if args.format == "json":
+            out.write(_document(args, payload))
         else:
-            out.write(f"# {spec.summary()}\n")
+            out.write(_header(args) + "\n")
             for t in tables:
-                if spec.fmt == "csv":
+                if args.format == "csv":
                     out.write(f"# {t.title}\n")
                     writer = csv.writer(out, lineterminator="\n")
                     writer.writerow(t.columns)
@@ -212,40 +186,36 @@ def parse_words(text: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(words)
 
 
-def word_str(word: Sequence[int]) -> str:
-    return ",".join(str(i + 1) for i in word) or "e"
-
-
-def _basis_for(spec: JobSpec, group: WeylGroup) -> SchubertBasis:
+def _basis_for(args: argparse.Namespace, group: WeylGroup) -> SchubertBasis:
     """The group's basis, pointed at this run's cache directory; --no-cache beats --cache-dir."""
     basis = schubert_basis(group)
-    basis.use_cache_dir(None if spec.no_cache else spec.cache_dir or default_cache_dir())
-    if basis not in spec.bases:
-        spec.bases.append(basis)
+    basis.use_cache_dir(None if args.no_cache else args.cache_dir or default_cache_dir())
+    if basis not in args.bases:
+        args.bases.append(basis)
     return basis
 
 
-def _group_for(spec: JobSpec) -> WeylGroup:
+def _group_for(args: argparse.Namespace) -> WeylGroup:
     """The Weyl group of a command that computes structure constants."""
-    group = weyl_group(root_system(spec.family, spec.rank))
-    _basis_for(spec, group)
+    group = weyl_group(root_system(args.type, args.rank))
+    _basis_for(args, group)
     return group
 
 
-def _parabolic_for(spec: JobSpec, group: WeylGroup) -> Parabolic:
-    rank = group.rs.rank
-    if spec.levi is not None:
-        return parabolic(group, spec.levi)
-    if spec.maximal is not None:
-        return parabolic(group, [k for k in range(rank) if k != spec.maximal])
+def _parabolic_for(args: argparse.Namespace, group: WeylGroup) -> Parabolic:
+    levi, omitted = getattr(args, "levi", None), getattr(args, "parabolic", None)
+    if levi is not None:
+        return parabolic(group, levi)
+    if omitted is not None:
+        return parabolic(group, [k for k in range(group.rs.rank) if k != omitted - 1])
     return parabolic(group, [])
 
 
-def _ring_for(spec: JobSpec) -> DeformedRing:
+def _ring_for(args: argparse.Namespace) -> DeformedRing:
     """The deformed ring of the job's parabolic, with the run's cache attached."""
     from .deform import deformed_ring
 
-    return deformed_ring(_parabolic_for(spec, _group_for(spec)))
+    return deformed_ring(_parabolic_for(args, _group_for(args)))
 
 
 def _tuple_for(ring: DeformedRing, text: str) -> list[WeylElement]:
@@ -255,20 +225,20 @@ def _tuple_for(ring: DeformedRing, text: str) -> list[WeylElement]:
     for word in parse_words(text, ring.rs.rank):
         w = parab.group.from_word(word)
         if w.length != len(word):
-            raise ValueError(f"word {word_str(word)} is not reduced")
+            raise ValueError(f"word {one_based(word, 'e')} is not reduced")
         if not parab.contains(w):
             rep = parab.minimal_rep(w)
             raise ValueError(
-                f"word {word_str(word)} is not a minimal coset representative"
-                f" (its coset is represented by {word_str(rep.word)})")
+                f"word {one_based(word, 'e')} is not a minimal coset representative"
+                f" (its coset is represented by {one_based(rep.word, 'e')})")
         out.append(w)
     return out
 
 
 # -- subcommands ----------------------------------------------------------
 
-def cmd_roots(spec: JobSpec, args, out: TextIO) -> int:
-    rs = root_system(spec.family, spec.rank)
+def cmd_roots(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
+    rs = root_system(args.type, args.rank)
     n = rs.rank
     summary = Table("summary", ["key", "value"], [
         ["type", rs.label],
@@ -295,25 +265,24 @@ def cmd_roots(spec: JobSpec, args, out: TextIO) -> int:
         "positive_roots": [list(r) for r in rs.positive_roots],
         "fundamental_weights": [list(rs.fundamental_weight(i).coords) for i in range(n)],
     }
-    emit(spec, [summary, cartan, roots, fw], payload, out)
-    return EXIT_OK
+    return [summary, cartan, roots, fw], payload, EXIT_OK
 
 
-def cmd_weyl(spec: JobSpec, args, out: TextIO) -> int:
-    group = weyl_group(root_system(spec.family, spec.rank))
-    parab = _parabolic_for(spec, group)
+def cmd_weyl(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
+    group = weyl_group(root_system(args.type, args.rank))
+    parab = _parabolic_for(args, group)
     profile = parab.degree_profile()
     summary = Table("summary", ["key", "value"], [
         ["type", group.rs.label],
         ["Weyl order", group.order],
-        ["Levi", ",".join(str(i + 1) for i in parab.levi) or "-"],
+        ["Levi", one_based(parab.levi)],
         ["representatives", len(parab.reps)],
         ["dimension", parab.dim],
-        ["longest element", word_str(parab.w_o.word)],
+        ["longest element", one_based(parab.w_o.word, "e")],
         ["degree profile", " ".join(map(str, profile))],
     ])
     reps = Table("minimal representatives", ["#", "word", "length", "codim"],
-                 [[k + 1, word_str(w.word), w.length, parab.codim(w)]
+                 [[k + 1, one_based(w.word, "e"), w.length, parab.codim(w)]
                   for k, w in enumerate(parab.reps)])
     payload = {
         "type": group.rs.label,
@@ -326,12 +295,11 @@ def cmd_weyl(spec: JobSpec, args, out: TextIO) -> int:
             for w in parab.reps
         ],
     }
-    emit(spec, [summary, reps], payload, out)
-    return EXIT_OK
+    return [summary, reps], payload, EXIT_OK
 
 
-def cmd_product(spec: JobSpec, args, out: TextIO) -> int:
-    ring = _ring_for(spec)
+def cmd_product(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
+    ring = _ring_for(args)
     parab = ring.parabolic
     ws = _tuple_for(ring, args.words)
     if len(ws) < 2:
@@ -343,7 +311,7 @@ def cmd_product(spec: JobSpec, args, out: TextIO) -> int:
     expansion = []
     for pos, exps, coeff in acc.terms():
         w = ring.reps[pos]
-        rows.append([ring.labels[pos], word_str(w.word), parab.codim(w),
+        rows.append([ring.labels[pos], one_based(w.word, "e"), parab.codim(w),
                      ring.monomial(exps) or "1", coeff])
         expansion.append({
             "label": ring.labels[pos],
@@ -362,17 +330,16 @@ def cmd_product(spec: JobSpec, args, out: TextIO) -> int:
         "rendered": rendered,
         "terms": expansion,
     }
-    emit(spec, [summary, terms], payload, out)
-    return EXIT_OK
+    return [summary, terms], payload, EXIT_OK
 
 
-def cmd_deform_table(spec: JobSpec, args, out: TextIO) -> int:
-    ring = _ring_for(spec)
+def cmd_deform_table(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
+    ring = _ring_for(args)
     parab = ring.parabolic
     order = [pos for pos in ring.table_order() if ring.reps[pos].length < parab.dim]
     labels = [ring.labels[pos] for pos in order]
     classes = Table("classes", ["label", "word", "codim"],
-                    [[ring.labels[pos], word_str(ring.reps[pos].word),
+                    [[ring.labels[pos], one_based(ring.reps[pos].word, "e"),
                       parab.codim(ring.reps[pos])] for pos in order])
     grid_rows = []
     entries = []
@@ -395,16 +362,15 @@ def cmd_deform_table(spec: JobSpec, args, out: TextIO) -> int:
                      "codim": parab.codim(ring.reps[pos])} for pos in order],
         "products": entries,
     }
-    emit(spec, [classes, grid], payload, out)
-    return EXIT_OK
+    return [classes, grid], payload, EXIT_OK
 
 
-def cmd_lmovable(spec: JobSpec, args, out: TextIO) -> int:
-    ring = _ring_for(spec)
+def cmd_lmovable(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
+    ring = _ring_for(args)
     ws = _tuple_for(ring, args.words)
     cert = ring.is_levi_movable(ws)
     verdict = Table("verdict", ["key", "value"], [
-        ["words", "; ".join(word_str(w.word) for w in ws)],
+        ["words", "; ".join(one_based(w.word, "e") for w in ws)],
         ["codimension sum", ring.parabolic.dim],
         ["point coefficient", cert.coefficient],
         ["movable", cert.movable],
@@ -417,8 +383,7 @@ def cmd_lmovable(spec: JobSpec, args, out: TextIO) -> int:
         "character_gap": {str(i + 1): g for i, g in sorted(cert.character_gap.items())},
         "movable": cert.movable,
     }
-    emit(spec, [verdict, gaps], payload, out)
-    return EXIT_OK
+    return [verdict, gaps], payload, EXIT_OK
 
 
 def _report_tables(reports: list[tuple[str, HornReport]]) -> list[Table]:
@@ -434,10 +399,10 @@ def _report_tables(reports: list[tuple[str, HornReport]]) -> list[Table]:
     return [Table("checks", ["family", "kind", "lhs", "rel", "rhs", "ok", "context"], rows)]
 
 
-def cmd_horn_check(spec: JobSpec, args, out: TextIO) -> int:
+def cmd_horn_check(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .horn import check_character, check_dimension, check_refined
 
-    ring = _ring_for(spec)
+    ring = _ring_for(args)
     ws = _tuple_for(ring, args.words)
     which = args.check
     reports: list[tuple[str, HornReport]] = []
@@ -464,8 +429,7 @@ def cmd_horn_check(spec: JobSpec, args, out: TextIO) -> int:
         ["families run", ", ".join(fam for fam, _ in reports)],
         ["failed checks", failures],
     ]))
-    emit(spec, tables, payload, out)
-    return EXIT_OK if failures == 0 else EXIT_MISMATCH
+    return tables, payload, EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
 def _system_tables(system: InequalitySystem) -> list[Table]:
@@ -490,17 +454,13 @@ def _system_tables(system: InequalitySystem) -> list[Table]:
     return [Table(f"inequality system {system.label}", cols, rows)]
 
 
-def cmd_eigencone(spec: JobSpec, args, out: TextIO) -> int:
+def cmd_eigencone(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .eigencone import generate_system, prune_redundant
 
-    system = generate_system(_group_for(spec), spec.s, spec.mode)
+    system = generate_system(_group_for(args), args.s, args.mode)
     if args.prune:
         system = prune_redundant(system)
-    payload = system.as_dict()
-    if args.output:
-        Path(args.output).write_text(_document(spec, payload))
-    emit(spec, _system_tables(system), payload, out)
-    return EXIT_OK
+    return _system_tables(system), system.as_dict(), EXIT_OK
 
 
 def _int_list(x, what: str, lo: int | None = None, hi: int | None = None) -> list[int]:
@@ -560,40 +520,45 @@ def _load_system(path: str) -> InequalitySystem:
     return InequalitySystem(rs, s, mode, inequalities)
 
 
-def cmd_redundancy(spec: JobSpec, args, out: TextIO) -> int:
+def cmd_redundancy(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .eigencone import generate_system, prune_redundant
 
     if args.input:
         system = _load_system(args.input)
+        for name, held in (("s", system.s), ("mode", system.mode)):
+            given = getattr(args, name)
+            if given is not None and given != held:
+                raise ValueError(f"--{name} {given} disagrees with {args.input},"
+                                 f" which holds {name} {held}")
     else:
-        if spec.family is None or spec.rank is None:
+        if args.type is None or args.rank is None:
             raise ValueError("need either --input FILE or --type/--rank")
-        system = generate_system(_group_for(spec), spec.s, spec.mode)
+        system = generate_system(_group_for(args), 3 if args.s is None else args.s,
+                                 args.mode or "classical")
+    # the job echoes the system that was pruned
+    args.s, args.mode = system.s, system.mode
     system = prune_redundant(system)
     tables = _system_tables(system)
     redundant_ids = [k + 1 for k, r in enumerate(system.redundant) if r]
     tables.append(Table("redundant inequalities", ["#", "parabolic", "words"],
                         [[k, system.inequalities[k - 1].omitted + 1,
-                          "; ".join(word_str(w) for w in system.inequalities[k - 1].words)]
+                          "; ".join(one_based(w, "e") for w in system.inequalities[k - 1].words)]
                          for k in redundant_ids]))
     payload = system.as_dict()
     payload["redundant_ids"] = redundant_ids
-    if args.output:
-        Path(args.output).write_text(_document(spec, payload))
-    emit(spec, tables, payload, out)
-    return EXIT_OK
+    return tables, payload, EXIT_OK
 
 
-def cmd_leviprod_check(spec: JobSpec, args, out: TextIO) -> int:
+def cmd_leviprod_check(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .invsets import crosscheck_gb
 
-    report = crosscheck_gb(_ring_for(spec))
+    report = crosscheck_gb(_ring_for(args))
     rows = [["type", report.label], ["pairs", report.pairs],
             ["mismatches", len(report.mismatches)], ["passed", report.passed]]
     tables = [Table("degenerate product vs inversion-set rule", ["key", "value"], rows)]
     if report.mismatches:
         tables.append(Table("first mismatches", ["u", "v", "computed", "expected"],
-                            [[word_str(u), word_str(v), str(lt), str(rt)]
+                            [[one_based(u, "e"), one_based(v, "e"), str(lt), str(rt)]
                              for u, v, lt, rt in report.mismatches[:5]]))
     payload = {
         "type": report.label,
@@ -601,16 +566,15 @@ def cmd_leviprod_check(spec: JobSpec, args, out: TextIO) -> int:
         "mismatches": len(report.mismatches),
         "passed": report.passed,
     }
-    emit(spec, tables, payload, out)
-    return EXIT_OK if report.passed else EXIT_MISMATCH
+    return tables, payload, EXIT_OK if report.passed else EXIT_MISMATCH
 
 
-def cmd_verify_golden(spec: JobSpec, args, out: TextIO) -> int:
+def cmd_verify_golden(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .golden import GoldenTable, verify_table
 
     goldens = [GoldenTable.load(name) for name in ([args.table] if args.table else GOLDEN_NAMES)]
     for g in goldens:
-        _basis_for(spec, weyl_group(root_system(g.family, g.rank)))
+        _basis_for(args, weyl_group(root_system(g.family, g.rank)))
     results = [verify_table(g) for g in goldens]
     rows = []
     for r in results:
@@ -622,24 +586,22 @@ def cmd_verify_golden(spec: JobSpec, args, out: TextIO) -> int:
         {"table": r.name, "matched": r.matched,
          "bijection": dict(sorted(r.bijection.items())), "detail": r.detail}
         for r in results]}
-    emit(spec, [table], payload, out)
-    return EXIT_OK if all(r.matched for r in results) else EXIT_MISMATCH
+    return [table], payload, EXIT_OK if all(r.matched for r in results) else EXIT_MISMATCH
 
 
-def cmd_horn_converse(spec: JobSpec, args, out: TextIO) -> int:
+def cmd_horn_converse(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .horn import converse_search
 
     if args.limit < 0:
         raise ValueError(f"--limit must be 0 (unlimited) or positive, not {args.limit}")
-    ring = _ring_for(spec)
-    levi = [i + 1 for i in ring.parabolic.levi]
-    found = converse_search(ring, s=spec.s, limit=args.limit or None)
-    rows = [[k + 1, "; ".join(word_str(w) for w in rep.words)]
+    ring = _ring_for(args)
+    found = converse_search(ring, s=args.s, limit=args.limit or None)
+    rows = [[k + 1, "; ".join(one_based(w, "e") for w in rep.words)]
             for k, rep in enumerate(found)]
     tables = [
         Table("summary", ["key", "value"], [
             ["system", ring.rs.label],
-            ["levi", ",".join(map(str, levi)) or "-"],
+            ["levi", one_based(ring.parabolic.levi)],
             ["candidates", len(found)],
         ]),
         Table("zero-product tuples passing every character inequality",
@@ -647,11 +609,10 @@ def cmd_horn_converse(spec: JobSpec, args, out: TextIO) -> int:
     ]
     payload = {
         "system": ring.rs.label,
-        "levi": levi,
+        "levi": [i + 1 for i in ring.parabolic.levi],
         "candidates": [rep.as_dict() for rep in found],
     }
-    emit(spec, tables, payload, out)
-    return EXIT_OK
+    return tables, payload, EXIT_OK
 
 
 # -- argument parser ------------------------------------------------------
@@ -672,7 +633,7 @@ def _add_common(p: argparse.ArgumentParser, parab: bool = True,
 
 def _add_output(p: argparse.ArgumentParser) -> None:
     """The format and cache flags of every command."""
-    p.add_argument("--format", dest="fmt", choices=("md", "csv", "json"), default="md")
+    p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.add_argument("--cache-dir", help="directory for the structure-constant cache")
     p.add_argument("--no-cache", action="store_true")
 
@@ -721,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("redundancy", help="prune a saved or freshly generated system")
     p.add_argument("--input", help="JSON file produced by the eigencone command")
     _add_common(p, parab=False, required_type=False)
-    p.add_argument("--s", type=int, default=3)
-    p.add_argument("--mode", choices=MODES, default="classical")
+    p.add_argument("--s", type=int, help="number of factors (default: the file's, else 3)")
+    p.add_argument("--mode", choices=MODES, help="default: the file's, else classical")
     p.add_argument("--output", help="write the pruned system as JSON to this file")
 
     p = sub.add_parser("leviprod-check",
@@ -742,28 +703,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _spec_from_args(args) -> JobSpec:
-    spec = JobSpec(command=args.command, family=getattr(args, "type", None),
-                   rank=getattr(args, "rank", None), s=getattr(args, "s", None),
-                   mode=getattr(args, "mode", None), fmt=args.fmt,
-                   cache_dir=args.cache_dir, no_cache=args.no_cache)
+def _check_args(args: argparse.Namespace) -> None:
+    """Refuse a bad --levi or --parabolic before any group is built; --levi
+    becomes 0-based simple indices.  Every command with them requires --rank."""
     if getattr(args, "levi", None) is not None:
-        if spec.rank is None:
-            raise ValueError("--levi needs --rank")
-        spec.levi = _parse_levi(args.levi, spec.rank, "levi")
-    elif getattr(args, "parabolic", None) is not None:
-        if not 1 <= args.parabolic <= spec.rank:
-            raise ValueError(f"parabolic index {args.parabolic} outside 1..{spec.rank}")
-        spec.maximal = args.parabolic - 1
-    for name in ("words", "check", "inner_levi", "outer_levi", "levi_words",
-                 "table", "limit", "prune", "input", "output"):
-        val = getattr(args, name, None)
-        if val is not None and val is not False:
-            spec.extra[name.replace("_", "-")] = val
-    return spec
+        args.levi = _parse_levi(args.levi, args.rank, "levi")
+    elif getattr(args, "parabolic", None) is not None and not 1 <= args.parabolic <= args.rank:
+        raise ValueError(f"parabolic index {args.parabolic} outside 1..{args.rank}")
+    args.cache_dir = args.cache_dir or None
 
 
-def _dispatch(spec: JobSpec, args, out: TextIO) -> int:
+def _dispatch(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     # looked up on each call, so a handler rebound on the module (as the
     # benchmark tracer does) is the one that runs
     handlers = {
@@ -779,16 +729,19 @@ def _dispatch(spec: JobSpec, args, out: TextIO) -> int:
         "verify-golden": cmd_verify_golden,
         "horn-converse-experiment": cmd_horn_converse,
     }
-    return handlers[spec.command](spec, args, out)
+    return handlers[args.command](args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    bases: list[SchubertBasis] = []
+    # bases this run pointed at its cache directory; saved when the run ends
+    args.bases = []
     try:
-        spec = _spec_from_args(args)
-        spec.bases = bases
-        code = _dispatch(spec, args, sys.stdout)
+        _check_args(args)
+        tables, payload, code = _dispatch(args)
+        if getattr(args, "output", None):
+            Path(args.output).write_text(_document(args, payload))
+        emit(args, tables, payload, sys.stdout)
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_BUDGET
@@ -796,7 +749,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_USAGE
     try:
-        for basis in bases:
+        for basis in args.bases:
             basis.save_cache()
     except OSError as e:  # a --cache-dir that cannot be created or written
         print(f"error: cannot save the cache: {e}", file=sys.stderr)

@@ -112,8 +112,7 @@ def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylEl
     for ws in dimension_tuples(ring.parabolic, s):
         if mode == "deformed" and any(ring.character_gaps(ws).values()):
             continue
-        cert = ring.is_levi_movable(ws)
-        if cert.coefficient == 1 and (mode == "classical" or cert.movable):
+        if ring.point_coefficient(ws) == 1:
             out.append(ws)
     return out
 

@@ -24,7 +24,7 @@ import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .deform import DeformedRing, MovabilityCertificate, deformed_ring
-from .weyl import BudgetError, Parabolic, WeylElement, parabolic
+from .weyl import BudgetError, Parabolic, WeylElement, one_based, parabolic
 
 _REL = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
@@ -181,11 +181,6 @@ def check_tuple_budget(sizes: Iterable[int], s: int, label: str) -> None:
 # -- Levi recursion ------------------------------------------------------
 
 
-def _one_based(indices: Iterable[int]) -> str:
-    """Simple indices as the command line takes them: 1-based, comma-separated, '-' for none."""
-    return ",".join(str(i + 1) for i in indices) or "-"
-
-
 def _levi_element(sub: Parabolic, u) -> WeylElement:
     """An element of the Levi subgroup W_L of `sub`, given as one or as a word in ambient indices."""
     if isinstance(u, WeylElement):
@@ -194,7 +189,7 @@ def _levi_element(sub: Parabolic, u) -> WeylElement:
         return u
     for i in u:
         if i not in sub.within:
-            raise ValueError(f"simple index {i + 1} is not in the Levi {_one_based(sub.within)}"
+            raise ValueError(f"simple index {i + 1} is not in the Levi {one_based(sub.within)}"
                              " (1-based indices)")
     return sub.group.from_word(u)
 
@@ -370,11 +365,11 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
     q = tuple(sorted(set(inner_levi)))
     qh = tuple(sorted(set(outer_levi)))
     if not set(q) <= set(parab.levi):
-        raise ValueError(f"inner Levi {_one_based(q)} must sit inside the Levi "
-                         f"{_one_based(parab.levi)} (1-based indices)")
+        raise ValueError(f"inner Levi {one_based(q)} must sit inside the Levi "
+                         f"{one_based(parab.levi)} (1-based indices)")
     if not set(q) <= set(qh):
-        raise ValueError(f"outer Levi {_one_based(qh)} must contain the inner Levi "
-                         f"{_one_based(q)} (1-based indices)")
+        raise ValueError(f"outer Levi {one_based(qh)} must contain the inner Levi "
+                         f"{one_based(q)} (1-based indices)")
     if not ring.fold(ws):
         raise ValueError("tuple has zero classical product")
 

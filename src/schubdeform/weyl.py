@@ -280,10 +280,15 @@ class Parabolic:
         return tuple(prof)
 
     def __repr__(self):
-        lv = ",".join(str(i + 1) for i in self.levi) or "-"
         within = "" if len(self.within) == self.rs.rank else \
-            ", within=[" + ",".join(str(i + 1) for i in self.within) + "]"
-        return f"Parabolic({self.rs.label}, levi=[{lv}]{within}, dim={self.dim})"
+            f", within=[{one_based(self.within, '')}]"
+        return f"Parabolic({self.rs.label}, levi=[{one_based(self.levi)}]{within}, dim={self.dim})"
+
+
+def one_based(indices: Iterable[int], empty: str = "-") -> str:
+    """Simple indices as the command line writes them: 1-based, comma-separated,
+    `empty` for none ("-" for a Levi, "e" for the word of the identity)."""
+    return ",".join(str(i + 1) for i in indices) or empty
 
 
 def weyl_group(rs: RootSystem) -> WeylGroup:

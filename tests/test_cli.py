@@ -106,15 +106,41 @@ def test_job_headers_of_unpinned_shapes(tmp_path, capsys, monkeypatch):
         assert code == 0 and list(json.loads(out)["job"].items()) == list(job.items())
 
 
+def test_redundancy_input_echoes_the_system_it_pruned(tmp_path, capsys, monkeypatch):
+    """`s` and `mode` come from the file, not from the --s and --mode defaults;
+    an explicit value that disagrees with the file is refused."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    code, _, _ = run(capsys, "eigencone", "--type", "B", "--rank", "2", "--s", "4",
+                     "--mode", "deformed", "--output", "b2.json", "--no-cache")
+    assert code == 0
+    code, out, err = run(capsys, "redundancy", "--input", "b2.json")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == [
+        "# command=redundancy s=4 mode=deformed input=b2.json format=md", "",
+        "## inequality system B2 s=4 deformed"]
+    assert run(capsys, "redundancy", "--input", "b2.json", "--s", "4",
+               "--mode", "deformed") == (0, out, "")
+    code, out, _ = run(capsys, "redundancy", "--input", "b2.json", "--format", "json")
+    assert json.loads(out)["job"] == {"command": "redundancy", "s": 4, "mode": "deformed",
+                                      "input": "b2.json", "format": "json"}
+    for flag, value, held in (("--s", "3", "4"), ("--mode", "classical", "deformed")):
+        code, out, err = run(capsys, "redundancy", "--input", "b2.json", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} {value} disagrees with b2.json, which holds" \
+                      f" {flag[2:]} {held}\n"
+
+
 @pytest.mark.parametrize("argv", [argv for argv, _, _ in HEADER_JOBS] + [
     ["roots", "--type", "G", "--rank", "2", "--format", "csv"],
     ["weyl", "--type", "B", "--rank", "3", "--levi", "-", "--no-cache"],
     ["product", "--type", "A", "--rank", "2", "--words", "1;2", "--cache-dir", "c"],
 ])
 def test_header_line_and_json_job_walk_the_same_fields(argv):
-    spec = cli._spec_from_args(cli.build_parser().parse_args(argv))
-    header_keys = [bit.split("=", 1)[0] for bit in spec.summary().split(" ")]
-    assert header_keys == [k.replace("_", "-") for k in spec.as_dict()]
+    args = cli.build_parser().parse_args(argv)
+    cli._check_args(args)
+    header_keys = [bit.split("=", 1)[0] for bit in cli._header(args)[2:].split(" ")]
+    assert header_keys == [k.replace("_", "-") for k in cli._job(args)]
 
 
 def _to_closed_pipe(*argv):
