@@ -524,6 +524,10 @@ def cmd_redundancy(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .eigencone import generate_system, prune_redundant
 
     if args.input:
+        # the file holds the system: no group is built and no constant computed
+        unused = [k for k in ("type", "rank", "cache_dir", "no_cache") if k in _job(args)]
+        if unused:
+            raise ValueError(f"--{unused[0].replace('_', '-')} does nothing with --input")
         system = _load_system(args.input)
         for name, held in (("s", system.s), ("mode", system.mode)):
             given = getattr(args, name)

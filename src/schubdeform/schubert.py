@@ -1,28 +1,27 @@
-"""Schubert classes and their structure constants via divided differences.
+"""Schubert classes and their structure constants by localization.
 
-Classes of G/B live in the coinvariant algebra.  Everything here is integer:
-the top class is prod(positive roots) with coefficient 1, which is |W| times
-the class of the point, and P_w, the divided difference along a reduced word
-of w^{-1} w_o applied to it, is |W| times the class of w.
+Write xi^y(x) for the restriction of the equivariant class of y to the fixed
+point x, evaluated where every simple root is 1, so each root takes its
+height.  Billey's formula gives xi^e = 1 and, for x = x' s_j > x',
+xi^y(x) = xi^y(x') + [y s_j < y] xi^{y s_j}(x') ht(x'(alpha_j)); then
+xi^y(x) != 0 exactly when y <= x.  Restricted to x, the equivariant product
+of u and v reads xi^u(x) xi^v(x) = sum_{y <= x} p_uv^y xi^y(x), a triangular
+system solved in length order with integers alone: every division is exact,
+every p_uv^y non-negative (Graham), and p_uv^x = c_uv^x at l(x) = l(u)+l(v).
 
-A structure constant is a dot product.  Write E_w(m) for the constant term of
-d_w x^m, the divided difference of w applied to one monomial; then
-c_{uv}^w = sum_m [P_u P_v]_m E_w(m) / |W|^2, and the division must be exact
-with a non-negative quotient.  E_w is one linear functional on monomials of
-degree l(w), shared by every product of the basis and memoised per (w, m)
-through E_w(m) = sum_m' [d_j x^m]_m' E_{w s_j}(m') for the last letter j of
-the reduced word of w.
-
-Only the constants that can be nonzero are computed: c_{uv}^w = 0 unless
-every right descent of w is a right descent of u or of v.  Take P with Levi
+Only the constants that can be nonzero are computed: p_uv^x = 0 unless
+every right descent of x is a right descent of u or of v.  Take P with Levi
 the simple indices that are descents of neither; then u and v lie in W^P,
-and pullback H*(G/P) -> H*(G/B) is an injective ring map onto the span of
+and pullback H_T(G/P) -> H_T(G/B) is an injective ring map onto the span of
 the classes of W^P, so their product lies in that span.
 
 Constants for G/P are index restrictions of the G/B constants, and so are
 those of the Levi flag varieties L/(L cap Q): restriction to the fibre L/B_L
 of G/B -> G/P_L is a ring map keeping the class of each w in W_L and sending
 the others to zero.  A Weyl group thus has one basis, memo set and cache file.
+
+The coinvariant polynomials P_w, |W| times the class of w, stay as the
+reference the tests compare against; no product reads them.
 
 A disk cache (versioned, checksummed) can be attached to the basis; it is
 never trusted over a fresh computation: a failed checksum or a version
@@ -33,13 +32,14 @@ from __future__ import annotations
 
 import json
 import os
-from operator import mul
 from pathlib import Path
-from typing import AbstractSet
+from typing import TYPE_CHECKING
 
-from .poly import Monomial, Poly
 from .rootsystem import RootSystem
 from .weyl import WeylElement, WeylGroup
+
+if TYPE_CHECKING:
+    from .poly import Poly
 
 CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "SCHUBDEFORM_CACHE_DIR"
@@ -54,27 +54,23 @@ def divided_difference(rs: RootSystem, i: int, f: Poly) -> Poly:
 
 
 class SchubertBasis:
-    """Basis polynomials and structure constants of one Weyl group."""
+    """Structure constants of one Weyl group, and its reference basis polynomials."""
 
     def __init__(self, group: WeylGroup):
         self.group = group
         self.rs = group.rs
-        self._by_length: list[list[WeylElement]] = [
-            [] for _ in range(self.rs.num_positive_roots + 1)]
-        for w in group.elements:
-            self._by_length[w.length].append(w)
+        self._rows: dict[int, dict[int, int]] = {group.identity.index: {group.identity.index: 1}}
         self._polys: dict[int, Poly] = {}
-        self._functionals: dict[int, dict[Monomial, int]] = {
-            group.identity.index: {(0,) * self.rs.rank: 1}}
-        self._steps: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
         self._products: dict[tuple[int, int], dict[int, int]] = {}
         self._cache_path: Path | None = None  # no disk cache until `use_cache_dir`
         self._dirty = False
 
-    # -- basis polynomials ----------------------------------------------
+    # -- reference basis polynomials --------------------------------------
 
     def top_polynomial(self) -> Poly:
         """prod R+ with coefficient 1: |W| times the class of the point."""
+        from .poly import Poly  # reference only: no product loads it
+
         prod = Poly.const(self.rs.rank, 1)
         for root in self.rs.positive_roots:
             prod = prod * Poly.linear(root)
@@ -96,12 +92,30 @@ class SchubertBasis:
 
     # -- structure constants --------------------------------------------
 
+    def _restriction(self, x: WeylElement) -> dict[int, int]:
+        """{y index: xi^y(x)} for every y <= x, by Billey's formula; memoised."""
+        row = self._rows.get(x.index)
+        if row is None:
+            j = x.word[-1]
+            prev = self.group.times_simple(x, j)
+            shorter = self._restriction(prev)
+            height = sum(prev.cols[j])  # ht(x'(alpha_j)), a positive root
+            row = dict(shorter)
+            elements = self.group.elements
+            for z, c in shorter.items():
+                if not elements[z].descents >> j & 1:  # y = z s_j > z
+                    y = self.group.times_simple(elements[z], j).index
+                    row[y] = row.get(y, 0) + c * height
+            self._rows[x.index] = row
+        return row
+
     def product(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
         """Expansion of class(u)*class(v) as {element index: coefficient}.
 
-        Gradings add: only elements of length l(u)+l(v) can appear, and only
-        those whose right descents all lie in D(u) | D(v); every other
-        constant of the row is zero without being computed.
+        Gradings add: only elements of length l(u)+l(v) can appear.  The
+        triangular solve runs over the x >= u, v of length at most that whose
+        right descents all lie in D(u) | D(v); every other constant is zero
+        without being computed.
         """
         d = u.length + v.length
         if d > self.rs.num_positive_roots:
@@ -110,50 +124,29 @@ class SchubertBasis:
         hit = self._products.get(key)
         if hit is not None:
             return hit
-        f = self.polynomial(u) * self.polynomial(v)
-        monos, coeffs = f.terms.keys(), list(f.terms.values())
-        scale = self.group.order ** 2
         others = ~(u.descents | v.descents)
-        out: dict[int, int] = {}
-        for w in self._by_length[d]:
-            if w.descents & others:
+        solved: dict[int, int] = {}
+        for x in self.group.elements[key[1]:]:  # length order: every x >= u, v
+            if x.length > d:
+                break
+            if x.descents & others:
                 continue
-            dot = sum(map(mul, coeffs, map(self.functional(w, monos).__getitem__, monos)))
-            c, rem = divmod(dot, scale)
+            row = self._restriction(x)
+            value = row.get(u.index, 0) * row.get(v.index, 0)
+            if not value:
+                continue
+            value -= sum(c * row.get(y, 0) for y, c in solved.items())
+            c, rem = divmod(value, row[x.index])
             if rem or c < 0:
                 raise AssertionError(
-                    f"non-integral or negative constant {dot}/{scale} at {u}, {v}, {w}"
+                    f"non-integral or negative constant {value}/{row[x.index]} at {u}, {v}, {x}"
                 )
             if c:
-                out[w.index] = c
+                solved[x.index] = c
+        out = {k: c for k, c in solved.items() if self.group.elements[k].length == d}
         self._products[key] = out
         self._dirty = True
         return out
-
-    def functional(self, w: WeylElement, monos: AbstractSet[Monomial]) -> dict[Monomial, int]:
-        """E_w as {m: constant term of d_w x^m}, with an entry for each of `monos`.
-
-        Entries are memoised for the life of the basis and shared by every
-        product; the monomials must have degree l(w).
-        """
-        row = self._functionals.setdefault(w.index, {})
-        missing = monos - row.keys()
-        if missing:
-            j = w.word[-1]
-            steps = {m: self._step(j, m) for m in missing}
-            shorter = self.functional(self.group.times_simple(w, j),
-                                      {m2 for step in steps.values() for m2 in step})
-            for m, step in steps.items():
-                row[m] = sum(c * shorter[m2] for m2, c in step.items())
-        return row
-
-    def _step(self, j: int, mono: Monomial) -> dict[Monomial, int]:
-        """The terms of d_j x^m, memoised per (j, m)."""
-        got = self._steps.get((j, mono))
-        if got is None:
-            got = self._steps[(j, mono)] = divided_difference(
-                self.rs, j, Poly(self.rs.rank, {mono: 1})).terms
-        return got
 
     # -- disk cache ------------------------------------------------------
 

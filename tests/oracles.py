@@ -9,8 +9,9 @@ by hand.  `divided_difference_table` is the reference for the integer kernel
 of `SchubertBasis.product`: it applies whole-polynomial divided differences to
 the rational top class prod(positive roots)/|W| and reads off constant terms,
 sharing only `Poly` and `divided_difference` with the library;
-`product_every_target` is the reference for the descent rule of that
-kernel: it takes the dot product for every target of the right length.
+`product_every_target` is a second divided-difference reference, which
+reaches rank 4: it dots P_u P_v against per-monomial functionals E_w for every
+target of the right length, with no descent rule.
 `chevalley_oracle` recomputes degree-1 products by the reflection-sum
 (Chevalley) rule from reflection matrices it builds itself.
 `redundant_reference` and `equivalent_reference` are the references for the
@@ -209,18 +210,39 @@ def divided_difference_table(group, within=None) -> dict[tuple[int, int], dict[i
     return table
 
 
-def product_every_target(basis, u, v) -> dict[int, int]:
-    """class(u)*class(v) from `basis`'s polynomials and functionals, as {w index: c},
-    with the dot product taken for every w of length l(u)+l(v): the loop of
-    `SchubertBasis.product` before it skipped the w with a right descent that
-    neither u nor v has."""
+@functools.lru_cache(maxsize=None)
+def _step(rs, j: int, mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The terms of d_j x^m."""
+    return divided_difference(rs, j, Poly(rs.rank, {mono: 1})).terms
+
+
+def product_every_target(basis, u, v, functionals: dict) -> dict[int, int]:
+    """class(u)*class(v) from `basis`'s polynomials, as {w index: c}: the dot
+    product sum_m [P_u P_v]_m E_w(m) / |W|^2, taken for every w of length
+    l(u)+l(v) with no descent rule.  E_w(m), the constant term of d_w x^m, is
+    memoised in `functionals` as {(w index, m): E_w(m)} for the calls on one
+    basis, through the last letter j of the word of w:
+    E_w(m) = sum_m' [d_j x^m]_m' E_{w s_j}(m')."""
+    group = basis.group
+
+    def functional(w, mono):
+        got = functionals.get((w.index, mono))
+        if got is None:
+            if not w.word:
+                return 1
+            j = w.word[-1]
+            shorter = group.times_simple(w, j)
+            got = functionals[(w.index, mono)] = sum(
+                c * functional(shorter, m) for m, c in _step(basis.rs, j, mono).items())
+        return got
+
     f = basis.polynomial(u) * basis.polynomial(v)
-    scale = basis.group.order ** 2
+    scale = group.order ** 2
     row = {}
-    for w in basis.group.elements:
+    for w in group.elements:
         if w.length == u.length + v.length:
-            e = basis.functional(w, f.terms.keys())
-            c, rem = divmod(sum(coeff * e[m] for m, coeff in f.terms.items()), scale)
+            dot = sum(coeff * functional(w, m) for m, coeff in f.terms.items())
+            c, rem = divmod(dot, scale)
             assert rem == 0 and c >= 0, (u, v, w, c)
             if c:
                 row[w.index] = c

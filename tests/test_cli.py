@@ -71,10 +71,10 @@ HEADER_JOBS = [
      " format=md cache-dir=cache",
      {"command": "eigencone", "type": "A", "rank": 2, "s": 3, "mode": "classical",
       "prune": True, "output": "system.json", "format": "json", "cache_dir": "cache"}),
-    (["redundancy", "--input", "system.json", "--no-cache"],
-     "# command=redundancy s=3 mode=classical input=system.json format=md no-cache",
+    (["redundancy", "--input", "system.json"],
+     "# command=redundancy s=3 mode=classical input=system.json format=md",
      {"command": "redundancy", "s": 3, "mode": "classical", "input": "system.json",
-      "format": "json", "no_cache": True}),
+      "format": "json"}),
     (["horn-converse-experiment", "--type", "A", "--rank", "2", "--parabolic", "1",
       "--limit", "0"],
      "# command=horn-converse-experiment type=A rank=2 parabolic=1 s=3 limit=0 format=md",
@@ -129,6 +129,21 @@ def test_redundancy_input_echoes_the_system_it_pruned(tmp_path, capsys, monkeypa
         assert (code, out) == (2, "")
         assert err == f"error: {flag} {value} disagrees with b2.json, which holds" \
                       f" {flag[2:]} {held}\n"
+
+
+def test_redundancy_input_refuses_flags_that_do_nothing(tmp_path, capsys, monkeypatch):
+    """With --input the file is the system: --type, --rank, --cache-dir and
+    --no-cache would do nothing, so each is refused by name."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    code, _, _ = run(capsys, "eigencone", "--type", "B", "--rank", "2", "--output", "b2.json",
+                     "--no-cache")
+    assert code == 0
+    for extra in (["--type", "A"], ["--rank", "2"], ["--cache-dir", "zz"], ["--no-cache"]):
+        code, out, err = run(capsys, "redundancy", "--input", "b2.json", *extra)
+        assert (code, out) == (2, ""), extra
+        assert err == f"error: {extra[0]} does nothing with --input\n"
+    assert not (tmp_path / "zz").exists()
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _, _ in HEADER_JOBS] + [
@@ -552,17 +567,22 @@ def test_no_cache_wins_over_cache_dir(tmp_path, capsys):
     assert not cache.exists()
 
 
-# one fresh interpreter per run: the structure constants it computes, and so
-# its divided differences, are counted from nothing
+# one fresh interpreter per run, which prints its exit code and the number of
+# structure-constant rows it computed rather than read from the cache
 _COUNTED_RUN = """
 import sys
 import schubdeform.schubert as schubert
 from schubdeform import cli
-calls = []
-dd = schubert.divided_difference
-schubert.divided_difference = lambda *args: calls.append(1) or dd(*args)
+computed = []
+product = schubert.SchubertBasis.product
+def counted(basis, u, v):
+    known = len(basis._products)
+    row = product(basis, u, v)
+    computed.append(len(basis._products) - known)
+    return row
+schubert.SchubertBasis.product = counted
 code = cli.main(sys.argv[1:])
-print(code, len(calls), file=sys.stderr)
+print(code, sum(computed), file=sys.stderr)
 """
 
 

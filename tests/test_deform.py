@@ -95,9 +95,7 @@ def test_multiply_distributes():
         hash(lhs)  # compared by value, so unhashable
 
 
-@pytest.mark.parametrize("family", [
-    "A", "D", pytest.param("B", marks=pytest.mark.slow),
-    pytest.param("C", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("family", ["A", "D", "B", "C"])
 def test_rank_four_ring_laws_on_sampled_triples(family):
     """Criteria 03 and 04 on a fixed sample of rank-4 classes: on every maximal
     parabolic the deformed product of sampled basis classes commutes and

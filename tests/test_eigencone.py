@@ -343,7 +343,7 @@ def test_odd_orthogonal_and_symplectic_cones_agree(rank):
     _assert_symplectic_cone_agrees("B", rank, rank)
 
 
-@pytest.mark.parametrize("n", [2, pytest.param(3, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", [2, 3])
 def test_symplectic_cone_is_the_special_linear_cone_on_its_coweights(n):
     """Belkale-Kumar: Gamma(sp(2n)) = Gamma(sl(2n)) cut by the Cartan of sp(2n).
     The A_{2n-1} rows restricted there (t_{2n-k} = t_k) and the C_n rows cut
@@ -351,9 +351,7 @@ def test_symplectic_cone_is_the_special_linear_cone_on_its_coweights(n):
     _assert_symplectic_cone_agrees("A", 2 * n - 1, n)
 
 
-@pytest.mark.parametrize("family,rank", ALL_TYPES + [
-    ("A", 4), ("D", 4),
-    pytest.param("B", 4, marks=pytest.mark.slow), pytest.param("C", 4, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("family,rank", ALL_TYPES + [("A", 4), ("D", 4), ("B", 4), ("C", 4)])
 def test_gaps_first_generation_matches_the_movability_reference(family, rank):
     """Deformed generation drops a tuple with a nonzero character gap before
     folding its product; the inequalities, in order, are those of
@@ -375,7 +373,6 @@ def test_type_a_rows_are_horns_inequalities(rank, rows):
         assert len(flats) == rows and set(flats) == expect, mode
 
 
-@pytest.mark.slow
 def test_type_a5_horn_rows_cut_out_the_generated_cone():
     """At A5 Horn's recursion gives one row more than the 521 of either mode:
     the triple (1,3,5), (1,3,5), (2,4,6) of T^6_3, whose LR coefficient

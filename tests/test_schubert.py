@@ -1,5 +1,6 @@
-"""Divided-difference structure constants and the disk cache."""
+"""Structure constants by localization, their divided-difference references and the disk cache."""
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -101,7 +102,8 @@ def test_chevalley_oracle_parabolic():
 
 def test_products_match_whole_polynomial_reference():
     """Every G/B product of every rank <= 3 type against the rational reference, and
-    the exact-division and sign check on a basis polynomial made wrong on purpose."""
+    the exact-division and sign check on a restriction made wrong on purpose: the
+    diagonal entry xi^x(x) of a target x, one larger (3/4) or negated (3/-3)."""
     for family, rank in ALL_TYPES:
         g = group_for(family, rank)
         basis = SchubertBasis(g)
@@ -111,11 +113,35 @@ def test_products_match_whole_polynomial_reference():
         assert table == oracles.divided_difference_table(g), (family, rank)
     g = group_for("B", 2)
     u, v = g.simple_reflection(0), g.simple_reflection(1)
-    for wrong in (lambda p: p + Poly.variable(2, 0), lambda p: -p):
+    x = g.mult(v, u)
+    assert x.index in SchubertBasis(g).product(u, v)
+    for wrong in (lambda c: c + 1, lambda c: -c):
         basis = SchubertBasis(g)
-        basis._polys[u.index] = wrong(basis.polynomial(u))
+        row = basis._restriction(x)
+        row[x.index] = wrong(row[x.index])
         with pytest.raises(AssertionError, match="non-integral or negative"):
             basis.product(u, v)
+
+
+@pytest.mark.parametrize("family,digest", [
+    ("A", "eefdfc764d99a2aa5463494bbc6e4d5169ce2befdccfeaedf7ab959a721f8c0a"),
+    ("D", "fda95e7ed317d8ee4ef8f3516404e2efe945d58100f025617ebb27f8b658843b"),
+    pytest.param("B", "f53013b31bdc447a10c198de4b6a00d207dc6ac35b235dc1d6ace845ad4e24ba",
+                 marks=pytest.mark.slow),
+    pytest.param("C", "4c125625b947641d503f3362ecc124d2d5e7026e50575e60f5acc967b468cbbe",
+                 marks=pytest.mark.slow)], ids=["A4", "D4", "B4", "C4"])
+def test_every_rank_four_product_matches_its_pinned_digest(family, digest):
+    """Every G/B product class(u)*class(v), u <= v, of a rank-4 type, hashed as
+    the cache payload.  The digests were recorded from the divided-difference
+    kernel (P_u P_v dotted against per-monomial functionals)."""
+    g = group_for(family, 4)
+    basis = SchubertBasis(g)
+    top = g.rs.num_positive_roots
+    for u in g.elements:
+        for v in g.elements[u.index:]:
+            if u.length + v.length <= top:
+                basis.product(u, v)
+    assert hashlib.sha256(basis._payload().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("family,rank,pairs", [
@@ -129,7 +155,7 @@ def test_descent_rule_matches_every_target_loop(family, rank, pairs):
     right length.  Some nonzero constant has a descent that u lacks, and some
     one that v lacks, so a rule reading the descents of one factor fails."""
     g = group_for(family, rank)
-    basis, reference = SchubertBasis(g), SchubertBasis(g)
+    basis, reference, functionals = SchubertBasis(g), SchubertBasis(g), {}
     rng = random.Random(20261019)
     top = g.rs.num_positive_roots
     outside_u = outside_v = 0
@@ -137,7 +163,7 @@ def test_descent_rule_matches_every_target_loop(family, rank, pairs):
         u = rng.choice(g.elements)
         v = rng.choice([x for x in g.elements if u.length + x.length <= top])
         row = basis.product(u, v)
-        assert row == oracles.product_every_target(reference, u, v), (u, v)
+        assert row == oracles.product_every_target(reference, u, v, functionals), (u, v)
         targets = [g.elements[k] for k in row]
         outside_u += any(w.descents & ~u.descents for w in targets)
         outside_v += any(w.descents & ~v.descents for w in targets)

@@ -75,6 +75,19 @@ def test_light_jobs_load_no_cone_layer(argv):
     assert not layers & CONE_LAYERS
 
 
+@pytest.mark.parametrize("argv", [
+    ("deform-table", "--type", "B", "--rank", "2", "--levi", "-", "--no-cache"),
+    ("eigencone", "--type", "B", "--rank", "3", "--mode", "deformed", "--no-cache"),
+])
+def test_structure_constants_load_no_polynomial_module(argv):
+    # localization computes every constant with integers alone; the
+    # coinvariant polynomials are a reference for the tests
+    proc, modules = _loaded("-m", "schubdeform.cli", *argv)
+    assert proc.returncode == 0 and proc.stdout.startswith(f"# command={argv[0]} ")
+    assert "schubdeform.schubert" in modules
+    assert "schubdeform.poly" not in modules
+
+
 # one job of each command the benchmark runs, and the API it calls
 API_JOB = ("-c", "from schubdeform import generate_system, systems_equivalent")
 BENCH_JOBS = [
