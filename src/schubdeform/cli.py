@@ -402,15 +402,20 @@ def _report_tables(reports: list[tuple[str, HornReport]]) -> list[Table]:
 def cmd_horn_check(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .horn import check_character, check_dimension, check_refined
 
+    which = args.check
+    wants_dimension = args.inner_levi is not None or args.outer_levi is not None
+    idle = [k for k in ("inner-levi", "outer-levi", "levi-words") if k in _job(args)]
+    if idle and which in ("character", "refined"):
+        raise ValueError(f"--{idle[0]} does nothing with --check {which}")
+    if idle and which == "all" and not wants_dimension:
+        raise ValueError("--levi-words does nothing without --inner-levi and --outer-levi")
     ring = _ring_for(args)
     ws = _tuple_for(ring, args.words)
-    which = args.check
     reports: list[tuple[str, HornReport]] = []
     if which in ("all", "character"):
         reports.append(("character", check_character(ring, ws)))
     if which in ("all", "refined"):
         reports.append(("refined", check_refined(ring, ws)))
-    wants_dimension = args.inner_levi is not None or args.outer_levi is not None
     if which == "dimension" or (which == "all" and wants_dimension):
         if args.inner_levi is None or args.outer_levi is None:
             raise ValueError("dimension checks need --inner-levi and --outer-levi")
@@ -632,14 +637,6 @@ def _add_common(p: argparse.ArgumentParser, parab: bool = True,
                             help="1-based simple indices of the Levi, e.g. '1,3' ('-' for Borel)")
         choice.add_argument("--parabolic", type=int,
                             help="maximal parabolic by its omitted 1-based simple index")
-    _add_output(p)
-
-
-def _add_output(p: argparse.ArgumentParser) -> None:
-    """The format and cache flags of every command."""
-    p.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    p.add_argument("--cache-dir", help="directory for the structure-constant cache")
-    p.add_argument("--no-cache", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -648,25 +645,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Schubert calculus with the deformed product.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("roots", help="root system data")
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        # `run` is read from the module when the parser is built, so a handler
+        # rebound on the module (as the benchmark tracer does) is the one that runs
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("roots", cmd_roots, "root system data")
     _add_common(p, parab=False)
 
-    p = sub.add_parser("weyl", help="Weyl group and coset representatives")
+    p = command("weyl", cmd_weyl, "Weyl group and coset representatives")
     _add_common(p)
 
-    p = sub.add_parser("product", help="deformed product of listed classes")
+    p = command("product", cmd_product, "deformed product of listed classes")
     _add_common(p)
     p.add_argument("--words", required=True,
                    help="semicolon-separated reduced words, 1-based, e.g. '1,2;2,1'")
 
-    p = sub.add_parser("deform-table", help="full deformed multiplication table")
+    p = command("deform-table", cmd_deform_table, "full deformed multiplication table")
     _add_common(p)
 
-    p = sub.add_parser("lmovable", help="Levi-movability certificate for a tuple")
+    p = command("lmovable", cmd_lmovable, "Levi-movability certificate for a tuple")
     _add_common(p)
     p.add_argument("--words", required=True)
 
-    p = sub.add_parser("horn-check", help="necessary inequalities for one tuple")
+    p = command("horn-check", cmd_horn_check, "necessary inequalities for one tuple")
     _add_common(p)
     p.add_argument("--words", required=True)
     p.add_argument("--check", choices=("all", "character", "refined", "dimension"),
@@ -676,34 +680,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levi-words",
                    help="words of the Levi tuple in ambient 1-based indices")
 
-    p = sub.add_parser("eigencone", help="generate an inequality system")
+    p = command("eigencone", cmd_eigencone, "generate an inequality system")
     _add_common(p, parab=False)
     p.add_argument("--s", type=int, default=3, help="number of factors")
     p.add_argument("--mode", choices=MODES, default="classical")
     p.add_argument("--prune", action="store_true", help="mark redundant inequalities")
     p.add_argument("--output", help="also write the full system as JSON to this file")
 
-    p = sub.add_parser("redundancy", help="prune a saved or freshly generated system")
+    p = command("redundancy", cmd_redundancy, "prune a saved or freshly generated system")
     p.add_argument("--input", help="JSON file produced by the eigencone command")
     _add_common(p, parab=False, required_type=False)
     p.add_argument("--s", type=int, help="number of factors (default: the file's, else 3)")
     p.add_argument("--mode", choices=MODES, help="default: the file's, else classical")
     p.add_argument("--output", help="write the pruned system as JSON to this file")
 
-    p = sub.add_parser("leviprod-check",
-                       help="degenerate product vs inversion-set rule on the full flag variety")
+    p = command("leviprod-check", cmd_leviprod_check,
+                "degenerate product vs inversion-set rule on the full flag variety")
     _add_common(p, parab=False)
 
-    p = sub.add_parser("verify-golden", help="check bundled multiplication tables")
+    p = command("verify-golden", cmd_verify_golden, "check bundled multiplication tables")
     p.add_argument("--table", choices=GOLDEN_NAMES, help="single table (default: all)")
-    _add_output(p)
 
-    p = sub.add_parser("horn-converse-experiment",
-                       help="search for zero-product tuples passing the character checks")
+    p = command("horn-converse-experiment", cmd_horn_converse,
+                "search for zero-product tuples passing the character checks")
     _add_common(p)
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--limit", type=int, default=10,
                    help="stop after this many candidates (0 = unlimited)")
+
+    for name, p in sub.choices.items():
+        p.add_argument("--format", choices=("md", "csv", "json"), default="md")
+        if name not in ("roots", "weyl"):  # every other command builds a Schubert basis
+            p.add_argument("--cache-dir", help="directory for the structure-constant cache")
+            p.add_argument("--no-cache", action="store_true")
     return top
 
 
@@ -714,26 +723,7 @@ def _check_args(args: argparse.Namespace) -> None:
         args.levi = _parse_levi(args.levi, args.rank, "levi")
     elif getattr(args, "parabolic", None) is not None and not 1 <= args.parabolic <= args.rank:
         raise ValueError(f"parabolic index {args.parabolic} outside 1..{args.rank}")
-    args.cache_dir = args.cache_dir or None
-
-
-def _dispatch(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    # looked up on each call, so a handler rebound on the module (as the
-    # benchmark tracer does) is the one that runs
-    handlers = {
-        "roots": cmd_roots,
-        "weyl": cmd_weyl,
-        "product": cmd_product,
-        "deform-table": cmd_deform_table,
-        "lmovable": cmd_lmovable,
-        "horn-check": cmd_horn_check,
-        "eigencone": cmd_eigencone,
-        "redundancy": cmd_redundancy,
-        "leviprod-check": cmd_leviprod_check,
-        "verify-golden": cmd_verify_golden,
-        "horn-converse-experiment": cmd_horn_converse,
-    }
-    return handlers[args.command](args)
+    args.cache_dir = getattr(args, "cache_dir", None) or None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -742,7 +732,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.bases = []
     try:
         _check_args(args)
-        tables, payload, code = _dispatch(args)
+        tables, payload, code = args.run(args)
         if getattr(args, "output", None):
             Path(args.output).write_text(_document(args, payload))
         emit(args, tables, payload, sys.stdout)

@@ -70,27 +70,15 @@ class DeformedClass:
                 tgt[e] = tgt.get(e, 0) + c
         return DeformedClass(self.ring, out)
 
-    def specialize(self, tau: Sequence[int]) -> dict[int, int]:
-        """Coefficients after substituting numeric values for the indeterminates."""
-        out: dict[int, int] = {}
-        for pos, mono in self.coeffs.items():
-            total = 0
-            for exps, c in mono.items():
-                term = c
-                for t, e in zip(tau, exps):
-                    term *= t ** e
-                total += term
-            if total:
-                out[pos] = total
-        return out
-
     def classical(self) -> dict[int, int]:
         """Specialization at tau = 1 (the ordinary cup product expansion)."""
-        return self.specialize((1,) * len(self.ring.omitted))
+        sums = {pos: sum(mono.values()) for pos, mono in self.coeffs.items()}
+        return {pos: c for pos, c in sums.items() if c}
 
     def at_zero(self) -> dict[int, int]:
         """Specialization at tau = 0 (keep exponent-zero monomials only)."""
-        return self.specialize((0,) * len(self.ring.omitted))
+        zero = (0,) * len(self.ring.omitted)
+        return {pos: mono[zero] for pos, mono in self.coeffs.items() if zero in mono}
 
     def terms(self) -> Iterator[tuple[int, ExpVec, int]]:
         """(rep position, exponents, coefficient) of every term: classes in

@@ -156,14 +156,13 @@ def evaluate(system: InequalitySystem, hs: Sequence[Coweight]) -> Verdict:
     rs = system.rs
     if len(hs) != system.s:
         raise ValueError(f"expected {system.s} coweights, got {len(hs)}")
+    dominance = dominance_rows(rs, 1)
     for h in hs:
         if len(h.coords) != rs.rank:
             raise ValueError(f"coweight {h.coords} has {len(h.coords)} coordinates, "
                              f"expected {rs.rank} for {rs.label}")
-        for i in range(rs.rank):
-            e_i = tuple(int(i == j) for j in range(rs.rank))
-            if rs.eval_coweight(e_i, h.coords) < 0:
-                raise ValueError(f"coweight {h.coords} is not dominant")
+        if any(sum(a * t for a, t in zip(row, h.coords)) > 0 for row in dominance):
+            raise ValueError(f"coweight {h.coords} is not dominant")
     violations = []
     for q in system.inequalities:
         v = q.value(hs)
@@ -222,33 +221,23 @@ def _check_lp_budget(rows: int, labels: Sequence[int], rs: RootSystem, s: int) -
 def orbit_labels(rows: Sequence[tuple[int, ...]], s: int) -> list[int]:
     """Label each row with the index of the first row of its S_s-orbit.
 
-    S_s permutes the s blocks of a flat row.  Its orbits are walked by
-    breadth-first search over two generators, swapping blocks 1 and 2 and
-    rotating the blocks, so the cost is linear in the number of rows, never
-    s!.  They are walked only when the rows, counted with multiplicity, are
-    closed under both generators; otherwise each orbit is one row and its
-    equal copies.
+    S_s permutes the s blocks of a flat row, so two rows share an orbit
+    exactly when their blocks agree as multisets: each row is keyed by its
+    sorted blocks.  Orbits are used only when the rows, counted with
+    multiplicity, are closed under swapping blocks 1 and 2 and under
+    rotating the blocks, which generate S_s; otherwise each orbit is one row
+    and its equal copies.
     """
     count = Counter(rows)
     k = len(rows[0]) // s if rows else 0
-
-    def moves(r: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        return (r[k:2 * k] + r[:k] + r[2 * k:], r[k:] + r[:k])
-
-    closed = all(count[m] == c for r, c in count.items() for m in moves(r))
-    step = moves if closed else lambda r: ()
-    first: dict[tuple[int, ...], int] = {}
-    for i, row in enumerate(rows):
-        if row in first:
-            continue
-        first[row] = i
-        queue = [row]
-        while queue:
-            for m in step(queue.pop()):
-                if m not in first:
-                    first[m] = i
-                    queue.append(m)
-    return [first[r] for r in rows]
+    closed = all(count[r[k:2 * k] + r[:k] + r[2 * k:]] == c and count[r[k:] + r[:k]] == c
+                 for r, c in count.items())
+    first: dict[tuple, int] = {}
+    labels = []
+    for i, r in enumerate(rows):
+        key = tuple(sorted(r[j * k:(j + 1) * k] for j in range(s))) if closed else r
+        labels.append(first.setdefault(key, i))
+    return labels
 
 
 def _contained(rows: Sequence[tuple[int, ...]], labels: Sequence[int],

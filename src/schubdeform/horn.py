@@ -397,11 +397,11 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
         "dimension-bound", sum(qhat_parab.codim(h) for h in hats),
         qhat_parab.dim, "<=", {"outer_levi": qh, "hat_words": hat_words}))
     if set(qh) & set(parab.levi) == set(q):
-        sides = [codim_difference_identity(ring, w, u, q, qh) for w, u in zip(ws, us)]
+        overlap = qhat_parab.nilradical_roots & parab.nilradical_roots
+        sides = [_codim_sides(sub, qhat_parab, overlap, r, u) for r, u in zip(raw, us)]
         if any(lhs != rhs for lhs, rhs in sides):
             raise AssertionError("codimension difference identity failed")
         terms = [rhs for _, rhs in sides]
-        overlap = qhat_parab.nilradical_roots & parab.nilradical_roots
         checks.append(HornCheck(
             "dimension", sum(terms), len(overlap), "<=",
             {"inner_levi": q, "outer_levi": qh, "terms": tuple(terms),
@@ -430,11 +430,16 @@ def codim_difference_identity(ring: DeformedRing, w: WeylElement, u,
     sub = parabolic(group, q, within=parab.levi)
     el = _levi_element(sub, u)
     qhat_parab = parabolic(group, qh)
-    hat = group.mult(w, el)
-    lhs = coset_codim(qhat_parab, hat) - sub.codim(sub.minimal_rep(el))
     overlap = qhat_parab.nilradical_roots & parab.nilradical_roots
-    rhs = len(overlap - group.inversion_set(hat))
-    return lhs, rhs
+    return _codim_sides(sub, qhat_parab, overlap, group.mult(w, el), el)
+
+
+def _codim_sides(sub: Parabolic, qhat_parab: Parabolic, overlap: frozenset[int],
+                 hat: WeylElement, u: WeylElement) -> tuple[int, int]:
+    """The two sides of the codimension difference identity for hat = w u, where
+    `overlap` holds the common nilradical roots of Qhat and P."""
+    lhs = coset_codim(qhat_parab, hat) - sub.codim(sub.minimal_rep(u))
+    return lhs, len(overlap - qhat_parab.group.inversion_set(hat))
 
 
 # -- converse experiment -------------------------------------------------

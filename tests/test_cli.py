@@ -1,5 +1,6 @@
 """Command-line front end: formats, exit codes, determinism, caching."""
 
+import argparse
 import json
 import os
 import random
@@ -148,7 +149,7 @@ def test_redundancy_input_refuses_flags_that_do_nothing(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("argv", [argv for argv, _, _ in HEADER_JOBS] + [
     ["roots", "--type", "G", "--rank", "2", "--format", "csv"],
-    ["weyl", "--type", "B", "--rank", "3", "--levi", "-", "--no-cache"],
+    ["deform-table", "--type", "B", "--rank", "3", "--levi", "-", "--no-cache"],
     ["product", "--type", "A", "--rank", "2", "--words", "1;2", "--cache-dir", "c"],
 ])
 def test_header_line_and_json_job_walk_the_same_fields(argv):
@@ -156,6 +157,31 @@ def test_header_line_and_json_job_walk_the_same_fields(argv):
     cli._check_args(args)
     header_keys = [bit.split("=", 1)[0] for bit in cli._header(args)[2:].split(" ")]
     assert header_keys == [k.replace("_", "-") for k in cli._job(args)]
+
+
+# the commands that compute structure constants, each through a SchubertBasis
+BASIS_COMMANDS = {"product", "deform-table", "lmovable", "horn-check", "eigencone",
+                  "redundancy", "leviprod-check", "verify-golden", "horn-converse-experiment"}
+
+
+def test_every_flag_is_echoed_and_cache_flags_sit_on_basis_commands():
+    """Each optional argument of each subcommand is a field of the job, so
+    the header names it; the cache flags go on the commands that build a
+    basis, and only there."""
+    top = cli.build_parser()
+    subs = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    cached = set()
+    for name, parser in subs.choices.items():
+        for action in parser._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            job = cli._job(argparse.Namespace(**{action.dest: (0,)}))
+            assert action.dest in {k.replace("-", "_") for k in job}, (name, action.dest)
+        flags = {"--cache-dir", "--no-cache"} & set(parser._option_string_actions)
+        assert flags in (set(), {"--cache-dir", "--no-cache"}), name
+        if flags:
+            cached.add(name)
+    assert cached == BASIS_COMMANDS
 
 
 def _to_closed_pipe(*argv):
@@ -189,6 +215,11 @@ def test_argparse_rejections():
                  ["roots", "--type", "A"],
                  ["roots", "--type", "A", "--rank", "2", "--format", "xml"],
                  ["roots", "--type", "A", "--rank", "1", "--jobs", "0"],
+                 # no basis is built, so there is no cache to point at or skip
+                 ["roots", "--type", "A", "--rank", "2", "--no-cache"],
+                 ["roots", "--type", "A", "--rank", "2", "--cache-dir", "c"],
+                 ["weyl", "--type", "A", "--rank", "2", "--no-cache"],
+                 ["weyl", "--type", "A", "--rank", "2", "--cache-dir", "c"],
                  ["no-such-command"]):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
@@ -380,6 +411,25 @@ def test_horn_check_levi_words_one_path(capsys):
     assert code == 0 and not err
     code, _, err = run(capsys, *levi13, "--levi-words", "2;3;e")
     assert code == 2 and "not in the Levi" in err
+
+
+def test_horn_check_refuses_dimension_flags_that_run_nothing(capsys):
+    """The Levi pair and the Levi tuple feed the dimension checks only; where
+    none runs, the first such flag is refused by name."""
+    base = ["horn-check", "--type", "B", "--rank", "3", "--levi", "1,3",
+            "--words", "3,2;1,3,2,1,3,2;1,3,2,1,3,2"]
+    pair = ["--inner-levi", "1", "--outer-levi", "1,2"]
+    for extra, flag in (
+            (["--check", "character", *pair], "--inner-levi does nothing with --check character"),
+            (["--check", "refined", "--outer-levi", "1,2", "--levi-words", "3;3;e"],
+             "--outer-levi does nothing with --check refined"),
+            (["--check", "refined", "--levi-words", "3;3;e"],
+             "--levi-words does nothing with --check refined"),
+            (["--levi-words", "3;3;e"],
+             "--levi-words does nothing without --inner-levi and --outer-levi")):
+        assert run(capsys, *base, *extra) == (2, "", f"error: {flag}\n"), extra
+    code, out, err = run(capsys, *base, *pair, "--levi-words", "3;3;e")
+    assert (code, err) == (0, "") and "| dimension | dimension " in out
 
 
 def test_horn_check_errors_name_one_based_indices(capsys):

@@ -1,5 +1,8 @@
 """Inequality systems for sums of dominant coweights and their pruning."""
 
+import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -122,6 +125,47 @@ def test_orbit_pruning_matches_the_per_row_loop():
     assert sum(verdicts) == 2
 
 
+def _orbit_labels_reference(rows, s):
+    """Row k's label by brute force over every block permutation: when the
+    rows, counted with multiplicity, are closed under all of them, the first
+    row equal to some permutation of row k's blocks; otherwise the first
+    equal copy of row k."""
+    k = len(rows[0]) // s
+
+    def images(row):
+        blocks = [row[j * k:(j + 1) * k] for j in range(s)]
+        return {sum(perm, ()) for perm in itertools.permutations(blocks)}
+
+    count = Counter(rows)
+    closed = all(count[m] == c for r, c in count.items() for m in images(r))
+    labels = []
+    for row in rows:
+        same = images(row) if closed else {row}
+        labels.append(next(i for i, r in enumerate(rows) if r in same))
+    return labels
+
+
+def test_orbit_labels_match_the_permutation_reference():
+    """Sorted-block labels against every permutation of the blocks, on closed
+    systems, on copies with one row dropped or one row duplicated, and on the
+    rows whose last block is the largest (closed under swapping blocks 1 and
+    2, not under rotating)."""
+    for family, rank in (("B", 3), ("G", 2)):
+        for s in (3, 4):
+            for mode in MODES:
+                flats = [q.flat() for q in generate_system(group_for(family, rank), s,
+                                                           mode).inequalities]
+                k = len(flats[0]) // s
+                last_largest = [r for r in flats
+                                if all(r[-k:] >= r[j * k:(j + 1) * k] for j in range(s))]
+                for rows in (flats, flats[1:], flats + flats[:1], last_largest):
+                    assert orbit_labels(rows, s) == _orbit_labels_reference(rows, s), \
+                        (family, rank, s, mode, len(rows))
+                # orbits merge rows of the closed system only
+                assert len(set(orbit_labels(flats, s))) < len(set(flats))
+                assert len(set(orbit_labels(flats[1:], s))) == len(set(flats[1:]))
+
+
 def test_equivalence_uses_orbits_only_when_both_sides_are_closed():
     g = group_for("B", 2)
     sys_c = generate_system(g, 3, "classical")
@@ -236,8 +280,9 @@ def test_evaluate_rejects_bad_input():
     ok = Coweight((Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
         evaluate(system, (ok,))
-    with pytest.raises(ValueError):
-        evaluate(system, (ok, Coweight((Fraction(-1), Fraction(0)))))
+    for bad in ((-1, 0), (0, -1)):  # alpha_1, then only alpha_2, negative
+        with pytest.raises(ValueError, match="is not dominant"):
+            evaluate(system, (ok, Coweight(tuple(map(Fraction, bad)))))
 
 
 def test_evaluate_checks_coweight_length():
@@ -343,6 +388,22 @@ def test_odd_orthogonal_and_symplectic_cones_agree(rank):
     _assert_symplectic_cone_agrees("B", rank, rank)
 
 
+def test_deformed_odd_orthogonal_and_symplectic_rows_agree_through_rank_five():
+    """Belkale-Kumar without LPs: in the common coordinates x the deformed
+    B_n and C_n systems at s = 3 have the same rows up to positive scaling
+    for n = 2..5, so they cut out one cone.  At n = 5 the LP comparison is
+    out of budget."""
+    counts = []
+    for n in range(2, 6):
+        sys_b, sys_c = (generate_system(group_for(f, n), 3, "deformed") for f in "BC")
+        rows = {primitive(r) for r in _common_rows(sys_b)}
+        assert rows == {primitive(r) for r in _common_rows(sys_c)}, n
+        counts.append((len(sys_b.inequalities), len(sys_c.inequalities), len(rows)))
+    # the row sets are counted with the dominance rows
+    assert counts == [(18, 18, 24), (93, 93, 102), (474, 474, 486), (2421, 2421, 2436)]
+    assert len(generate_system(group_for("D", 5), 3, "deformed").inequalities) == 1967
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_symplectic_cone_is_the_special_linear_cone_on_its_coweights(n):
     """Belkale-Kumar: Gamma(sp(2n)) = Gamma(sl(2n)) cut by the Cartan of sp(2n).
@@ -371,6 +432,35 @@ def test_type_a_rows_are_horns_inequalities(rank, rows):
     for mode in MODES:
         flats = [q.flat() for q in generate_system(g, 3, mode).inequalities]
         assert len(flats) == rows and set(flats) == expect, mode
+
+
+def test_type_a2_membership_is_littlewood_richardson_positivity():
+    """Knutson-Tao saturation: for partitions lam, mu and nu with at most
+    three parts and |nu| = |lam| + |mu|, the centred eigenvalue triple
+    (lam, mu, -reversed nu) lies in the A2 cone exactly when c^nu_{lam,mu} > 0."""
+    rng = random.Random(20261019)
+
+    def partition():
+        return tuple(sorted((rng.randint(0, 4) for _ in range(3)), reverse=True))
+
+    def coweight(x):
+        # coroot coordinates of diag(x) - mean: the partial sums
+        mean = Fraction(sum(x), 3)
+        return Coweight((x[0] - mean, x[0] + x[1] - 2 * mean))
+
+    systems = [generate_system(group_for("A", 2), 3, mode) for mode in MODES]
+    positive = 0
+    for _ in range(300):
+        lam, mu = partition(), partition()
+        total = sum(lam) + sum(mu)
+        nu = rng.choice([(a, b, total - a - b) for a in range(total + 1)
+                         for b in range(a + 1) if 0 <= total - a - b <= b])
+        expect = lr_coefficient(lam, mu, nu) > 0
+        hs = (coweight(lam), coweight(mu), coweight(tuple(-v for v in reversed(nu))))
+        for system in systems:
+            assert evaluate(system, hs).member is expect, (lam, mu, nu, system.mode)
+        positive += expect
+    assert positive == 88
 
 
 def test_type_a5_horn_rows_cut_out_the_generated_cone():
