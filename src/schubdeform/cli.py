@@ -17,7 +17,6 @@ keeps its own exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -25,18 +24,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
-# what the parser and the shared helpers need; each command imports its own layers
-from .deform import MODES
-from .golden import GOLDEN_NAMES
-from .rootsystem import root_system
-from .schubert import SchubertBasis, default_cache_dir, schubert_basis
-from .weyl import (BudgetError, Parabolic, WeylElement, WeylGroup, one_based, parabolic,
-                   weyl_group)
+# the only layer every job runs; each command, and each command's arguments,
+# import the layers they use, so a job loads no other
+from .rootsystem import BudgetError, root_system
 
 if TYPE_CHECKING:
     from .deform import DeformedRing
     from .eigencone import InequalitySystem
     from .horn import HornReport
+    from .schubert import SchubertBasis
+    from .weyl import Parabolic, WeylElement, WeylGroup
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -133,6 +130,8 @@ def emit(args: argparse.Namespace, tables: list[Table], payload: dict, out: Text
             out.write(_header(args) + "\n")
             for t in tables:
                 if args.format == "csv":
+                    import csv
+
                     out.write(f"# {t.title}\n")
                     writer = csv.writer(out, lineterminator="\n")
                     writer.writerow(t.columns)
@@ -188,6 +187,8 @@ def parse_words(text: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 def _basis_for(args: argparse.Namespace, group: WeylGroup) -> SchubertBasis:
     """The group's basis, pointed at this run's cache directory; --no-cache beats --cache-dir."""
+    from .schubert import default_cache_dir, schubert_basis
+
     basis = schubert_basis(group)
     basis.use_cache_dir(None if args.no_cache else args.cache_dir or default_cache_dir())
     if basis not in args.bases:
@@ -197,12 +198,16 @@ def _basis_for(args: argparse.Namespace, group: WeylGroup) -> SchubertBasis:
 
 def _group_for(args: argparse.Namespace) -> WeylGroup:
     """The Weyl group of a command that computes structure constants."""
+    from .weyl import weyl_group
+
     group = weyl_group(root_system(args.type, args.rank))
     _basis_for(args, group)
     return group
 
 
 def _parabolic_for(args: argparse.Namespace, group: WeylGroup) -> Parabolic:
+    from .weyl import parabolic
+
     levi, omitted = getattr(args, "levi", None), getattr(args, "parabolic", None)
     if levi is not None:
         return parabolic(group, levi)
@@ -220,6 +225,8 @@ def _ring_for(args: argparse.Namespace) -> DeformedRing:
 
 def _tuple_for(ring: DeformedRing, text: str) -> list[WeylElement]:
     """The classes named by semicolon-separated words: each reduced and in W^P."""
+    from .weyl import one_based
+
     parab = ring.parabolic
     out = []
     for word in parse_words(text, ring.rs.rank):
@@ -269,6 +276,8 @@ def cmd_roots(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
 
 
 def cmd_weyl(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
+    from .weyl import one_based, weyl_group
+
     group = weyl_group(root_system(args.type, args.rank))
     parab = _parabolic_for(args, group)
     profile = parab.degree_profile()
@@ -299,6 +308,8 @@ def cmd_weyl(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
 
 
 def cmd_product(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
+    from .weyl import one_based
+
     ring = _ring_for(args)
     parab = ring.parabolic
     ws = _tuple_for(ring, args.words)
@@ -334,6 +345,8 @@ def cmd_product(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
 
 
 def cmd_deform_table(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
+    from .weyl import one_based
+
     ring = _ring_for(args)
     parab = ring.parabolic
     order = [pos for pos in ring.table_order() if ring.reps[pos].length < parab.dim]
@@ -366,6 +379,8 @@ def cmd_deform_table(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
 
 
 def cmd_lmovable(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
+    from .weyl import one_based
+
     ring = _ring_for(args)
     ws = _tuple_for(ring, args.words)
     cert = ring.is_levi_movable(ws)
@@ -477,6 +492,7 @@ def _int_list(x, what: str, lo: int | None = None, hi: int | None = None) -> lis
 
 
 def _load_system(path: str) -> InequalitySystem:
+    from .deform import MODES
     from .eigencone import Inequality, InequalitySystem
 
     doc = json.loads(Path(path).read_text())
@@ -527,6 +543,7 @@ def _load_system(path: str) -> InequalitySystem:
 
 def cmd_redundancy(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .eigencone import generate_system, prune_redundant
+    from .weyl import one_based
 
     if args.input:
         # the file holds the system: no group is built and no constant computed
@@ -560,6 +577,7 @@ def cmd_redundancy(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
 
 def cmd_leviprod_check(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .invsets import crosscheck_gb
+    from .weyl import one_based
 
     report = crosscheck_gb(_ring_for(args))
     rows = [["type", report.label], ["pairs", report.pairs],
@@ -579,7 +597,8 @@ def cmd_leviprod_check(args: argparse.Namespace) -> tuple[list[Table], dict, int
 
 
 def cmd_verify_golden(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .golden import GoldenTable, verify_table
+    from .golden import GOLDEN_NAMES, GoldenTable, verify_table
+    from .weyl import weyl_group
 
     goldens = [GoldenTable.load(name) for name in ([args.table] if args.table else GOLDEN_NAMES)]
     for g in goldens:
@@ -600,6 +619,7 @@ def cmd_verify_golden(args: argparse.Namespace) -> tuple[list[Table], dict, int]
 
 def cmd_horn_converse(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from .horn import converse_search
+    from .weyl import one_based
 
     if args.limit < 0:
         raise ValueError(f"--limit must be 0 (unlimited) or positive, not {args.limit}")
@@ -639,40 +659,23 @@ def _add_common(p: argparse.ArgumentParser, parab: bool = True,
                             help="maximal parabolic by its omitted 1-based simple index")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="schubdeform",
-        description="Exact Schubert calculus with the deformed product.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
-        # `run` is read from the module when the parser is built, so a handler
-        # rebound on the module (as the benchmark tracer does) is the one that runs
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
-        return p
-
-    p = command("roots", cmd_roots, "root system data")
+def _type_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, parab=False)
 
-    p = command("weyl", cmd_weyl, "Weyl group and coset representatives")
-    _add_common(p)
 
-    p = command("product", cmd_product, "deformed product of listed classes")
+def _product_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--words", required=True,
                    help="semicolon-separated reduced words, 1-based, e.g. '1,2;2,1'")
 
-    p = command("deform-table", cmd_deform_table, "full deformed multiplication table")
-    _add_common(p)
 
-    p = command("lmovable", cmd_lmovable, "Levi-movability certificate for a tuple")
+def _lmovable_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--words", required=True)
 
-    p = command("horn-check", cmd_horn_check, "necessary inequalities for one tuple")
-    _add_common(p)
-    p.add_argument("--words", required=True)
+
+def _horn_check_args(p: argparse.ArgumentParser) -> None:
+    _lmovable_args(p)
     p.add_argument("--check", choices=("all", "character", "refined", "dimension"),
                    default="all")
     p.add_argument("--inner-levi", help="1-based indices of the smaller Levi")
@@ -680,35 +683,90 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levi-words",
                    help="words of the Levi tuple in ambient 1-based indices")
 
-    p = command("eigencone", cmd_eigencone, "generate an inequality system")
+
+def _eigencone_args(p: argparse.ArgumentParser) -> None:
+    from .deform import MODES
+
     _add_common(p, parab=False)
     p.add_argument("--s", type=int, default=3, help="number of factors")
     p.add_argument("--mode", choices=MODES, default="classical")
     p.add_argument("--prune", action="store_true", help="mark redundant inequalities")
     p.add_argument("--output", help="also write the full system as JSON to this file")
 
-    p = command("redundancy", cmd_redundancy, "prune a saved or freshly generated system")
+
+def _redundancy_args(p: argparse.ArgumentParser) -> None:
+    from .deform import MODES
+
     p.add_argument("--input", help="JSON file produced by the eigencone command")
     _add_common(p, parab=False, required_type=False)
     p.add_argument("--s", type=int, help="number of factors (default: the file's, else 3)")
     p.add_argument("--mode", choices=MODES, help="default: the file's, else classical")
     p.add_argument("--output", help="write the pruned system as JSON to this file")
 
-    p = command("leviprod-check", cmd_leviprod_check,
-                "degenerate product vs inversion-set rule on the full flag variety")
-    _add_common(p, parab=False)
 
-    p = command("verify-golden", cmd_verify_golden, "check bundled multiplication tables")
+def _verify_golden_args(p: argparse.ArgumentParser) -> None:
+    from .golden import GOLDEN_NAMES
+
     p.add_argument("--table", choices=GOLDEN_NAMES, help="single table (default: all)")
 
-    p = command("horn-converse-experiment", cmd_horn_converse,
-                "search for zero-product tuples passing the character checks")
+
+def _horn_converse_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--limit", type=int, default=10,
                    help="stop after this many candidates (0 = unlimited)")
 
-    for name, p in sub.choices.items():
+
+def _commands() -> dict:
+    """Each subcommand's handler, help line and arguments, in `-h` order.
+
+    Read when the parser is built, so a handler rebound on the module (as the
+    benchmark tracer does) is the one that runs.
+    """
+    return {
+        "roots": (cmd_roots, "root system data", _type_args),
+        "weyl": (cmd_weyl, "Weyl group and coset representatives", _add_common),
+        "product": (cmd_product, "deformed product of listed classes", _product_args),
+        "deform-table": (cmd_deform_table, "full deformed multiplication table", _add_common),
+        "lmovable": (cmd_lmovable, "Levi-movability certificate for a tuple", _lmovable_args),
+        "horn-check": (cmd_horn_check, "necessary inequalities for one tuple",
+                       _horn_check_args),
+        "eigencone": (cmd_eigencone, "generate an inequality system", _eigencone_args),
+        "redundancy": (cmd_redundancy, "prune a saved or freshly generated system",
+                       _redundancy_args),
+        "leviprod-check": (cmd_leviprod_check,
+                           "degenerate product vs inversion-set rule on the full flag variety",
+                           _type_args),
+        "verify-golden": (cmd_verify_golden, "check bundled multiplication tables",
+                          _verify_golden_args),
+        "horn-converse-experiment": (cmd_horn_converse,
+                                     "search for zero-product tuples passing the character"
+                                     " checks", _horn_converse_args),
+    }
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.
+
+    Every subcommand is registered with its help line, so the usage line and
+    `-h` never change.  Given the `argv` it is about to parse, only the
+    subcommand that argv names gets its arguments, and only the layers their
+    choices come from are loaded; without argv, or when argv names none,
+    every subcommand gets them.
+    """
+    top = argparse.ArgumentParser(
+        prog="schubdeform",
+        description="Exact Schubert calculus with the deformed product.")
+    sub = top.add_subparsers(dest="command", required=True)
+    commands = _commands()
+    # no top-level option takes a value, so the first word that is no option names the command
+    named = next((a for a in argv or () if not a.startswith("-")), None)
+    for name, (run, summary, add_arguments) in commands.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if named in commands and name != named:
+            continue
+        add_arguments(p)
         p.add_argument("--format", choices=("md", "csv", "json"), default="md")
         if name not in ("roots", "weyl"):  # every other command builds a Schubert basis
             p.add_argument("--cache-dir", help="directory for the structure-constant cache")
@@ -727,7 +785,8 @@ def _check_args(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     # bases this run pointed at its cache directory; saved when the run ends
     args.bases = []
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .weyl import parabolic, weyl_group
@@ -20,6 +21,7 @@ if TYPE_CHECKING:
     from .deform import DeformedRing
 
 GOLDEN_NAMES = ("b3_p2", "b3_p3", "c3_p1", "c3_p2")
+_TABLE_DIR = Path(__file__).with_name("data") / "golden"
 
 
 class GoldenTable(NamedTuple):
@@ -32,10 +34,9 @@ class GoldenTable(NamedTuple):
 
     @classmethod
     def load(cls, key: str) -> "GoldenTable":
-        from importlib import resources  # listing GOLDEN_NAMES reads no resource
-
-        path = resources.files("schubdeform.data.golden").joinpath(f"{key}.json")
-        doc = json.loads(path.read_text())
+        # the tables ship as package files next to this module, so no job
+        # needs importlib.resources to read one
+        doc = json.loads((_TABLE_DIR / f"{key}.json").read_text())
         products = {}
         for pair, entries in doc["products"].items():
             a, b = pair.split("|")

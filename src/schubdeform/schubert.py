@@ -23,15 +23,17 @@ the others to zero.  A Weyl group thus has one basis, memo set and cache file.
 The coinvariant polynomials P_w, |W| times the class of w, stay as the
 reference the tests compare against; no product reads them.
 
-A disk cache (versioned, checksummed) can be attached to the basis; it is
-never trusted over a fresh computation: a failed checksum or a version
-mismatch silently triggers a rebuild, and a constant already computed is
-never replaced by a stored one.
+A disk cache (versioned, with a crc32 of its entries) can be attached to the
+basis; it is never trusted over a fresh computation: a failed checksum or a
+version mismatch silently triggers a rebuild, and a constant already
+computed is never replaced by a stored one.  The checksum catches a damaged
+file, not a forged one, so zlib's crc32 does it and no job loads OpenSSL.
 """
 from __future__ import annotations
 
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,7 +43,7 @@ from .weyl import WeylElement, WeylGroup
 if TYPE_CHECKING:
     from .poly import Poly
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2  # 2: crc32 checksum (1: sha256)
 CACHE_ENV_VAR = "SCHUBDEFORM_CACHE_DIR"
 
 
@@ -176,20 +178,25 @@ class SchubertBasis:
     def save_cache(self) -> None:
         if self._cache_path is None or not self._dirty:
             return
-        import hashlib  # only runs that touch a cache file pay for it
-
         payload = self._payload()
         doc = {
             "format_version": CACHE_FORMAT_VERSION,
             "label": self.rs.label,
             "cartan": self.rs.cartan,
             "entries": json.loads(payload),
-            "sha256": hashlib.sha256(payload.encode()).hexdigest(),
+            "crc32": zlib.crc32(payload.encode()),
         }
-        self._cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self._cache_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, sort_keys=True))
-        tmp.replace(self._cache_path)
+        path = self._cache_path
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # a temporary file of this writer's own: runs sharing the directory
+        # each rename a complete file into place, the last one wins
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}-{id(self):x}.tmp")
+        try:
+            tmp.write_text(json.dumps(doc, sort_keys=True))
+            tmp.replace(path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
         self._dirty = False
 
     def _load_cache(self) -> dict[tuple[int, int], dict[int, int]]:
@@ -205,10 +212,8 @@ class SchubertBasis:
             return {}
         if doc.get("cartan") != [list(r) for r in self.rs.cartan]:
             return {}
-        import hashlib
-
         payload = json.dumps(doc.get("entries", {}), sort_keys=True, separators=(",", ":"))
-        if hashlib.sha256(payload.encode()).hexdigest() != doc.get("sha256"):
+        if zlib.crc32(payload.encode()) != doc.get("crc32"):
             return {}
         out = {}
         for key, row in doc["entries"].items():

@@ -1,6 +1,9 @@
 """Command-line front end: formats, exit codes, determinism, caching."""
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import random
@@ -8,9 +11,12 @@ import re
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from schubdeform import CACHE_ENV_VAR, GoldenResult, HornCheck
 from schubdeform import cli, golden, horn, weyl
@@ -184,17 +190,86 @@ def test_every_flag_is_echoed_and_cache_flags_sit_on_basis_commands():
     assert cached == BASIS_COMMANDS
 
 
+def _parsed(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
+    """Exit code, stdout, stderr and the parsed fields of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    fields = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields = vars(parser.parse_args(argv))
+            code = 0
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue(), fields
+
+
+COMMAND_NAMES = ["roots", "weyl", "product", "deform-table", "lmovable", "horn-check",
+                 "eigencone", "redundancy", "leviprod-check", "verify-golden",
+                 "horn-converse-experiment"]
+PARSES = [[name, "--help"] for name in COMMAND_NAMES] + [
+    ["-h"], [], ["no-such-command"], ["-h", "roots"], ["--bogus", "roots"],
+    ["roots", "--type", "A", "--rank", "2", "--bogus"],
+    ["weyl", "--type", "A", "--rank", "2", "--no-cache"],
+    ["roots", "--type", "Z", "--rank", "2"],
+    ["eigencone", "--type", "B", "--rank", "2", "--mode", "sideways"],
+    ["redundancy", "--mode", "sideways"],
+    ["verify-golden", "--table", "z9_p1"],
+    ["weyl", "--type", "A"],
+    ["product", "--type", "A", "--rank", "2"],
+    ["weyl", "--type", "A", "--rank", "3", "--levi", "1", "--parabolic", "2"],
+    ["product", "--type", "A", "--rank", "2", "--words", "1;2", "--format", "csv"],
+    ["horn-check", "--type", "B", "--rank", "3", "--levi", "1,3", "--words", "2;2;2",
+     "--check", "dimension", "--inner-levi", "1", "--outer-levi", "1,3"],
+    ["redundancy"], ["verify-golden"],
+    ["eigencone", "--type", "G", "--rank", "2", "--prune", "--cache-dir", "c"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSES, ids=lambda argv: " ".join(argv) or "no-args")
+def test_parser_for_argv_parses_as_the_full_parser(argv):
+    """The parser built for an argv, which gives arguments only to the command
+    the argv names, answers it as the parser of every command does: the same
+    exit code, help, usage and error text, and the same fields."""
+    assert _parsed(cli.build_parser(argv), argv) == _parsed(cli.build_parser(), argv)
+
+
+def test_parser_for_argv_fills_in_only_the_named_command():
+    subs = next(a for a in cli.build_parser(["roots", "--type", "A"])._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == COMMAND_NAMES
+    filled = [name for name, p in subs.choices.items() if "--format" in p._option_string_actions]
+    assert filled == ["roots"]
+
+
+TOKENS = st.sampled_from(COMMAND_NAMES + [
+    "-h", "--help", "--type", "--rank", "--levi", "--parabolic", "--words", "--s", "--mode",
+    "--table", "--format", "--no-cache", "--cache-dir", "--input", "--limit", "--check",
+    "--bogus", "--", "-", "-1", "A", "Z", "2", "1;2", "deformed", "c3_p1", "json", "x"])
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(argv=st.lists(TOKENS, max_size=8))
+def test_parser_for_any_argv_parses_as_the_full_parser(argv):
+    assert _parsed(cli.build_parser(argv), argv) == _parsed(cli.build_parser(), argv)
+
+
+def _fresh(*argv, **streams) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, which knows no constant yet and
+    takes no cache directory from the environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop(CACHE_ENV_VAR, None)
+    return subprocess.run([sys.executable, "-m", "schubdeform.cli", *argv], text=True,
+                          env=env, timeout=120, **streams)
+
+
 def _to_closed_pipe(*argv):
     """Run the CLI in a fresh interpreter whose stdout reader has already gone."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent),
-               PYTHONDONTWRITEBYTECODE="1")
-    env.pop(CACHE_ENV_VAR, None)
     try:
-        return subprocess.run([sys.executable, "-m", "schubdeform.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True,
-                              env=env, timeout=120)
+        return _fresh(*argv, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
 
@@ -260,7 +335,7 @@ def test_parabolic_range_is_checked_while_parsing(capsys, monkeypatch):
         raise AssertionError("a Weyl group was built")
 
     monkeypatch.setattr(weyl.WeylGroup, "__init__", refuse)
-    monkeypatch.setattr(cli, "weyl_group", refuse)  # also the group kept on the root system
+    monkeypatch.setattr(weyl, "weyl_group", refuse)  # also the group kept on the root system
     for command in ("deform-table", "weyl"):
         for k in ("9", "0"):
             code, out, err = run(capsys, command, "--type", "F", "--rank", "4",
@@ -562,6 +637,38 @@ def test_cache_dir_after_no_cache_run_is_written(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert run(capsys, *argv, "--cache-dir", str(cache))[0] == 0
     assert json.loads((cache / "constants-A2.json").read_text())["entries"]
+
+
+def _fresh_stdout(*argv) -> str:
+    proc = _fresh(*argv, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, ""), argv
+    return proc.stdout
+
+
+def test_cache_file_of_format_one_is_ignored_and_rewritten(tmp_path):
+    """A format-1 file (sha256 checksum) is not read, even with a checksum
+    that holds: its constants here are all off by one, and the run still
+    prints the table of the cold run.  Having computed them, the run
+    replaces the file with a format-2 one (crc32 checksum)."""
+    cache = tmp_path / "cache"
+    argv = ("deform-table", "--type", "A", "--rank", "2", "--levi", "-", "--cache-dir", str(cache))
+    path = cache / "constants-A2.json"
+    cold = _fresh_stdout(*argv)
+    doc = json.loads(path.read_text())
+    good = doc["entries"]
+    assert doc["format_version"] == 2 and "sha256" not in doc
+    payload = json.dumps(good, sort_keys=True, separators=(",", ":"))
+    assert doc["crc32"] == zlib.crc32(payload.encode())
+
+    wrong = {k: {w: c + 1 for w, c in row.items()} for k, row in good.items()}
+    payload = json.dumps(wrong, sort_keys=True, separators=(",", ":"))
+    del doc["crc32"]
+    doc.update(format_version=1, entries=wrong,
+               sha256=hashlib.sha256(payload.encode()).hexdigest())
+    path.write_text(json.dumps(doc, sort_keys=True))
+    assert _fresh_stdout(*argv) == cold
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2 and "sha256" not in doc and doc["entries"] == good
 
 
 def test_no_cache_run_after_env_cache_run_writes_nothing(tmp_path, capsys, monkeypatch):

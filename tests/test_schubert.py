@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +268,33 @@ def test_cache_ignores_other_group(tmp_path):
     other = SchubertBasis(b2)
     other.use_cache_dir(tmp_path)
     assert other._products == {}  # Cartan matrix mismatch ignored
+
+
+def test_concurrent_saves_do_not_take_each_others_temporary_file(tmp_path, monkeypatch):
+    """Runs sharing a cache directory may save at the same moment.  Here a
+    second writer saves between the first one's write and its rename: each
+    renames a temporary file of its own, so both succeed and leave one
+    complete file and no temporary one."""
+    g = group_for("A", 2)
+    first, second = SchubertBasis(g), SchubertBasis(g)
+    u, v = g.simple_reflection(0), g.simple_reflection(1)
+    for basis in (first, second):
+        basis.use_cache_dir(tmp_path)
+        row = basis.product(u, v)
+    replace, waiting = Path.replace, [second]
+
+    def interleaved(self, target):
+        if waiting:
+            waiting.pop().save_cache()
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", interleaved)
+    first.save_cache()
+    assert not waiting
+    assert [f.name for f in tmp_path.iterdir()] == ["constants-A2.json"]
+    reloaded = SchubertBasis(g)
+    reloaded.use_cache_dir(tmp_path)
+    assert reloaded._products == {(u.index, v.index): row}
 
 
 def test_levi_flag_varieties_restrict_the_group_basis():

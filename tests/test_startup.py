@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CONE_LAYERS = {"eigencone", "cones", "horn", "invsets"}
 
 # runs a job given as `-m module args...` or `-c code`, then lists sys.modules
 # on stderr at exit: `-X importtime` logs no module that importlib.import_module
@@ -62,6 +61,15 @@ def test_import_loads_no_layer():
     assert _layers(modules) == set()
 
 
+# the layers each light command loads: `roots` the root system alone, `weyl`
+# no Schubert layer, and none of them a cone layer
+LIGHT_LAYERS = {
+    "roots": {"rootsystem"},
+    "weyl": {"rootsystem", "weyl"},
+    "deform-table": {"rootsystem", "weyl", "schubert", "deform"},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("roots", "--type", "G", "--rank", "2"),
     ("weyl", "--type", "B", "--rank", "3", "--levi", "1"),
@@ -70,9 +78,7 @@ def test_import_loads_no_layer():
 def test_light_jobs_load_no_cone_layer(argv):
     proc, modules = _loaded("-m", "schubdeform.cli", *argv)
     assert proc.returncode == 0 and proc.stdout.startswith(f"# command={argv[0]} ")
-    layers = _layers(modules)
-    assert "rootsystem" in layers
-    assert not layers & CONE_LAYERS
+    assert _layers(modules) == LIGHT_LAYERS[argv[0]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -115,10 +121,31 @@ def test_jobs_load_no_dataclasses_or_inspect(job):
 
 def test_listing_golden_tables_reads_no_resource_module():
     # without `site`, which may import importlib.resources itself
-    proc, modules = _loaded("-m", "schubdeform.cli", "roots", "--type", "A", "--rank", "1",
-                            site=False)
+    proc, modules = _loaded("-m", "schubdeform.cli", "verify-golden", "--table", "c3_p1",
+                            "--no-cache", site=False)
     assert proc.returncode == 0 and "schubdeform.golden" in modules
     assert "importlib.resources" not in modules
+
+
+def test_primed_cache_loads_no_openssl(tmp_path):
+    # the cache checksum is zlib's crc32: a run reading or writing the file
+    # loads no hashlib, and so not OpenSSL's _hashlib either
+    argv = ("-m", "schubdeform.cli", "deform-table", "--type", "B", "--rank", "2",
+            "--levi", "-", "--cache-dir", str(tmp_path))
+    cold, cold_modules = _loaded(*argv, site=False)
+    assert cold.returncode == 0 and (tmp_path / "constants-B2.json").is_file()
+    warm, warm_modules = _loaded(*argv, site=False)
+    assert warm.stdout == cold.stdout
+    assert "schubdeform.schubert" in warm_modules
+    assert not (cold_modules | warm_modules) & {"hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_csv_module_loads_only_for_csv_output(fmt):
+    proc, modules = _loaded("-m", "schubdeform.cli", "roots", "--type", "A", "--rank", "2",
+                            "--format", fmt, site=False)
+    assert proc.returncode == 0 and "schubdeform.rootsystem" in modules
+    assert ("csv" in modules) == (fmt == "csv")
 
 
 NAMESPACE_PROBE = """
