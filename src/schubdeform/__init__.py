@@ -15,7 +15,7 @@ _LAYERS = {
                    "root_system"),
     "weyl": ("WeylGroup", "WeylElement", "Parabolic", "weyl_group", "parabolic",
              "BudgetError"),
-    "schubert": ("SchubertBasis", "schubert_basis", "default_cache_dir", "CACHE_ENV_VAR"),
+    "schubert": ("SchubertBasis", "schubert_basis"),
     "deform": ("DeformedRing", "DeformedClass", "MovabilityCertificate", "DimensionError",
                "deformed_ring"),
     "invsets": ("inversion_product", "is_inversion_set", "crosscheck_gb", "CrossCheckReport"),

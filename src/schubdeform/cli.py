@@ -186,11 +186,12 @@ def parse_words(text: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _basis_for(args: argparse.Namespace, group: WeylGroup) -> SchubertBasis:
-    """The group's basis, pointed at this run's cache directory; --no-cache beats --cache-dir."""
-    from .schubert import default_cache_dir, schubert_basis
+    """The group's basis; --no-cache beats --cache-dir, which beats SCHUBDEFORM_CACHE_DIR."""
+    from .schubert import schubert_basis
 
     basis = schubert_basis(group)
-    basis.use_cache_dir(None if args.no_cache else args.cache_dir or default_cache_dir())
+    basis.use_cache_dir(None if args.no_cache
+                        else args.cache_dir or os.environ.get("SCHUBDEFORM_CACHE_DIR") or None)
     if basis not in args.bases:
         args.bases.append(basis)
     return basis
@@ -495,7 +496,10 @@ def _load_system(path: str) -> InequalitySystem:
     from .deform import MODES
     from .eigencone import Inequality, InequalitySystem
 
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("input file is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("input file must hold a JSON object")
     if doc.get("schema_version", JSON_SCHEMA_VERSION) != JSON_SCHEMA_VERSION:

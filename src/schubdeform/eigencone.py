@@ -193,29 +193,31 @@ def dominance_rows(rs: RootSystem, s: int) -> list[tuple[int, ...]]:
 # generated rank-4 system at s = 3 (B4 classical, 957 rows) has 11,784 cells.
 LP_CELL_CAP = 1_000_000
 # Tableau cells over the LPs of one run, one LP per orbit label: at s = 3, B4
-# needs about 2.0 M to prune its classical rows and 3.0 M for equivalence.
+# needs about 2.0 M to prune its classical rows and 2.0 M for equivalence.
 LP_RUN_CAP = 10_000_000
 
 
-def _check_lp_budget(rows: int, labels: Sequence[int], rs: RootSystem, s: int) -> None:
-    """Raise BudgetError when one LP against `rows` rows plus dominance would
-    have a tableau of more than LP_CELL_CAP cells, or when one LP per
-    distinct label would have more than LP_RUN_CAP cells in all.
+def _check_lp_budget(rs: RootSystem, s: int, *sides: tuple[int, Sequence[int]]) -> None:
+    """Raise BudgetError when one LP would have a tableau of more than
+    LP_CELL_CAP cells, or the run's LPs more than LP_RUN_CAP cells together.
 
-    The tableau has one row per coordinate (s * rank) and a column per
-    generator (the rows and the s * rank dominance rows), per artificial
-    variable and for the right-hand side.  Callers check before building
-    any dominance row, so a huge s costs nothing.
+    Each side (rows, labels) takes one LP per distinct label against `rows`
+    rows plus dominance.  The tableau has one row per coordinate (s * rank)
+    and a column per generator (the rows and the s * rank dominance rows),
+    per artificial variable and for the right-hand side.  Callers check
+    before building any dominance row, so a huge s costs nothing.
     """
     dim = s * rs.rank
-    cells = dim * (rows + 2 * dim + 1)
-    if cells > LP_CELL_CAP:
-        raise BudgetError(f"LP tableau of {cells} cells exceeds cap {LP_CELL_CAP} "
-                          f"for {rs.label}, s={s}")
-    lps = len(set(labels))
-    if lps * cells > LP_RUN_CAP:
-        raise BudgetError(f"{lps} LPs of {cells} cells exceed the run cap {LP_RUN_CAP} "
-                          f"for {rs.label}, s={s}")
+    planned = []
+    for rows, labels in sides:
+        cells = dim * (rows + 2 * dim + 1)
+        if cells > LP_CELL_CAP:
+            raise BudgetError(f"LP tableau of {cells} cells exceeds cap {LP_CELL_CAP} "
+                              f"for {rs.label}, s={s}")
+        planned.append((len(set(labels)), cells))
+    if sum(lps * cells for lps, cells in planned) > LP_RUN_CAP:
+        plan = " and ".join(f"{lps} LPs of {cells} cells" for lps, cells in planned)
+        raise BudgetError(f"{plan} exceed the run cap {LP_RUN_CAP} for {rs.label}, s={s}")
 
 
 def orbit_labels(rows: Sequence[tuple[int, ...]], s: int) -> list[int]:
@@ -269,7 +271,7 @@ def prune_redundant(system: InequalitySystem) -> InequalitySystem:
     """
     flats = [q.flat() for q in system.inequalities]
     labels = orbit_labels(flats, system.s)
-    _check_lp_budget(len(flats), labels, system.rs, system.s)
+    _check_lp_budget(system.rs, system.s, (len(flats), labels))
     dom = dominance_rows(system.rs, system.s)
     redundant = list(_contained(flats, labels, lambda k: flats[:k] + flats[k + 1:] + dom))
     return InequalitySystem(system.rs, system.s, system.mode,
@@ -294,7 +296,7 @@ def systems_equivalent(a: InequalitySystem, b: InequalitySystem) -> bool:
     marked = [tuple(x for j in range(a.s) for x in f[j * n:(j + 1) * n] + (side,))
               for side, flats in enumerate((fa, fb)) for f in flats]
     labels = orbit_labels(marked, a.s)
-    _check_lp_budget(max(len(fa), len(fb)), labels, a.rs, a.s)
+    _check_lp_budget(a.rs, a.s, (len(fb), labels[:len(fa)]), (len(fa), labels[len(fa):]))
     dom = dominance_rows(a.rs, a.s)
     return all(_contained(fa + fb, labels, lambda k: (fb if k < len(fa) else fa) + dom))
 

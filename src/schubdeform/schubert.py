@@ -23,11 +23,12 @@ the others to zero.  A Weyl group thus has one basis, memo set and cache file.
 The coinvariant polynomials P_w, |W| times the class of w, stay as the
 reference the tests compare against; no product reads them.
 
-A disk cache (versioned, with a crc32 of its entries) can be attached to the
-basis; it is never trusted over a fresh computation: a failed checksum or a
-version mismatch silently triggers a rebuild, and a constant already
-computed is never replaced by a stored one.  The checksum catches a damaged
-file, not a forged one, so zlib's crc32 does it and no job loads OpenSSL.
+A disk cache can be attached to the basis.  Its file holds the rows as one
+string, a JSON array of [u, v, [[w, c], ...]] integer rows, with the crc32
+of that string, checked before the rows are parsed.  Any file this code did
+not write for this group is ignored, and a constant already computed is
+never replaced by a stored one.  The checksum catches a damaged file, not a
+forged one, so zlib's crc32 does it and no job loads OpenSSL.
 """
 from __future__ import annotations
 
@@ -43,8 +44,7 @@ from .weyl import WeylElement, WeylGroup
 if TYPE_CHECKING:
     from .poly import Poly
 
-CACHE_FORMAT_VERSION = 2  # 2: crc32 checksum (1: sha256)
-CACHE_ENV_VAR = "SCHUBDEFORM_CACHE_DIR"
+CACHE_FORMAT_VERSION = 3  # 3: rows as one checksummed string (2: keyed object, 1: sha256)
 
 
 def divided_difference(rs: RootSystem, i: int, f: Poly) -> Poly:
@@ -159,32 +159,26 @@ class SchubertBasis:
         basis is dirty unless the file already holds all of them, so the
         next `save_cache` leaves a complete file there.
         """
-        self._cache_path = None
-        if cache_dir is not None:
-            self._cache_path = Path(cache_dir) / f"constants-{self.rs.label}.json"
-        stored = self._load_cache()
+        self._cache_path = (None if cache_dir is None
+                            else Path(cache_dir) / f"constants-{self.rs.label}.json")
+        stored = self._load_cache() if self._cache_path else {}
         for key, row in stored.items():
             self._products.setdefault(key, row)
         self._dirty = self._cache_path is not None and any(
             stored.get(key) != row for key, row in self._products.items())
 
-    def _payload(self) -> str:
-        entries = {
-            f"{k[0]},{k[1]}": {str(w): c for w, c in sorted(row.items())}
-            for k, row in sorted(self._products.items())
-        }
-        return json.dumps(entries, sort_keys=True, separators=(",", ":"))
-
     def save_cache(self) -> None:
         if self._cache_path is None or not self._dirty:
             return
-        payload = self._payload()
+        entries = json.dumps([[u, v, sorted(row.items())]
+                              for (u, v), row in sorted(self._products.items())],
+                             separators=(",", ":"))
         doc = {
             "format_version": CACHE_FORMAT_VERSION,
             "label": self.rs.label,
             "cartan": self.rs.cartan,
-            "entries": json.loads(payload),
-            "crc32": zlib.crc32(payload.encode()),
+            "entries": entries,
+            "crc32": zlib.crc32(entries.encode()),
         }
         path = self._cache_path
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -200,26 +194,28 @@ class SchubertBasis:
         self._dirty = False
 
     def _load_cache(self) -> dict[tuple[int, int], dict[int, int]]:
-        """Constants stored in the cache file; empty when it is missing or invalid."""
-        path = self._cache_path
-        if path is None or not path.exists():
-            return {}
+        """Constants in the cache file; empty unless this code wrote it for this group."""
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            doc = json.loads(self._cache_path.read_text())
+        except (OSError, ValueError, RecursionError):  # missing, unreadable, not JSON, too deep
             return {}
-        if doc.get("format_version") != CACHE_FORMAT_VERSION:
+        # the entries are checked as read, before they are parsed; this code writes only ASCII
+        if not isinstance(doc, dict) or doc.get("format_version") != CACHE_FORMAT_VERSION \
+                or doc.get("cartan") != [list(r) for r in self.rs.cartan] \
+                or not isinstance(entries := doc.get("entries"), str) or not entries.isascii() \
+                or zlib.crc32(entries.encode()) != doc.get("crc32"):
             return {}
-        if doc.get("cartan") != [list(r) for r in self.rs.cartan]:
+        n = len(self.group.elements)
+        stored = {}
+        try:
+            for u, v, pairs in json.loads(entries):
+                row = stored[u, v] = dict(pairs)
+                if u > v or not all(type(x) is int and 0 <= x < n for x in (u, v, *row)) \
+                        or not all(type(c) is int for c in row.values()):
+                    return {}
+        except (TypeError, ValueError, RecursionError):  # not a list of such rows
             return {}
-        payload = json.dumps(doc.get("entries", {}), sort_keys=True, separators=(",", ":"))
-        if zlib.crc32(payload.encode()) != doc.get("crc32"):
-            return {}
-        out = {}
-        for key, row in doc["entries"].items():
-            a, b = key.split(",")
-            out[(int(a), int(b))] = {int(w): int(c) for w, c in row.items()}
-        return out
+        return stored
 
 
 def schubert_basis(group: WeylGroup) -> SchubertBasis:
@@ -231,8 +227,3 @@ def schubert_basis(group: WeylGroup) -> SchubertBasis:
         group._basis = SchubertBasis(group)
     return group._basis
 
-
-def default_cache_dir() -> Path | None:
-    """Cache directory from the environment, or None when it names none."""
-    env = os.environ.get(CACHE_ENV_VAR)
-    return Path(env) if env else None

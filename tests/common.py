@@ -6,6 +6,9 @@ import itertools
 
 from schubdeform import deformed_ring, parabolic, root_system, weyl_group
 
+# the environment variable the command line takes a cache directory from
+CACHE_ENV_VAR = "SCHUBDEFORM_CACHE_DIR"
+
 # every simple type of rank at most 3 the library admits
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
              ("C", 2), ("C", 3), ("D", 3), ("G", 2)]

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from schubdeform import CACHE_ENV_VAR, GoldenResult, HornCheck
+from schubdeform import GoldenResult, HornCheck
 from schubdeform import cli, golden, horn, weyl
 from schubdeform.horn import HornReport
+
+from common import CACHE_ENV_VAR
 
 
 def run(capsys, *argv):
@@ -596,6 +598,10 @@ def test_redundancy_malformed_input_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, "redundancy", "--input", str(path))
         assert code == 2, name
         assert err.startswith("error:") and "Traceback" not in err, name
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)  # past the JSON parser's recursion limit
+    assert run(capsys, "redundancy", "--input", str(path)) == (
+        2, "", "error: input file is nested too deeply\n")
     path = tmp_path / "good.json"
     path.write_text(json.dumps(good))
     code, _, _ = run(capsys, "redundancy", "--input", str(path))
@@ -649,18 +655,17 @@ def test_cache_file_of_format_one_is_ignored_and_rewritten(tmp_path):
     """A format-1 file (sha256 checksum) is not read, even with a checksum
     that holds: its constants here are all off by one, and the run still
     prints the table of the cold run.  Having computed them, the run
-    replaces the file with a format-2 one (crc32 checksum)."""
+    replaces the file with a format-3 one (crc32 of the rows string)."""
     cache = tmp_path / "cache"
     argv = ("deform-table", "--type", "A", "--rank", "2", "--levi", "-", "--cache-dir", str(cache))
     path = cache / "constants-A2.json"
     cold = _fresh_stdout(*argv)
     doc = json.loads(path.read_text())
     good = doc["entries"]
-    assert doc["format_version"] == 2 and "sha256" not in doc
-    payload = json.dumps(good, sort_keys=True, separators=(",", ":"))
-    assert doc["crc32"] == zlib.crc32(payload.encode())
+    assert doc["format_version"] == 3 and "sha256" not in doc
+    assert doc["crc32"] == zlib.crc32(good.encode())
 
-    wrong = {k: {w: c + 1 for w, c in row.items()} for k, row in good.items()}
+    wrong = _keyed(good, 1)
     payload = json.dumps(wrong, sort_keys=True, separators=(",", ":"))
     del doc["crc32"]
     doc.update(format_version=1, entries=wrong,
@@ -668,7 +673,64 @@ def test_cache_file_of_format_one_is_ignored_and_rewritten(tmp_path):
     path.write_text(json.dumps(doc, sort_keys=True))
     assert _fresh_stdout(*argv) == cold
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 2 and "sha256" not in doc and doc["entries"] == good
+    assert doc["format_version"] == 3 and "sha256" not in doc and doc["entries"] == good
+
+
+def _keyed(entries: str, shift: int) -> dict:
+    """The rows of a format-3 file as the keyed object of formats 1 and 2,
+    every constant moved by `shift`."""
+    return {f"{u},{v}": {str(w): c + shift for w, c in pairs}
+            for u, v, pairs in json.loads(entries)}
+
+
+def _format_three(doc: dict, rows, **fields) -> bytes:
+    """A format-3 file of `rows` with a checksum that holds, and `doc`'s
+    other fields unless given."""
+    entries = json.dumps(rows, separators=(",", ":"))
+    return json.dumps({**doc, "entries": entries, "crc32": zlib.crc32(entries.encode()),
+                       **fields}).encode()
+
+
+def _format_two(doc: dict, shift: int) -> bytes:
+    keyed = _keyed(doc["entries"], shift)
+    payload = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
+    return json.dumps(dict(doc, format_version=2, entries=keyed,
+                           crc32=zlib.crc32(payload.encode()))).encode()
+
+
+def _off_by_one(doc: dict) -> list:
+    return [[u, v, [[w, c + 1] for w, c in pairs]] for u, v, pairs in json.loads(doc["entries"])]
+
+
+# files the cache did not write for A2, made from a good A2 file; every one
+# that parses holds constants off by one, so a run that read it would differ
+# (format 1 has a test of its own above)
+FOREIGN_FILES = {
+    "not UTF-8": lambda good, doc: b"\xff" + good,
+    "not JSON": lambda good, doc: good[:-1],
+    "not an object": lambda good, doc: b"[" + good + b"]",
+    "nested past the parser's limit": lambda good, doc: b"[" * 100_000,
+    "format 2": lambda good, doc: _format_two(doc, 1),
+    "another Cartan matrix": lambda good, doc: _format_three(doc, _off_by_one(doc),
+                                                             cartan=[[2, -2], [-1, 2]]),
+    "bad checksum": lambda good, doc: _format_three(doc, _off_by_one(doc), crc32=doc["crc32"]),
+    "rows of the wrong shape": lambda good, doc: _format_three(doc, _keyed(doc["entries"], 1)),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_FILES)
+def test_cache_file_it_did_not_write_is_ignored_and_rewritten(tmp_path, case):
+    """Each file is ignored as a corrupt one is: the run exits 0 with an empty
+    stderr and the stdout of the cold run, and rewrites the file in format 3."""
+    cache = tmp_path / "cache"
+    argv = ("deform-table", "--type", "A", "--rank", "2", "--levi", "-", "--cache-dir", str(cache))
+    path = cache / "constants-A2.json"
+    cold = _fresh_stdout(*argv)
+    good = path.read_bytes()
+    doc = json.loads(good)
+    path.write_bytes(FOREIGN_FILES[case](good, doc))
+    assert _fresh_stdout(*argv) == cold
+    assert json.loads(path.read_text()) == doc
 
 
 def test_no_cache_run_after_env_cache_run_writes_nothing(tmp_path, capsys, monkeypatch):

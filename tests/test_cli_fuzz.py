@@ -7,12 +7,18 @@ reduced, not reduced, outside W^P or junk; `--parabolic`, `--s`, `--limit`
 and `--format` take good and bad values, and `--levi` sometimes comes with
 `--parabolic`.  Where tuples are scanned, s is at most 3.  Every run must
 exit 0, 2, 3 or 4 without a traceback, with an empty stderr exactly on exit 0.
+
+The same holds for any bytes in a file the command line reads: a
+structure-constant cache file, which a run ignores unless this code wrote
+it, and a `redundancy --input` system.
 """
 
 import contextlib
 import io
+import json
 from itertools import islice
 
+import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
@@ -154,3 +160,90 @@ def test_any_argv_keeps_the_exit_code_contract(argv):
         assert code == 2, argv  # two parabolics named: refused, not one of them ignored
     assert "Traceback" not in err.getvalue(), argv
     assert (code == 0) is (not err.getvalue()), (argv, code, err.getvalue())
+
+
+def _main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def file_bytes(draw, valid: bytes):
+    """Any bytes, JSON text of any value, deep nesting, or `valid` with a few
+    bytes replaced, inserted or deleted."""
+    kind = draw(st.sampled_from(["bytes", "json", "deep", "edited", "edited"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    if kind == "deep":
+        return draw(st.sampled_from([b"[", b'{"a":'])) * draw(st.integers(1, 200_000))
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.sampled_from(range(len(data))))  # uniform, unlike st.integers
+        # digits and brackets often keep the file parseable
+        byte = draw(st.sampled_from(b"0123456789[],") | st.integers(0, 255))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "replace":
+            data[at] = byte
+        elif edit == "insert":
+            data.insert(at, byte)
+        else:
+            del data[at]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory) -> dict:
+    """A directory, a job that caches there (the full A2 table, whose every
+    entry is a stored constant) with its no-cache stdout, and the bytes of a
+    good A2 cache file and B2 system file."""
+    root = tmp_path_factory.mktemp("files")
+    table = ["deform-table", "--type", "A", "--rank", "2", "--levi", "-", "--cache-dir",
+             str(root)]
+    assert _main(table)[0] == 0
+    assert _main(["eigencone", "--type", "B", "--rank", "2", "--output", str(root / "b2.json"),
+                  "--no-cache"])[0] == 0
+    return {"root": root, "table": table,
+            "no_cache": _main(table[:-2] + ["--no-cache"])[1],
+            "cache": (root / "constants-A2.json").read_bytes(),
+            "input": (root / "b2.json").read_bytes()}
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_any_cache_file_is_ignored_or_read_without_changing_output(files, data):
+    (files["root"] / "constants-A2.json").write_bytes(data.draw(file_bytes(files["cache"])))
+    # a Weyl group built afresh, whose basis knows no constant, so that the
+    # run uses whatever the file gives
+    root_system("A", 2)._weyl_group = None
+    code, out, err = _main(files["table"])
+    assert (code, err) == (0, "")
+    # the header echoes the cache flags, and nothing else differs
+    assert out.splitlines()[1:] == files["no_cache"].splitlines()[1:]
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_any_input_file_keeps_the_exit_code_contract(files, data):
+    path = files["root"] / "input.json"
+    path.write_bytes(data.draw(file_bytes(files["input"])))
+    code, _, err = _main(["redundancy", "--input", str(path)])
+    assert code in (0, 2, 3, 4) and "Traceback" not in err
+    assert (code == 0) is (not err), (code, err)

@@ -17,7 +17,7 @@ from schubdeform import (
     prune_redundant,
     systems_equivalent,
 )
-from schubdeform import horn
+from schubdeform import eigencone, horn
 from schubdeform.eigencone import (
     MODES,
     InequalitySystem,
@@ -190,6 +190,24 @@ def test_lp_budget_is_checked_before_any_row_is_built():
     for check in (prune_redundant, lambda x: systems_equivalent(x, x)):
         with pytest.raises(BudgetError, match="cap 1000000"):
             check(huge)
+
+
+def test_equivalence_sizes_each_side_by_the_other(monkeypatch):
+    """A row of one system is tested against the other's rows plus dominance.
+    The 12 A2 rows (4 orbits) against a system of those rows and their
+    doubles (24 rows, 8 orbits) plan 4 LPs of 6 * (24 + 13) cells and 8 of
+    6 * (12 + 13): 2,088 cells, where sizing every LP by the larger system
+    planned 12 of 6 * (24 + 13) = 2,664."""
+    a = generate_system(group_for("A", 2), 3, "classical")
+    doubled = [q._replace(functional=tuple(tuple(2 * x for x in block) for block in q.functional))
+               for q in a.inequalities]
+    b = _variant(a, a.inequalities + doubled)
+    monkeypatch.setattr(eigencone, "LP_RUN_CAP", 2088)
+    assert systems_equivalent(a, b) and systems_equivalent(b, a)
+    monkeypatch.setattr(eigencone, "LP_RUN_CAP", 2087)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(BudgetError, match="run cap 2087"):
+            systems_equivalent(x, y)
 
 
 def test_two_factor_tuples_are_dual_pairs():

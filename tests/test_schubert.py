@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import zlib
 from itertools import combinations
 from pathlib import Path
 
@@ -133,8 +134,9 @@ def test_products_match_whole_polynomial_reference():
                  marks=pytest.mark.slow)], ids=["A4", "D4", "B4", "C4"])
 def test_every_rank_four_product_matches_its_pinned_digest(family, digest):
     """Every G/B product class(u)*class(v), u <= v, of a rank-4 type, hashed as
-    the cache payload.  The digests were recorded from the divided-difference
-    kernel (P_u P_v dotted against per-monomial functionals)."""
+    the keyed JSON object of cache format 2.  The digests were recorded from
+    the divided-difference kernel (P_u P_v dotted against per-monomial
+    functionals)."""
     g = group_for(family, 4)
     basis = SchubertBasis(g)
     top = g.rs.num_positive_roots
@@ -142,7 +144,10 @@ def test_every_rank_four_product_matches_its_pinned_digest(family, digest):
         for v in g.elements[u.index:]:
             if u.length + v.length <= top:
                 basis.product(u, v)
-    assert hashlib.sha256(basis._payload().encode()).hexdigest() == digest
+    keyed = {f"{u},{v}": {str(w): c for w, c in sorted(row.items())}
+             for (u, v), row in sorted(basis._products.items())}
+    payload = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("family,rank,pairs", [
@@ -247,12 +252,46 @@ def test_cache_rejects_corruption(tmp_path):
     fresh.save_cache()
     path = next(tmp_path.glob("*.json"))
     doc = json.loads(path.read_text())
-    first = next(iter(doc["entries"].values()))
-    first[next(iter(first))] += 1  # tamper without updating the digest
+    rows = json.loads(doc["entries"])
+    first = next(pairs for _, _, pairs in rows if pairs)
+    first[0][1] += 1  # tamper without updating the digest
+    doc["entries"] = json.dumps(rows, separators=(",", ":"))
     path.write_text(json.dumps(doc))
     clean = SchubertBasis(g)
     clean.use_cache_dir(tmp_path)
     assert clean._products == {}  # checksum mismatch ignored
+
+
+@pytest.mark.parametrize("entries,stored", [
+    ("[[1,2,[[3,1]]]]", {(1, 2): {3: 1}}),  # well formed: read
+    ('{"1,2":{"3":1}}', {}),  # the keyed object of format 2
+    ("[[1,2]]", {}),  # a row without its constants
+    ("[[1,2,[[3]]]]", {}),  # a constant without its element
+    ("[[1,2,[[3,1.0]]]]", {}),
+    ("[[1,2,[[3,true]]]]", {}),
+    ('[[1,2,[["3",1]]]]', {}),
+    ("[[1,2,[[3,[1]]]]]", {}),
+    ("[[2,1,[[3,1]]]]", {}),  # u > v is never written
+    ("[[1,2,[[6,1]]]]", {}),  # A2 has elements 0..5
+    ("[[1,2,[[-1,1]]]]", {}),
+    ("[[[1],2,[]]]", {}),
+    ("7", {}),
+    ("[" * 100_000, {}),  # nested past the parser's limit
+])
+def test_cache_reads_only_integer_rows_it_could_have_written(tmp_path, entries, stored):
+    """A file with a good checksum over entries of the wrong shape is ignored."""
+    g = group_for("A", 2)
+    basis = SchubertBasis(g)
+    basis.use_cache_dir(tmp_path)
+    basis.product(g.simple_reflection(0), g.simple_reflection(1))
+    basis.save_cache()
+    path = next(tmp_path.glob("*.json"))
+    doc = json.loads(path.read_text())
+    doc.update(entries=entries, crc32=zlib.crc32(entries.encode()))
+    path.write_text(json.dumps(doc))
+    clean = SchubertBasis(g)
+    clean.use_cache_dir(tmp_path)
+    assert clean._products == stored
 
 
 def test_cache_ignores_other_group(tmp_path):

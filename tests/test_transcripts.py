@@ -11,7 +11,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from schubdeform import CACHE_ENV_VAR, cli
+from schubdeform import cli
+
+from common import CACHE_ENV_VAR
 
 PINS = Path(__file__).resolve().parent.parent / "bench" / "pins.json"
 A4_PINS = Path(__file__).resolve().parent / "a4_transcripts.json"
