@@ -50,7 +50,7 @@ def _job(args: argparse.Namespace) -> dict:
     object, and the fields of the header line.  Options without a value are left out."""
     job = {}
     for key in ("command", "type", "rank", "levi", "parabolic", "s", "mode", "words", "check",
-                "inner-levi", "outer-levi", "levi-words", "table", "limit", "prune", "input",
+                "inner-levi", "outer-levi", "levi-words", "table", "limit", "input",
                 "output", "format", "cache_dir", "no_cache"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None and val is not False:
@@ -82,21 +82,10 @@ def rational(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _jsonable(x):
-    """Recursively convert to JSON-safe values; exact rationals as strings."""
-    if isinstance(x, Fraction):
-        return rational(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _document(args: argparse.Namespace, payload: dict) -> str:
     """The JSON document of a run: schema version, job, then the payload."""
     doc = {"schema_version": JSON_SCHEMA_VERSION, "job": _job(args), **payload}
-    return json.dumps(_jsonable(doc), indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=rational) + "\n"
 
 
 def _cell(x) -> str:
@@ -476,25 +465,15 @@ def _system_tables(system: InequalitySystem) -> list[Table]:
 
 
 def cmd_eigencone(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .eigencone import generate_system, prune_redundant
+    from .eigencone import generate_system
 
     system = generate_system(_group_for(args), args.s, args.mode)
-    if args.prune:
-        system = prune_redundant(system)
     return _system_tables(system), system.as_dict(), EXIT_OK
 
 
-def _int_list(x, what: str, lo: int | None = None, hi: int | None = None) -> list[int]:
-    if not isinstance(x, list) or not all(type(v) is int for v in x):
-        raise ValueError(f"{what} must be a list of integers")
-    if lo is not None and not all(lo <= v <= hi for v in x):
-        raise ValueError(f"{what} has entries outside {lo}..{hi}")
-    return x
-
-
 def _load_system(path: str) -> InequalitySystem:
-    from .deform import MODES
-    from .eigencone import Inequality, InequalitySystem
+    """The system in an --input file; the system part is read by `from_dict`."""
+    from .eigencone import InequalitySystem
 
     try:
         doc = json.loads(Path(path).read_text())
@@ -504,45 +483,7 @@ def _load_system(path: str) -> InequalitySystem:
         raise ValueError("input file must hold a JSON object")
     if doc.get("schema_version", JSON_SCHEMA_VERSION) != JSON_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc['schema_version']!r}")
-    for key in ("system", "s", "mode", "inequalities"):
-        if key not in doc:
-            raise ValueError(f"input file is missing field {key!r}")
-    label, s, mode, raw = doc["system"], doc["s"], doc["mode"], doc["inequalities"]
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if not isinstance(label, str) or not label[1:].isdecimal():
-        raise ValueError(f"bad system label {label!r}")
-    if type(s) is not int or s < 2:
-        raise ValueError(f"bad number of factors {s!r}")
-    if not isinstance(raw, list):
-        raise ValueError("inequalities must be a list")
-    rs = root_system(label[0], int(label[1:]))
-    n = rs.rank
-    inequalities = []
-    for k, q in enumerate(raw, 1):
-        where = f"inequality {k}"
-        if not isinstance(q, dict):
-            raise ValueError(f"{where} must be a JSON object")
-        for key in ("parabolic", "words", "functional"):
-            if key not in q:
-                raise ValueError(f"{where} is missing field {key!r}")
-        omitted = q["parabolic"]
-        if type(omitted) is not int or not 1 <= omitted <= n:
-            raise ValueError(f"{where} parabolic must be an integer in 1..{n}")
-        words, blocks = q["words"], q["functional"]
-        for name, val in (("words", words), ("functional", blocks)):
-            if not isinstance(val, list) or len(val) != s:
-                raise ValueError(f"{where} {name} must be a list of {s} entries")
-        functional = tuple(tuple(_int_list(b, f"{where} block")) for b in blocks)
-        if any(len(b) != n for b in functional):
-            raise ValueError(f"{where} has a block whose length is not the rank {n}")
-        inequalities.append(Inequality(
-            omitted=omitted - 1,
-            words=tuple(tuple(i - 1 for i in _int_list(w, f"{where} word", 1, n))
-                        for w in words),
-            functional=functional,
-        ))
-    return InequalitySystem(rs, s, mode, inequalities)
+    return InequalitySystem.from_dict(doc)
 
 
 def cmd_redundancy(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
@@ -667,19 +608,14 @@ def _type_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, parab=False)
 
 
-def _product_args(p: argparse.ArgumentParser) -> None:
+def _words_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--words", required=True,
                    help="semicolon-separated reduced words, 1-based, e.g. '1,2;2,1'")
 
 
-def _lmovable_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--words", required=True)
-
-
 def _horn_check_args(p: argparse.ArgumentParser) -> None:
-    _lmovable_args(p)
+    _words_args(p)
     p.add_argument("--check", choices=("all", "character", "refined", "dimension"),
                    default="all")
     p.add_argument("--inner-levi", help="1-based indices of the smaller Levi")
@@ -694,7 +630,6 @@ def _eigencone_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, parab=False)
     p.add_argument("--s", type=int, default=3, help="number of factors")
     p.add_argument("--mode", choices=MODES, default="classical")
-    p.add_argument("--prune", action="store_true", help="mark redundant inequalities")
     p.add_argument("--output", help="also write the full system as JSON to this file")
 
 
@@ -730,9 +665,9 @@ def _commands() -> dict:
     return {
         "roots": (cmd_roots, "root system data", _type_args),
         "weyl": (cmd_weyl, "Weyl group and coset representatives", _add_common),
-        "product": (cmd_product, "deformed product of listed classes", _product_args),
+        "product": (cmd_product, "deformed product of listed classes", _words_args),
         "deform-table": (cmd_deform_table, "full deformed multiplication table", _add_common),
-        "lmovable": (cmd_lmovable, "Levi-movability certificate for a tuple", _lmovable_args),
+        "lmovable": (cmd_lmovable, "Levi-movability certificate for a tuple", _words_args),
         "horn-check": (cmd_horn_check, "necessary inequalities for one tuple",
                        _horn_check_args),
         "eigencone": (cmd_eigencone, "generate an inequality system", _eigencone_args),

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .cones import cone_contains
 from .deform import MODES, DeformedRing, deformed_ring
 from .horn import check_tuple_budget, dimension_tuples
-from .rootsystem import BudgetError, Coweight, RootSystem
+from .rootsystem import BudgetError, Coweight, RootSystem, root_system
 from .weyl import WeylElement, WeylGroup, parabolic
 
 
@@ -86,6 +86,61 @@ class InequalitySystem(NamedTuple):
             out["redundant"] = self.redundant
             out["essential_count"] = len(self.essential())
         return out
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> InequalitySystem:
+        """The unpruned system a document of `as_dict` describes.
+
+        Raises ValueError naming the first missing or malformed field; a
+        `redundant` annotation is not read, since pruning decides it again.
+        """
+        for key in ("system", "s", "mode", "inequalities"):
+            if key not in doc:
+                raise ValueError(f"input file is missing field {key!r}")
+        label, s, mode, raw = doc["system"], doc["s"], doc["mode"], doc["inequalities"]
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if not isinstance(label, str) or not label[1:].isdecimal():
+            raise ValueError(f"bad system label {label!r}")
+        if type(s) is not int or s < 2:
+            raise ValueError(f"bad number of factors {s!r}")
+        if not isinstance(raw, list):
+            raise ValueError("inequalities must be a list")
+        rs = root_system(label[0], int(label[1:]))
+        n = rs.rank
+        inequalities = []
+        for k, q in enumerate(raw, 1):
+            where = f"inequality {k}"
+            if not isinstance(q, dict):
+                raise ValueError(f"{where} must be a JSON object")
+            for key in ("parabolic", "words", "functional"):
+                if key not in q:
+                    raise ValueError(f"{where} is missing field {key!r}")
+            omitted = q["parabolic"]
+            if type(omitted) is not int or not 1 <= omitted <= n:
+                raise ValueError(f"{where} parabolic must be an integer in 1..{n}")
+            words, blocks = q["words"], q["functional"]
+            for name, val in (("words", words), ("functional", blocks)):
+                if not isinstance(val, list) or len(val) != s:
+                    raise ValueError(f"{where} {name} must be a list of {s} entries")
+            functional = tuple(tuple(_int_list(b, f"{where} block")) for b in blocks)
+            if any(len(b) != n for b in functional):
+                raise ValueError(f"{where} has a block whose length is not the rank {n}")
+            inequalities.append(Inequality(
+                omitted=omitted - 1,
+                words=tuple(tuple(i - 1 for i in _int_list(w, f"{where} word", 1, n))
+                            for w in words),
+                functional=functional,
+            ))
+        return cls(rs, s, mode, inequalities)
+
+
+def _int_list(x, what: str, lo: int | None = None, hi: int | None = None) -> list[int]:
+    if not isinstance(x, list) or not all(type(v) is int for v in x):
+        raise ValueError(f"{what} must be a list of integers")
+    if lo is not None and not all(lo <= v <= hi for v in x):
+        raise ValueError(f"{what} has entries outside {lo}..{hi}")
+    return x
 
 
 class Verdict(NamedTuple):

@@ -62,12 +62,6 @@ class WeylElement:
     def act_coweight(self, h: Coweight) -> Coweight:
         return Coweight(tuple(Fraction(x) for x in self.act_coweight_coords(h.coords)))
 
-    def inverse(self) -> "WeylElement":
-        return self.group.inverse(self)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return self.group.mult(self, other)
-
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.cols == other.cols
 
@@ -197,9 +191,6 @@ class WeylGroup:
 
     def __len__(self):
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __repr__(self):
         return f"WeylGroup({self.rs.label}, order={self.order})"

@@ -74,12 +74,12 @@ def test_weyl_csv_comment_headers(capsys):
 # flags on their own, `--limit 0` and every horn-check option.  Paths are
 # relative to the test's working directory, so the header bytes are fixed.
 HEADER_JOBS = [
-    (["eigencone", "--type", "A", "--rank", "2", "--prune", "--output", "system.json",
+    (["eigencone", "--type", "A", "--rank", "2", "--output", "system.json",
       "--cache-dir", "cache"],
-     "# command=eigencone type=A rank=2 s=3 mode=classical prune=True output=system.json"
+     "# command=eigencone type=A rank=2 s=3 mode=classical output=system.json"
      " format=md cache-dir=cache",
      {"command": "eigencone", "type": "A", "rank": 2, "s": 3, "mode": "classical",
-      "prune": True, "output": "system.json", "format": "json", "cache_dir": "cache"}),
+      "output": "system.json", "format": "json", "cache_dir": "cache"}),
     (["redundancy", "--input", "system.json"],
      "# command=redundancy s=3 mode=classical input=system.json format=md",
      {"command": "redundancy", "s": 3, "mode": "classical", "input": "system.json",
@@ -223,7 +223,7 @@ PARSES = [[name, "--help"] for name in COMMAND_NAMES] + [
     ["horn-check", "--type", "B", "--rank", "3", "--levi", "1,3", "--words", "2;2;2",
      "--check", "dimension", "--inner-levi", "1", "--outer-levi", "1,3"],
     ["redundancy"], ["verify-golden"],
-    ["eigencone", "--type", "G", "--rank", "2", "--prune", "--cache-dir", "c"],
+    ["eigencone", "--type", "G", "--rank", "2", "--cache-dir", "c"],
 ]
 
 
@@ -233,6 +233,16 @@ def test_parser_for_argv_parses_as_the_full_parser(argv):
     the argv names, answers it as the parser of every command does: the same
     exit code, help, usage and error text, and the same fields."""
     assert _parsed(cli.build_parser(argv), argv) == _parsed(cli.build_parser(), argv)
+
+
+def test_words_has_one_definition():
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    words = [(name, p._option_string_actions["--words"]) for name, p in subs.choices.items()
+             if "--words" in p._option_string_actions]
+    assert [name for name, _ in words] == ["product", "lmovable", "horn-check"]
+    assert all(a.required and a.help == words[0][1].help for _, a in words)
+    assert words[0][1].help
 
 
 def test_parser_for_argv_fills_in_only_the_named_command():
@@ -297,6 +307,8 @@ def test_argparse_rejections():
                  ["roots", "--type", "A", "--rank", "2", "--cache-dir", "c"],
                  ["weyl", "--type", "A", "--rank", "2", "--no-cache"],
                  ["weyl", "--type", "A", "--rank", "2", "--cache-dir", "c"],
+                 # pruning is the redundancy command's job
+                 ["eigencone", "--type", "A", "--rank", "2", "--prune"],
                  ["no-such-command"]):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
@@ -606,14 +618,6 @@ def test_redundancy_malformed_input_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(good))
     code, _, _ = run(capsys, "redundancy", "--input", str(path))
     assert code == 0
-
-
-def test_eigencone_prune_flag(capsys):
-    code, out, _ = run(capsys, "eigencone", "--type", "A", "--rank", "2",
-                       "--prune", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["redundant"] == [False] * 12
 
 
 def test_redundancy_fresh_generation_matches(capsys):

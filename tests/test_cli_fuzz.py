@@ -135,8 +135,6 @@ def argvs(draw):
         argv += ["--s", str(draw(st.integers(-1, 3)))]
     if command in ("eigencone", "redundancy"):
         argv += ["--mode", draw(st.sampled_from(["classical", "deformed"]))]
-    if command == "eigencone" and draw(st.booleans()):
-        argv.append("--prune")
     if command == "horn-converse-experiment":
         argv += ["--limit", str(draw(st.integers(-1, 3)))]
     if draw(st.booleans()):

@@ -519,6 +519,21 @@ def test_generate_system_budget(monkeypatch):
         generate_system(group_for("A", 2), 3, "classical")
 
 
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_from_dict_reads_what_as_dict_writes(family, rank):
+    for mode in MODES:
+        system = generate_system(group_for(family, rank), 3, mode)
+        assert InequalitySystem.from_dict(system.as_dict()) == system
+
+
+def test_from_dict_of_a_pruned_system_is_the_unpruned_system():
+    system = generate_system(group_for("B", 2), 3, "classical")
+    pruned = prune_redundant(system)
+    assert any(pruned.redundant)
+    loaded = InequalitySystem.from_dict(pruned.as_dict())
+    assert loaded.redundant is None and loaded == system
+
+
 def test_as_dict_shapes():
     system = prune_redundant(generate_system(group_for("A", 2), 3, "deformed"))
     d = system.as_dict()
