@@ -476,9 +476,11 @@ def _load_system(path: str) -> InequalitySystem:
     from .eigencone import InequalitySystem
 
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError("input file is nested too deeply") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"input file is not UTF-8 JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("input file must hold a JSON object")
     if doc.get("schema_version", JSON_SCHEMA_VERSION) != JSON_SCHEMA_VERSION:

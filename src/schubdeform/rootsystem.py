@@ -7,6 +7,10 @@ Conventions used throughout the package:
 - Weights are stored in simple-root coordinates ("root" basis) or in
   fundamental-weight coordinates ("fweight" basis); coweights in the
   simple-coroot basis.
+- Simple roots are numbered as in Bourbaki, Lie Groups ch. 4-6, Plates
+  I-IX. The long simple roots are alpha_1 ... alpha_{n-1} in B_n, alpha_n
+  in C_n, alpha_1 and alpha_2 in F4, and alpha_2 in G2; in A, D and E all
+  roots have one length.
 - The invariant form is normalized so that the short roots have squared
   length 2.
 - Positive roots are ordered by height, then lexicographically.
@@ -74,57 +78,43 @@ class CartanType(NamedTuple("CartanType", [("family", str), ("rank", int)])):
         return f"{self.family}{self.rank}"
 
 
+def _chain(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, i + 1) for i in range(n - 1))
+
+
+# the Dynkin diagram of each family in Bourbaki numbering (0-based): its
+# bonds, and each simple root's half squared length with short = 1
+_DYNKIN = {
+    "A": lambda n: (_chain(n), (1,) * n),
+    "B": lambda n: (_chain(n), (2,) * (n - 1) + (1,)),
+    "C": lambda n: (_chain(n), (1,) * (n - 1) + (2,)),
+    "D": lambda n: (_chain(n - 1) + ((n - 3, n - 1),), (1,) * n),
+    "E": lambda n: (((0, 2), (1, 3)) + _chain(n)[2:], (1,) * n),
+    "F": lambda n: (_chain(4), (2, 2, 1, 1)),
+    "G": lambda n: (_chain(2), (1, 3)),
+}
+
+
 def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix in Bourbaki numbering, rows indexed by coroots."""
-    n = ct.rank
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    """Cartan matrix in Bourbaki numbering, rows indexed by coroots.
 
-    def bond(i, j, aij=-1, aji=-1):
-        a[i][j] = aij
-        a[j][i] = aji
-
-    fam = ct.family
-    if fam in ("A", "B", "C"):
-        for i in range(n - 1):
-            bond(i, i + 1)
-        if fam == "B" and n >= 2:
-            # alpha_n short: <alpha_{n-1}, alpha_n^vee> = -2
-            a[n - 1][n - 2] = -2
-        if fam == "C" and n >= 2:
-            # alpha_n long: <alpha_n, alpha_{n-1}^vee> = -2
-            a[n - 2][n - 1] = -2
-    elif fam == "D":
-        for i in range(n - 2):
-            bond(i, i + 1)
-        bond(n - 3, n - 1)
-    elif fam == "E":
-        # Bourbaki: chain 1-3-4-5-...-n with node 2 attached to node 4
-        chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
-        for i, j in zip(chain, chain[1:]):
-            bond(i, j)
-        bond(1, 3)
-    elif fam == "F":
-        bond(0, 1)
-        bond(2, 3)
-        # alpha_1, alpha_2 long; alpha_3, alpha_4 short
-        a[1][2] = -1
-        a[2][1] = -2
-    elif fam == "G":
-        # alpha_1 short, alpha_2 long; highest root 3*alpha_1 + 2*alpha_2
-        a[0][1] = -3
-        a[1][0] = -1
+    Across a bond, a_ij = -max(d_i, d_j) / d_i for the half squared lengths d.
+    """
+    bonds, d = _DYNKIN[ct.family](ct.rank)
+    a = [[2 if i == j else 0 for j in range(ct.rank)] for i in range(ct.rank)]
+    for i, j in bonds:
+        a[i][j] = -(max(d[i], d[j]) // d[i])
+        a[j][i] = -(max(d[i], d[j]) // d[j])
     return tuple(tuple(row) for row in a)
 
 
 def _invert(mat: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square rational matrix by Gaussian elimination."""
+    """Exact inverse of a nonsingular square rational matrix by Gaussian elimination."""
     n = len(mat)
     aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = Fraction(1) / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
@@ -149,50 +139,30 @@ class Coweight(NamedTuple):
 
 
 class RootSystem:
-    """A (possibly reducible) root system given by a Cartan matrix.
+    """The root system of a simple Cartan type, read off its Dynkin diagram.
 
-    `lengths[i]` is half the squared length of alpha_i, normalized so the
-    short roots have squared length 2.
+    `lengths[i]` is half the squared length of alpha_i, an integer with
+    short = 1, so the short roots have squared length 2. Types with more
+    than MAX_POSITIVE_ROOTS positive roots raise BudgetError before any
+    construction work.
     """
 
-    def __init__(self, cartan: Sequence[Sequence[int]], label: str = ""):
-        self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
-        self.rank = len(self.cartan)
-        for i, row in enumerate(self.cartan):
-            if len(row) != self.rank or row[i] != 2:
-                raise ValueError("malformed Cartan matrix")
-        self.label = label or f"cartan{self.rank}"
-        self.lengths = self._symmetrizer()
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.lengths[i] * self.cartan[i][j] != self.lengths[j] * self.cartan[j][i]:
-                    raise ValueError("lengths do not symmetrize the Cartan matrix")
+    def __init__(self, ct: CartanType):
+        if ct.num_positive_roots > MAX_POSITIVE_ROOTS:
+            raise BudgetError(
+                f"{ct} has {ct.num_positive_roots} positive roots, "
+                f"exceeding the cap {MAX_POSITIVE_ROOTS}")
+        self.label = str(ct)
+        self.cartan = cartan_matrix(ct)
+        self.rank = ct.rank
+        self.lengths = _DYNKIN[ct.family](ct.rank)[1]
         self.positive_roots = self._close_roots()
         self.root_index = {r: k for k, r in enumerate(self.positive_roots)}
-        self.cartan_inv = _invert(self.cartan) if self.rank else ()
+        self.cartan_inv = _invert(self.cartan)
         self._heights = tuple(sum(r) for r in self.positive_roots)
         self._weyl_group = None  # built by weyl.weyl_group
 
     # -- construction ---------------------------------------------------
-
-    def _symmetrizer(self) -> Vector:
-        """Half squared lengths with short roots normalized to length^2 = 2."""
-        d: list[Fraction | None] = [None] * self.rank
-        for start in range(self.rank):
-            if d[start] is not None:
-                continue
-            d[start] = Fraction(1)
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for j in range(self.rank):
-                    if i != j and self.cartan[i][j] and d[j] is None:
-                        # d_j * a_ji = d_i * a_ij
-                        d[j] = d[i] * self.cartan[i][j] / self.cartan[j][i]
-                        stack.append(j)
-        vals = [x for x in d if x is not None]
-        m = min(vals) if vals else Fraction(1)
-        return tuple((x / m) for x in d)  # type: ignore[arg-type]
 
     def _close_roots(self) -> tuple[tuple[int, ...], ...]:
         n = self.rank
@@ -258,15 +228,8 @@ class RootSystem:
         return total
 
     def highest_root(self) -> tuple[int, ...]:
-        """Highest root; requires a connected (irreducible) system.
-
-        The system is irreducible exactly when its highest root (the last
-        positive root) has full support.
-        """
-        top = self.positive_roots[-1] if self.positive_roots else ()
-        if not top or not all(top):
-            raise ValueError("highest root requires an irreducible system")
-        return top
+        """Highest root: the last positive root, as they are ordered by height."""
+        return self.positive_roots[-1]
 
     def weyl_order(self) -> int:
         """|W| = prod over positive roots of (ht + 1) / ht (Macdonald 1972, at t = 1)."""
@@ -322,16 +285,8 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def build_root_system(ct: CartanType) -> RootSystem:
-    """Root system of a simple Cartan type, short roots normalized to length^2 = 2.
-
-    Types with more than MAX_POSITIVE_ROOTS positive roots raise BudgetError
-    before any construction work.
-    """
-    if ct.num_positive_roots > MAX_POSITIVE_ROOTS:
-        raise BudgetError(
-            f"{ct} has {ct.num_positive_roots} positive roots, "
-            f"exceeding the cap {MAX_POSITIVE_ROOTS}")
-    return RootSystem(cartan_matrix(ct), label=str(ct))
+    """RootSystem(ct), built once per type."""
+    return RootSystem(ct)
 
 
 def root_system(family: str, rank: int) -> RootSystem:

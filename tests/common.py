@@ -13,6 +13,11 @@ CACHE_ENV_VAR = "SCHUBDEFORM_CACHE_DIR"
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
              ("C", 2), ("C", 3), ("D", 3), ("G", 2)]
 
+# every simple type of rank at most 8 the library admits
+TYPES_TO_RANK_8 = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                   + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
+                   + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
 # the types named by the full-flag cross-check requirement
 GB_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 

@@ -614,6 +614,13 @@ def test_redundancy_malformed_input_exit_2(tmp_path, capsys):
     path.write_text("[" * 100_000)  # past the JSON parser's recursion limit
     assert run(capsys, "redundancy", "--input", str(path)) == (
         2, "", "error: input file is nested too deeply\n")
+    path.write_bytes(b"\xff")
+    assert run(capsys, "redundancy", "--input", str(path)) == (
+        2, "", "error: input file is not UTF-8 JSON: 'utf-8' codec can't decode"
+               " byte 0xff in position 0: invalid start byte\n")
+    path.write_bytes(b"")
+    assert run(capsys, "redundancy", "--input", str(path)) == (
+        2, "", "error: input file is not UTF-8 JSON: Expecting value: line 1 column 1 (char 0)\n")
     path = tmp_path / "good.json"
     path.write_text(json.dumps(good))
     code, _, _ = run(capsys, "redundancy", "--input", str(path))

@@ -14,13 +14,12 @@ from schubdeform import (
     weyl_group,
 )
 from schubdeform.horn import levi_blocks
-from schubdeform.rootsystem import cartan_matrix
 
 from common import group_for
 
 
 def test_unreferenced_group_and_ring_are_freed():
-    rs = RootSystem(cartan_matrix(CartanType("B", 2)), label="B2")
+    rs = RootSystem(CartanType("B", 2))
     group = weyl_group(rs)
     ring = deformed_ring(parabolic(group, (0,)))
     assert levi_blocks(ring, 3)

@@ -1,14 +1,31 @@
 """Root system construction and exact linear algebra."""
 
+import json
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 
 from schubdeform import CartanType, Coweight, Weight, build_root_system, root_system
 from schubdeform.rootsystem import cartan_matrix
 
-from common import ALL_TYPES
+from common import ALL_TYPES, CACHE_ENV_VAR, TYPES_TO_RANK_8
 from oracles import reflect, root_coroot
+from test_transcripts import _wrong_transcripts
+
+ROOTS_PINS = Path(__file__).resolve().parent / "roots_transcripts.json"
+
+# |W| of each family (Bourbaki, Plates I-IX)
+WEYL_ORDERS = {
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2 ** n * factorial(n),
+    "C": lambda n: 2 ** n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E": lambda n: {6: 51_840, 7: 2_903_040, 8: 696_729_600}[n],
+    "F": lambda n: 1_152,
+    "G": lambda n: 12,
+}
 
 
 def test_cartan_matrices_known():
@@ -17,6 +34,35 @@ def test_cartan_matrices_known():
     # B3: node 3 is the short root, C3: node 3 is the long root
     assert cartan_matrix(CartanType("B", 3)) == ((2, -1, 0), (-1, 2, -1), (0, -2, 2))
     assert cartan_matrix(CartanType("C", 3)) == ((2, -1, 0), (-1, 2, -2), (0, -1, 2))
+    # D4: node 2 is the branch point
+    assert cartan_matrix(CartanType("D", 4)) == (
+        (2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+    # E6: chain 1-3-4-5-6 with node 2 on node 4
+    assert cartan_matrix(CartanType("E", 6)) == (
+        (2, 0, -1, 0, 0, 0), (0, 2, 0, -1, 0, 0), (-1, 0, 2, -1, 0, 0),
+        (0, -1, -1, 2, -1, 0), (0, 0, 0, -1, 2, -1), (0, 0, 0, 0, -1, 2))
+    # F4: nodes 1 and 2 are long, 3 and 4 short
+    assert cartan_matrix(CartanType("F", 4)) == (
+        (2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
+
+
+@pytest.mark.parametrize("family,rank", TYPES_TO_RANK_8)
+def test_lengths_symmetrize_cartan_and_counts_match(family, rank):
+    ct = CartanType(family, rank)
+    rs = build_root_system(ct)
+    d, a = rs.lengths, rs.cartan
+    assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(rank) for j in range(rank))
+    assert rs.num_positive_roots == ct.num_positive_roots
+    assert rs.weyl_order() == WEYL_ORDERS[family](rank)
+
+
+def test_roots_transcripts_in_one_process(capsys, monkeypatch):
+    """`roots` output for the types the benchmark's pins never reach."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    jobs = json.loads(ROOTS_PINS.read_text())["jobs"]
+    assert list(jobs) == [f"roots --type {f} --rank {n} --format json"
+                          for f, n in TYPES_TO_RANK_8]
+    assert not _wrong_transcripts([(key.split(), pin) for key, pin in jobs.items()], capsys)
 
 
 def test_bad_types_rejected():

@@ -4,7 +4,6 @@ import pytest
 
 from schubdeform import BudgetError, CartanType, RootSystem, parabolic, root_system, weyl_group
 from schubdeform import weyl
-from schubdeform.rootsystem import cartan_matrix
 
 from common import ALL_TYPES, group_for
 
@@ -20,7 +19,7 @@ def test_group_orders(family, rank, order):
 
 def _fresh(family, rank):
     """A root system of its own, so that no memoised group answers."""
-    return RootSystem(cartan_matrix(CartanType(family, rank)), label=f"{family}{rank}")
+    return RootSystem(CartanType(family, rank))
 
 
 def test_budget_cap(monkeypatch):
