@@ -17,9 +17,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .cones import cone_contains
 from .deform import MODES, DeformedRing, deformed_ring
-from .horn import check_tuple_budget, dimension_tuples
 from .rootsystem import BudgetError, Coweight, RootSystem, root_system
-from .weyl import WeylElement, WeylGroup, parabolic
+from .weyl import WeylElement, WeylGroup, check_tuple_budget, parabolic
 
 
 class Inequality(NamedTuple):
@@ -154,8 +153,14 @@ def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylEl
     """Generating tuples: balanced codimensions, product equal to the point.
 
     In deformed mode the tuple must also be Levi-movable, so that the point
-    coefficient of the degenerate product is one; a tuple with a nonzero
-    character gap is not, and is dropped before any product is folded.
+    coefficient of the degenerate product is one: its character gap at the
+    omitted coweight x_i0 must be zero as well.  One depth-first walk over
+    the representatives, in their stored order, extends a prefix only when
+    the remaining factors can still reach the codimension and (in deformed
+    mode) the character sum left to place, so a prefix with no balanced
+    zero-gap completion is skipped.  Each prefix kept is folded once; the
+    last factor w is read off by duality, as the coefficient of iota(w) in
+    the product of the others.
     """
     if len(ring.omitted) != 1:
         raise ValueError("inequalities come from maximal parabolics only")
@@ -163,12 +168,37 @@ def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylEl
         raise ValueError("need at least two factors")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    p, reps = ring.parabolic, ring.reps
+    i0 = ring.omitted[0]
+    # (codimension, character at x_i0) of each factor; the character is 0 in
+    # classical mode, where no gap is asked for
+    chars = [ring.chi(w).coords[i0] if mode == "deformed" else 0 for w in reps]
+    steps = [(p.codim(w), x) for w, x in zip(reps, chars)]
+    goal = (p.dim, chars[ring.position(ring.point())])
+    # reach[m]: the sums of m factors, up to the goal (every sum only grows)
+    kinds = set(steps)
+    reach = [{(0, 0)}]
+    for _ in range(s - 1):
+        reach.append({(c + a, x + b) for c, x in reach[-1] for a, b in kinds
+                      if c + a <= goal[0] and x + b <= goal[1]})
+    duals = [ring.position(p.iota(w)) for w in reps]
     out = []
-    for ws in dimension_tuples(ring.parabolic, s):
-        if mode == "deformed" and any(ring.character_gaps(ws).values()):
-            continue
-        if ring.point_coefficient(ws) == 1:
-            out.append(ws)
+
+    def walk(prefix: tuple, acc: dict[int, int], left: tuple[int, int]) -> None:
+        after = reach[s - 1 - len(prefix)]
+        for pos, (w, (c, x)) in enumerate(zip(reps, steps)):
+            rest = (left[0] - c, left[1] - x)
+            if rest not in after:
+                continue
+            if len(prefix) == s - 1:
+                if acc.get(duals[pos]) == 1:
+                    out.append(prefix + (w,))
+            else:
+                nxt = ring.fold_step(acc, w) if prefix else {pos: 1}
+                if nxt:
+                    walk(prefix + (w,), nxt, rest)
+
+    walk((), {}, goal)
     return out
 
 

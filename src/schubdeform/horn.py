@@ -24,7 +24,7 @@ import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .deform import DeformedRing, MovabilityCertificate, deformed_ring
-from .weyl import BudgetError, Parabolic, WeylElement, one_based, parabolic
+from .weyl import Parabolic, WeylElement, check_tuple_budget, one_based, parabolic
 
 _REL = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
@@ -153,29 +153,6 @@ def dimension_tuples(parab: Parabolic, s: int) -> Iterator[tuple[WeylElement, ..
                 yield from rec(j + 1, after, acc + (w,))
 
     return rec(0, dim, ())
-
-
-TUPLE_CAP = 5_000_000
-
-
-def check_tuple_budget(sizes: Iterable[int], s: int, label: str) -> None:
-    """Raise BudgetError when s-fold scans over quotients with these numbers
-    of representatives could take more than TUPLE_CAP tuples, by the bound
-    sum(n ** (s - 1) for n in sizes).
-
-    The sum stops growing once it passes the cap, so a huge s costs a few
-    multiplications, never a huge integer.
-    """
-    total = 0
-    for n in sizes:
-        term = 1
-        for _ in range(s - 1 if n > 1 else 0):
-            term *= n
-            if total + term > TUPLE_CAP:
-                break
-        total += term
-        if total > TUPLE_CAP:
-            raise BudgetError(f"enumeration bound exceeds cap {TUPLE_CAP} for {label}, s={s}")
 
 
 # -- Levi recursion ------------------------------------------------------

@@ -22,6 +22,29 @@ Cols = tuple[tuple[int, ...], ...]
 # enumeration.
 DEFAULT_CAP = 10_000
 
+# tuples an s-fold scan over the representatives of quotients may take
+TUPLE_CAP = 5_000_000
+
+
+def check_tuple_budget(sizes: Iterable[int], s: int, label: str) -> None:
+    """Raise BudgetError when s-fold scans over quotients with these numbers
+    of representatives could take more than TUPLE_CAP tuples, by the bound
+    sum(n ** (s - 1) for n in sizes).
+
+    The sum stops growing once it passes the cap, so a huge s costs a few
+    multiplications, never a huge integer.
+    """
+    total = 0
+    for n in sizes:
+        term = 1
+        for _ in range(s - 1 if n > 1 else 0):
+            term *= n
+            if total + term > TUPLE_CAP:
+                break
+        total += term
+        if total > TUPLE_CAP:
+            raise BudgetError(f"enumeration bound exceeds cap {TUPLE_CAP} for {label}, s={s}")
+
 
 class WeylElement:
     """Group element, identified by its action on the simple roots."""

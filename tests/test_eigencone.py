@@ -9,15 +9,19 @@ import pytest
 
 from schubdeform import (
     BudgetError,
+    CartanType,
     Coweight,
+    RootSystem,
     cone_contains,
     dual_coweight,
     evaluate,
     generate_system,
     prune_redundant,
+    schubert_basis,
     systems_equivalent,
+    weyl_group,
 )
-from schubdeform import eigencone, horn
+from schubdeform import eigencone, weyl
 from schubdeform.eigencone import (
     MODES,
     InequalitySystem,
@@ -430,13 +434,40 @@ def test_symplectic_cone_is_the_special_linear_cone_on_its_coweights(n):
     _assert_symplectic_cone_agrees("A", 2 * n - 1, n)
 
 
-@pytest.mark.parametrize("family,rank", ALL_TYPES + [("A", 4), ("D", 4), ("B", 4), ("C", 4)])
-def test_gaps_first_generation_matches_the_movability_reference(family, rank):
-    """Deformed generation drops a tuple with a nonzero character gap before
-    folding its product; the inequalities, in order, are those of
-    `is_levi_movable` run on every dimension tuple."""
+def _reference_cases():
+    """Every rank <= 3 type and A4, D4, B4 and C4, at s = 3 and 4 in both
+    modes.  The id is the type, then the mode and s where they are not
+    deformed at s = 3."""
+    for family, rank in ALL_TYPES + [("A", 4), ("D", 4), ("B", 4), ("C", 4)]:
+        for s in (3, 4):
+            for mode in MODES:
+                tag = ("" if mode == "deformed" else f"-{mode}") + ("" if s == 3 else f"-s{s}")
+                yield pytest.param(family, rank, mode, s, id=f"{family}-{rank}{tag}")
+
+
+@pytest.mark.parametrize("family,rank,mode,s", _reference_cases())
+def test_gaps_first_generation_matches_the_movability_reference(family, rank, mode, s):
+    """Generation walks tuple prefixes and skips one that cannot reach a
+    balanced zero-gap tuple, before folding its product; the inequalities,
+    in order, are those of `is_levi_movable` run on every dimension tuple.
+    At s = 4 a two-factor prefix is pruned by the sums two more factors can
+    reach, a table that s = 3 reads only at the first factor."""
     g = group_for(family, rank)
-    assert generate_system(g, 3, "deformed").inequalities == movable_rows_reference(g, 3, "deformed")
+    assert generate_system(g, s, mode).inequalities == movable_rows_reference(g, s, mode)
+
+
+@pytest.mark.parametrize("family,rank,s,mode,constants", [
+    ("F", 4, 3, "deformed", 1242),
+    ("F", 4, 3, "classical", 5263),
+    ("B", 4, 3, "deformed", 336),
+    ("C", 4, 4, "deformed", 355)])
+def test_generation_folds_only_prefixes_of_zero_gap_tuples(family, rank, s, mode, constants):
+    """The structure constants generation computes, on a group of its own: a
+    walk that pruned on codimension alone would fold every prefix of a
+    balanced tuple, and F4 deformed would read 5,263 as classical does."""
+    g = weyl_group(RootSystem(CartanType(family, rank)))
+    generate_system(g, s, mode)
+    assert len(schubert_basis(g)._products) == constants
 
 
 @pytest.mark.parametrize("rank,rows", [(2, 12), (3, 41), (4, 142)])
@@ -514,7 +545,7 @@ def test_two_factor_cone_rays_are_conjugate_pairs():
 
 
 def test_generate_system_budget(monkeypatch):
-    monkeypatch.setattr(horn, "TUPLE_CAP", 10)
+    monkeypatch.setattr(weyl, "TUPLE_CAP", 10)
     with pytest.raises(BudgetError, match="enumeration bound exceeds cap 10 for A2, s=3"):
         generate_system(group_for("A", 2), 3, "classical")
 

@@ -119,6 +119,23 @@ def test_jobs_load_no_dataclasses_or_inspect(job):
         assert "schubdeform.eigencone" in modules
 
 
+# the jobs that generate systems, or import the API that does, and a Horn check
+GENERATION_JOBS = [job for job in BENCH_JOBS
+                   if job[0] == "-c" or job[2] in ("eigencone", "redundancy")]
+HORN_JOB = ("-m", "schubdeform.cli", "horn-check", "--type", "A", "--rank", "2", "--levi", "1",
+            "--words", "2;2;1,2", "--no-cache")
+
+
+@pytest.mark.parametrize("job", GENERATION_JOBS + [HORN_JOB],
+                         ids=lambda job: job[2] if job[0] == "-m" else "api")
+def test_only_horn_checks_load_the_horn_layer(job):
+    # generation walks its tuples itself; the Horn layer is for the Horn checks
+    proc, modules = _loaded(*job, site=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "schubdeform.rootsystem" in modules  # the list is there
+    assert ("schubdeform.horn" in modules) == (job is HORN_JOB)
+
+
 def test_listing_golden_tables_reads_no_resource_module():
     # without `site`, which may import importlib.resources itself
     proc, modules = _loaded("-m", "schubdeform.cli", "verify-golden", "--table", "c3_p1",
