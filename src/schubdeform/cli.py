@@ -20,18 +20,17 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
-# the only layer every job runs; each command, and each command's arguments,
-# import the layers they use, so a job loads no other
+# the only layer every job runs; each command module imports the layers it
+# uses, so a job loads no other
 from .rootsystem import BudgetError, root_system
 
 if TYPE_CHECKING:
     from .deform import DeformedRing
     from .eigencone import InequalitySystem
-    from .horn import HornReport
     from .schubert import SchubertBasis
     from .weyl import Parabolic, WeylElement, WeylGroup
 
@@ -78,8 +77,10 @@ class Table(NamedTuple):
 
 
 def rational(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """An exact rational as "p/q", or as the integer it is."""
+    from fractions import Fraction
+
+    return str(Fraction(x))
 
 
 def _document(args: argparse.Namespace, payload: dict) -> str:
@@ -89,8 +90,7 @@ def _document(args: argparse.Namespace, payload: dict) -> str:
 
 
 def _cell(x) -> str:
-    if isinstance(x, Fraction):
-        return rational(x)
+    # a Fraction prints as `rational` writes it
     if isinstance(x, bool):
         return "yes" if x else "no"
     return str(x)
@@ -110,11 +110,13 @@ def _write_markdown(out: TextIO, table: Table) -> None:
         line(r)
 
 
-def emit(args: argparse.Namespace, tables: list[Table], payload: dict, out: TextIO) -> None:
-    """Write one run's result to `out`; a reader that has gone away is not an error."""
+def emit(args: argparse.Namespace, tables: list[Table], document: str | None,
+         out: TextIO) -> None:
+    """Write one run's result to `out`: its JSON `document` under --format json,
+    else its tables.  A reader that has gone away is not an error."""
     try:
         if args.format == "json":
-            out.write(_document(args, payload))
+            out.write(document)
         else:
             out.write(_header(args) + "\n")
             for t in tables:
@@ -232,215 +234,7 @@ def _tuple_for(ring: DeformedRing, text: str) -> list[WeylElement]:
     return out
 
 
-# -- subcommands ----------------------------------------------------------
-
-def cmd_roots(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    rs = root_system(args.type, args.rank)
-    n = rs.rank
-    summary = Table("summary", ["key", "value"], [
-        ["type", rs.label],
-        ["rank", n],
-        ["positive roots", rs.num_positive_roots],
-        ["Weyl order", rs.weyl_order()],
-        ["highest root", " ".join(map(str, rs.highest_root()))],
-    ])
-    cartan = Table("cartan matrix", ["row"] + [f"a{j + 1}" for j in range(n)],
-                   [[f"a{i + 1}"] + list(rs.cartan[i]) for i in range(n)])
-    roots = Table("positive roots", ["#", "coordinates", "height", "length^2"],
-                  [[k + 1, " ".join(map(str, r)), sum(r), rational(rs.form(r, r))]
-                   for k, r in enumerate(rs.positive_roots)])
-    fw = Table("fundamental weights (root coordinates)",
-               ["i", "coordinates"],
-               [[i + 1, " ".join(rational(x) for x in rs.fundamental_weight(i).coords)]
-                for i in range(n)])
-    payload = {
-        "type": rs.label,
-        "rank": n,
-        "cartan": [list(r) for r in rs.cartan],
-        "weyl_order": rs.weyl_order(),
-        "highest_root": list(rs.highest_root()),
-        "positive_roots": [list(r) for r in rs.positive_roots],
-        "fundamental_weights": [list(rs.fundamental_weight(i).coords) for i in range(n)],
-    }
-    return [summary, cartan, roots, fw], payload, EXIT_OK
-
-
-def cmd_weyl(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .weyl import one_based, weyl_group
-
-    group = weyl_group(root_system(args.type, args.rank))
-    parab = _parabolic_for(args, group)
-    profile = parab.degree_profile()
-    summary = Table("summary", ["key", "value"], [
-        ["type", group.rs.label],
-        ["Weyl order", group.order],
-        ["Levi", one_based(parab.levi)],
-        ["representatives", len(parab.reps)],
-        ["dimension", parab.dim],
-        ["longest element", one_based(parab.w_o.word, "e")],
-        ["degree profile", " ".join(map(str, profile))],
-    ])
-    reps = Table("minimal representatives", ["#", "word", "length", "codim"],
-                 [[k + 1, one_based(w.word, "e"), w.length, parab.codim(w)]
-                  for k, w in enumerate(parab.reps)])
-    payload = {
-        "type": group.rs.label,
-        "weyl_order": group.order,
-        "levi": [i + 1 for i in parab.levi],
-        "dimension": parab.dim,
-        "degree_profile": list(profile),
-        "representatives": [
-            {"word": [i + 1 for i in w.word], "length": w.length, "codim": parab.codim(w)}
-            for w in parab.reps
-        ],
-    }
-    return [summary, reps], payload, EXIT_OK
-
-
-def cmd_product(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .weyl import one_based
-
-    ring = _ring_for(args)
-    parab = ring.parabolic
-    ws = _tuple_for(ring, args.words)
-    if len(ws) < 2:
-        raise ValueError("need at least two factors, e.g. --words '1,2;2,1'")
-    acc = ring.basis_class(ws[0])
-    for w in ws[1:]:
-        acc = ring.multiply(acc, ring.basis_class(w))
-    rows = []
-    expansion = []
-    for pos, exps, coeff in acc.terms():
-        w = ring.reps[pos]
-        rows.append([ring.labels[pos], one_based(w.word, "e"), parab.codim(w),
-                     ring.monomial(exps) or "1", coeff])
-        expansion.append({
-            "label": ring.labels[pos],
-            "word": [i + 1 for i in w.word],
-            "codim": parab.codim(w),
-            "exponents": list(exps),
-            "coefficient": coeff,
-        })
-    rendered = repr(acc)
-    factors = " * ".join(ring.labels[ring.position(w)] for w in ws)
-    summary = Table("product", ["expression", "value"], [[factors, rendered]])
-    terms = Table("terms", ["label", "word", "codim", "monomial", "coefficient"], rows)
-    payload = {
-        "factors": [{"word": [i + 1 for i in w.word],
-                     "label": ring.labels[ring.position(w)]} for w in ws],
-        "rendered": rendered,
-        "terms": expansion,
-    }
-    return [summary, terms], payload, EXIT_OK
-
-
-def cmd_deform_table(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .weyl import one_based
-
-    ring = _ring_for(args)
-    parab = ring.parabolic
-    order = [pos for pos in ring.table_order() if ring.reps[pos].length < parab.dim]
-    labels = [ring.labels[pos] for pos in order]
-    classes = Table("classes", ["label", "word", "codim"],
-                    [[ring.labels[pos], one_based(ring.reps[pos].word, "e"),
-                      parab.codim(ring.reps[pos])] for pos in order])
-    grid_rows = []
-    entries = []
-    for pu in order:
-        row = [ring.labels[pu]]
-        for pv in order:
-            val = repr(ring.deformed_product(ring.reps[pu], ring.reps[pv]))
-            row.append(val)
-            if pu <= pv:
-                entries.append({"left": ring.labels[pu], "right": ring.labels[pv],
-                                "value": val})
-        grid_rows.append(row)
-    grid = Table("deformed multiplication table (unit class omitted)",
-                 ["*"] + labels, grid_rows)
-    payload = {
-        "type": ring.rs.label,
-        "levi": [i + 1 for i in parab.levi],
-        "classes": [{"label": ring.labels[pos],
-                     "word": [i + 1 for i in ring.reps[pos].word],
-                     "codim": parab.codim(ring.reps[pos])} for pos in order],
-        "products": entries,
-    }
-    return [classes, grid], payload, EXIT_OK
-
-
-def cmd_lmovable(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .weyl import one_based
-
-    ring = _ring_for(args)
-    ws = _tuple_for(ring, args.words)
-    cert = ring.is_levi_movable(ws)
-    verdict = Table("verdict", ["key", "value"], [
-        ["words", "; ".join(one_based(w.word, "e") for w in ws)],
-        ["codimension sum", ring.parabolic.dim],
-        ["point coefficient", cert.coefficient],
-        ["movable", cert.movable],
-    ])
-    gaps = Table("character gaps", ["coweight", "gap"],
-                 [[i + 1, g] for i, g in sorted(cert.character_gap.items())])
-    payload = {
-        "words": [[i + 1 for i in w.word] for w in ws],
-        "coefficient": cert.coefficient,
-        "character_gap": {str(i + 1): g for i, g in sorted(cert.character_gap.items())},
-        "movable": cert.movable,
-    }
-    return [verdict, gaps], payload, EXIT_OK
-
-
-def _report_tables(reports: list[tuple[str, HornReport]]) -> list[Table]:
-    rows = []
-    for fam, rep in reports:
-        if not rep.applicable:
-            rows.append([fam, "-", "-", "-", "-", "n/a", rep.reason])
-            continue
-        for c in rep.checks:
-            note = " ".join(f"{k}={v}" for k, v in sorted(c.as_dict().get("data", {}).items())
-                            if not isinstance(v, (list, dict)))
-            rows.append([fam, c.kind, c.lhs, c.relation, c.rhs, c.passed, note])
-    return [Table("checks", ["family", "kind", "lhs", "rel", "rhs", "ok", "context"], rows)]
-
-
-def cmd_horn_check(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .horn import check_character, check_dimension, check_refined
-
-    which = args.check
-    wants_dimension = args.inner_levi is not None or args.outer_levi is not None
-    idle = [k for k in ("inner-levi", "outer-levi", "levi-words") if k in _job(args)]
-    if idle and which in ("character", "refined"):
-        raise ValueError(f"--{idle[0]} does nothing with --check {which}")
-    if idle and which == "all" and not wants_dimension:
-        raise ValueError("--levi-words does nothing without --inner-levi and --outer-levi")
-    ring = _ring_for(args)
-    ws = _tuple_for(ring, args.words)
-    reports: list[tuple[str, HornReport]] = []
-    if which in ("all", "character"):
-        reports.append(("character", check_character(ring, ws)))
-    if which in ("all", "refined"):
-        reports.append(("refined", check_refined(ring, ws)))
-    if which == "dimension" or (which == "all" and wants_dimension):
-        if args.inner_levi is None or args.outer_levi is None:
-            raise ValueError("dimension checks need --inner-levi and --outer-levi")
-        inner = _parse_levi(args.inner_levi, ring.rs.rank, "inner Levi")
-        outer = _parse_levi(args.outer_levi, ring.rs.rank, "outer Levi")
-        utuple = parse_words(args.levi_words, ring.rs.rank) if args.levi_words else \
-            tuple(() for _ in ws)
-        reports.append(("dimension", check_dimension(ring, ws, inner, outer, utuple)))
-    failures = sum(len(rep.failures()) for _, rep in reports)
-    payload = {
-        "reports": {fam: rep.as_dict() for fam, rep in reports},
-        "failures": failures,
-    }
-    tables = _report_tables(reports)
-    tables.append(Table("result", ["key", "value"], [
-        ["families run", ", ".join(fam for fam, _ in reports)],
-        ["failed checks", failures],
-    ]))
-    return tables, payload, EXIT_OK if failures == 0 else EXIT_MISMATCH
-
+# -- shared by eigencone and redundancy ---------------------------------
 
 def _system_tables(system: InequalitySystem) -> list[Table]:
     per: dict[int, list[int]] = {}
@@ -464,133 +258,6 @@ def _system_tables(system: InequalitySystem) -> list[Table]:
     return [Table(f"inequality system {system.label}", cols, rows)]
 
 
-def cmd_eigencone(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .eigencone import generate_system
-
-    system = generate_system(_group_for(args), args.s, args.mode)
-    return _system_tables(system), system.as_dict(), EXIT_OK
-
-
-def _load_system(path: str) -> InequalitySystem:
-    """The system in an --input file; the system part is read by `from_dict`."""
-    from .eigencone import InequalitySystem
-
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except RecursionError:
-        raise ValueError("input file is nested too deeply") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"input file is not UTF-8 JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError("input file must hold a JSON object")
-    if doc.get("schema_version", JSON_SCHEMA_VERSION) != JSON_SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc['schema_version']!r}")
-    return InequalitySystem.from_dict(doc)
-
-
-def cmd_redundancy(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .eigencone import generate_system, prune_redundant
-    from .weyl import one_based
-
-    if args.input:
-        # the file holds the system: no group is built and no constant computed
-        unused = [k for k in ("type", "rank", "cache_dir", "no_cache") if k in _job(args)]
-        if unused:
-            raise ValueError(f"--{unused[0].replace('_', '-')} does nothing with --input")
-        system = _load_system(args.input)
-        for name, held in (("s", system.s), ("mode", system.mode)):
-            given = getattr(args, name)
-            if given is not None and given != held:
-                raise ValueError(f"--{name} {given} disagrees with {args.input},"
-                                 f" which holds {name} {held}")
-    else:
-        if args.type is None or args.rank is None:
-            raise ValueError("need either --input FILE or --type/--rank")
-        system = generate_system(_group_for(args), 3 if args.s is None else args.s,
-                                 args.mode or "classical")
-    # the job echoes the system that was pruned
-    args.s, args.mode = system.s, system.mode
-    system = prune_redundant(system)
-    tables = _system_tables(system)
-    redundant_ids = [k + 1 for k, r in enumerate(system.redundant) if r]
-    tables.append(Table("redundant inequalities", ["#", "parabolic", "words"],
-                        [[k, system.inequalities[k - 1].omitted + 1,
-                          "; ".join(one_based(w, "e") for w in system.inequalities[k - 1].words)]
-                         for k in redundant_ids]))
-    payload = system.as_dict()
-    payload["redundant_ids"] = redundant_ids
-    return tables, payload, EXIT_OK
-
-
-def cmd_leviprod_check(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .invsets import crosscheck_gb
-    from .weyl import one_based
-
-    report = crosscheck_gb(_ring_for(args))
-    rows = [["type", report.label], ["pairs", report.pairs],
-            ["mismatches", len(report.mismatches)], ["passed", report.passed]]
-    tables = [Table("degenerate product vs inversion-set rule", ["key", "value"], rows)]
-    if report.mismatches:
-        tables.append(Table("first mismatches", ["u", "v", "computed", "expected"],
-                            [[one_based(u, "e"), one_based(v, "e"), str(lt), str(rt)]
-                             for u, v, lt, rt in report.mismatches[:5]]))
-    payload = {
-        "type": report.label,
-        "pairs": report.pairs,
-        "mismatches": len(report.mismatches),
-        "passed": report.passed,
-    }
-    return tables, payload, EXIT_OK if report.passed else EXIT_MISMATCH
-
-
-def cmd_verify_golden(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .golden import GOLDEN_NAMES, GoldenTable, verify_table
-    from .weyl import weyl_group
-
-    goldens = [GoldenTable.load(name) for name in ([args.table] if args.table else GOLDEN_NAMES)]
-    for g in goldens:
-        _basis_for(args, weyl_group(root_system(g.family, g.rank)))
-    results = [verify_table(g) for g in goldens]
-    rows = []
-    for r in results:
-        note = r.detail if not r.matched else \
-            "; ".join(f"{a}={b}" for a, b in sorted(r.bijection.items()))
-        rows.append([r.name, r.matched, note])
-    table = Table("golden table verification", ["table", "ok", "bijection / detail"], rows)
-    payload = {"results": [
-        {"table": r.name, "matched": r.matched,
-         "bijection": dict(sorted(r.bijection.items())), "detail": r.detail}
-        for r in results]}
-    return [table], payload, EXIT_OK if all(r.matched for r in results) else EXIT_MISMATCH
-
-
-def cmd_horn_converse(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from .horn import converse_search
-    from .weyl import one_based
-
-    if args.limit < 0:
-        raise ValueError(f"--limit must be 0 (unlimited) or positive, not {args.limit}")
-    ring = _ring_for(args)
-    found = converse_search(ring, s=args.s, limit=args.limit or None)
-    rows = [[k + 1, "; ".join(one_based(w, "e") for w in rep.words)]
-            for k, rep in enumerate(found)]
-    tables = [
-        Table("summary", ["key", "value"], [
-            ["system", ring.rs.label],
-            ["levi", one_based(ring.parabolic.levi)],
-            ["candidates", len(found)],
-        ]),
-        Table("zero-product tuples passing every character inequality",
-              ["#", "words"], rows),
-    ]
-    payload = {
-        "system": ring.rs.label,
-        "levi": [i + 1 for i in ring.parabolic.levi],
-        "candidates": [rep.as_dict() for rep in found],
-    }
-    return tables, payload, EXIT_OK
-
-
 # -- argument parser ------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser, parab: bool = True,
@@ -606,84 +273,37 @@ def _add_common(p: argparse.ArgumentParser, parab: bool = True,
                             help="maximal parabolic by its omitted 1-based simple index")
 
 
-def _type_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p, parab=False)
-
-
 def _words_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--words", required=True,
                    help="semicolon-separated reduced words, 1-based, e.g. '1,2;2,1'")
 
 
-def _horn_check_args(p: argparse.ArgumentParser) -> None:
-    _words_args(p)
-    p.add_argument("--check", choices=("all", "character", "refined", "dimension"),
-                   default="all")
-    p.add_argument("--inner-levi", help="1-based indices of the smaller Levi")
-    p.add_argument("--outer-levi", help="1-based indices of the larger Levi")
-    p.add_argument("--levi-words",
-                   help="words of the Levi tuple in ambient 1-based indices")
+# each subcommand's help line, in `-h` order
+_COMMANDS = {
+    "roots": "root system data",
+    "weyl": "Weyl group and coset representatives",
+    "product": "deformed product of listed classes",
+    "deform-table": "full deformed multiplication table",
+    "lmovable": "Levi-movability certificate for a tuple",
+    "horn-check": "necessary inequalities for one tuple",
+    "eigencone": "generate an inequality system",
+    "redundancy": "prune a saved or freshly generated system",
+    "leviprod-check": "degenerate product vs inversion-set rule on the full flag variety",
+    "verify-golden": "check bundled multiplication tables",
+    "horn-converse-experiment": "search for zero-product tuples passing the character checks",
+}
 
 
-def _eigencone_args(p: argparse.ArgumentParser) -> None:
-    from .deform import MODES
+def _command(name: str):
+    """The module of one subcommand, imported on first use.
 
-    _add_common(p, parab=False)
-    p.add_argument("--s", type=int, default=3, help="number of factors")
-    p.add_argument("--mode", choices=MODES, default="classical")
-    p.add_argument("--output", help="also write the full system as JSON to this file")
-
-
-def _redundancy_args(p: argparse.ArgumentParser) -> None:
-    from .deform import MODES
-
-    p.add_argument("--input", help="JSON file produced by the eigencone command")
-    _add_common(p, parab=False, required_type=False)
-    p.add_argument("--s", type=int, help="number of factors (default: the file's, else 3)")
-    p.add_argument("--mode", choices=MODES, help="default: the file's, else classical")
-    p.add_argument("--output", help="write the pruned system as JSON to this file")
-
-
-def _verify_golden_args(p: argparse.ArgumentParser) -> None:
-    from .golden import GOLDEN_NAMES
-
-    p.add_argument("--table", choices=GOLDEN_NAMES, help="single table (default: all)")
-
-
-def _horn_converse_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--s", type=int, default=3)
-    p.add_argument("--limit", type=int, default=10,
-                   help="stop after this many candidates (0 = unlimited)")
-
-
-def _commands() -> dict:
-    """Each subcommand's handler, help line and arguments, in `-h` order.
-
-    Read when the parser is built, so a handler rebound on the module (as the
-    benchmark tracer does) is the one that runs.
+    It defines `add_arguments(parser)` and `run(args)`.  A job imports the
+    module of its own command only, so it compiles no other handler and
+    loads only the layers that handler runs.  The benchmark tracer times the
+    layers a handler calls, not the handler: `commands` is none of its layers.
     """
-    return {
-        "roots": (cmd_roots, "root system data", _type_args),
-        "weyl": (cmd_weyl, "Weyl group and coset representatives", _add_common),
-        "product": (cmd_product, "deformed product of listed classes", _words_args),
-        "deform-table": (cmd_deform_table, "full deformed multiplication table", _add_common),
-        "lmovable": (cmd_lmovable, "Levi-movability certificate for a tuple", _words_args),
-        "horn-check": (cmd_horn_check, "necessary inequalities for one tuple",
-                       _horn_check_args),
-        "eigencone": (cmd_eigencone, "generate an inequality system", _eigencone_args),
-        "redundancy": (cmd_redundancy, "prune a saved or freshly generated system",
-                       _redundancy_args),
-        "leviprod-check": (cmd_leviprod_check,
-                           "degenerate product vs inversion-set rule on the full flag variety",
-                           _type_args),
-        "verify-golden": (cmd_verify_golden, "check bundled multiplication tables",
-                          _verify_golden_args),
-        "horn-converse-experiment": (cmd_horn_converse,
-                                     "search for zero-product tuples passing the character"
-                                     " checks", _horn_converse_args),
-    }
+    return import_module(f".commands.{name.replace('-', '_')}", __package__)
 
 
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
@@ -691,23 +311,21 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
 
     Every subcommand is registered with its help line, so the usage line and
     `-h` never change.  Given the `argv` it is about to parse, only the
-    subcommand that argv names gets its arguments, and only the layers their
-    choices come from are loaded; without argv, or when argv names none,
-    every subcommand gets them.
+    subcommand that argv names gets its arguments, and only its command
+    module and the layers that module runs are loaded; without argv, or
+    when argv names none, every subcommand gets them.
     """
     top = argparse.ArgumentParser(
         prog="schubdeform",
         description="Exact Schubert calculus with the deformed product.")
     sub = top.add_subparsers(dest="command", required=True)
-    commands = _commands()
     # no top-level option takes a value, so the first word that is no option names the command
     named = next((a for a in argv or () if not a.startswith("-")), None)
-    for name, (run, summary, add_arguments) in commands.items():
+    for name, summary in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
-        if named in commands and name != named:
+        if named in _COMMANDS and name != named:
             continue
-        add_arguments(p)
+        _command(name).add_arguments(p)
         p.add_argument("--format", choices=("md", "csv", "json"), default="md")
         if name not in ("roots", "weyl"):  # every other command builds a Schubert basis
             p.add_argument("--cache-dir", help="directory for the structure-constant cache")
@@ -732,10 +350,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.bases = []
     try:
         _check_args(args)
-        tables, payload, code = args.run(args)
-        if getattr(args, "output", None):
-            Path(args.output).write_text(_document(args, payload))
-        emit(args, tables, payload, sys.stdout)
+        tables, payload, code = _command(args.command).run(args)
+        output = getattr(args, "output", None)
+        # the JSON document is rendered once, also when it goes both to the file and stdout
+        document = _document(args, payload) if output or args.format == "json" else None
+        if output:
+            Path(output).write_text(document)
+        emit(args, tables, document, sys.stdout)
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_BUDGET
@@ -752,4 +373,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # under `python -m schubdeform.cli` this module runs as __main__; the
+    # command modules import it as schubdeform.cli, which must be this module
+    # and not a second copy compiled and run again
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     raise SystemExit(main())

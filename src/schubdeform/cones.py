@@ -16,7 +16,6 @@ are those of the rational simplex on the full tableau.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -26,6 +25,8 @@ def _clear_denominators(v: Sequence) -> list[int]:
     """The rational vector times the lcm of its denominators."""
     if all(type(x) is int for x in v):
         return list(v)
+    from fractions import Fraction
+
     fr = [Fraction(x) for x in v]
     den = lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr]

@@ -12,13 +12,15 @@ cone membership against the other inequalities plus dominance.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .cones import cone_contains
 from .deform import MODES, DeformedRing, deformed_ring
 from .rootsystem import BudgetError, Coweight, RootSystem, root_system
 from .weyl import WeylElement, WeylGroup, check_tuple_budget, parabolic
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Inequality(NamedTuple):
@@ -35,6 +37,8 @@ class Inequality(NamedTuple):
     functional: tuple[tuple[int, ...], ...]
 
     def value(self, hs: Sequence[Coweight]) -> Fraction:
+        from fractions import Fraction
+
         if len(hs) != len(self.functional):
             raise ValueError("tuple length mismatch")
         total = Fraction(0)
@@ -388,5 +392,7 @@ def systems_equivalent(a: InequalitySystem, b: InequalitySystem) -> bool:
 
 def dual_coweight(group: WeylGroup, h: Coweight) -> Coweight:
     """The conjugate -w_o h of a coweight; dominant whenever h is."""
+    from fractions import Fraction
+
     img = group.longest_element().act_coweight_coords(h.coords)
     return Coweight(tuple(-Fraction(x) for x in img))

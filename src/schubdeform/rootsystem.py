@@ -17,11 +17,15 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Literal, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple, Sequence
 
-Vector = tuple[Fraction, ...]
+if TYPE_CHECKING:
+    # each function that makes a rational imports Fraction itself, so a job
+    # that makes none loads no `fractions` (nor the `decimal` it pulls in)
+    from fractions import Fraction
+
+    Vector = tuple[Fraction, ...]
 
 # largest positive-root count root_system builds; A44 (990 roots) takes about
 # 1 s on a 2-core VM with Python 3.11
@@ -110,6 +114,8 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
 
 def _invert(mat: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse of a nonsingular square rational matrix by Gaussian elimination."""
+    from fractions import Fraction
+
     n = len(mat)
     aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]
@@ -158,9 +164,13 @@ class RootSystem:
         self.lengths = _DYNKIN[ct.family](ct.rank)[1]
         self.positive_roots = self._close_roots()
         self.root_index = {r: k for k, r in enumerate(self.positive_roots)}
-        self.cartan_inv = _invert(self.cartan)
         self._heights = tuple(sum(r) for r in self.positive_roots)
         self._weyl_group = None  # built by weyl.weyl_group
+
+    @cached_property
+    def cartan_inv(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The inverse Cartan matrix, computed on first use."""
+        return _invert(self.cartan)
 
     # -- construction ---------------------------------------------------
 
@@ -201,6 +211,8 @@ class RootSystem:
 
     def form(self, v: Sequence, w: Sequence) -> Fraction:
         """Invariant form on root coordinates: (alpha_i, alpha_j) = d_i * cartan[i][j]."""
+        from fractions import Fraction
+
         total = Fraction(0)
         for i, vi in enumerate(v):
             if not vi:
@@ -221,6 +233,8 @@ class RootSystem:
 
     def eval_coweight(self, v: Sequence, t: Sequence) -> Fraction:
         """lambda(h) for lambda in root coordinates, h in coroot coordinates."""
+        from fractions import Fraction
+
         total = Fraction(0)
         for i, ti in enumerate(t):
             if ti:
@@ -254,12 +268,16 @@ class RootSystem:
 
     def pair(self, w: Weight, h: Coweight) -> Fraction:
         """Natural pairing lambda(h)."""
+        from fractions import Fraction
+
         if w.basis == "fweight":
             return sum(Fraction(a) * Fraction(b) for a, b in zip(w.coords, h.coords))
         return self.eval_coweight(w.coords, h.coords)
 
     def rho(self, levi: Iterable[int] | None = None) -> Weight:
         """Half sum of the positive roots (of the Levi subsystem, if given)."""
+        from fractions import Fraction
+
         idx = self.levi_positive(levi) if levi is not None else range(len(self.positive_roots))
         acc = [Fraction(0)] * self.rank
         for k in idx:

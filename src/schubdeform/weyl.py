@@ -8,7 +8,6 @@ rest of the package reads instead of multiplying matrices.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .rootsystem import BudgetError, Coweight, RootSystem
@@ -83,6 +82,8 @@ class WeylElement:
         return cur
 
     def act_coweight(self, h: Coweight) -> Coweight:
+        from fractions import Fraction
+
         return Coweight(tuple(Fraction(x) for x in self.act_coweight_coords(h.coords)))
 
     def __eq__(self, other):

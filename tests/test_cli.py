@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -585,6 +586,21 @@ def test_eigencone_redundancy_roundtrip(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["redundant_ids"] == []
     assert doc["count"] == 12 and doc["essential_count"] == 12
+
+
+def test_json_output_file_holds_the_stdout_bytes(tmp_path, capsys):
+    # one rendered document goes to both
+    path = tmp_path / "b2.json"
+    code, out, _ = run(capsys, "redundancy", "--type", "B", "--rank", "2", "--s", "4",
+                       "--format", "json", "--output", str(path), "--no-cache")
+    assert code == 0 and json.loads(out)["redundant_ids"]
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("x", [Fraction(-3, 4), Fraction(0), Fraction(6, 3), Fraction(7, 2)],
+                         ids=str)
+def test_table_cell_of_a_rational_is_its_rational_text(x):
+    assert cli._cell(x) == cli.rational(x)
 
 
 def test_redundancy_malformed_input_exit_2(tmp_path, capsys):

@@ -33,8 +33,11 @@ else:
 """
 
 
-def _fresh(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+def _fresh(*args: str, path: Path | None = None) -> subprocess.CompletedProcess:
+    """Run an interpreter the way a benchmark job does, with `path` (if given)
+    ahead of the source on PYTHONPATH."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(str(p) for p in (path, SRC) if p))
     env.pop("SCHUBDEFORM_CACHE_DIR", None)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=120)
@@ -52,6 +55,11 @@ def _loaded(*job: str, site: bool = True) -> tuple[subprocess.CompletedProcess, 
 def _layers(modules: set[str]) -> set[str]:
     """Package modules among `modules`, without the package prefix."""
     return {n.split(".", 1)[1] for n in modules if n.startswith("schubdeform.")}
+
+
+def _front_end(layer: str) -> bool:
+    """Whether a package module is the command-line front end: cli.py or a command module."""
+    return layer == "cli" or layer.split(".")[0] == "commands"
 
 
 def test_import_loads_no_layer():
@@ -78,7 +86,7 @@ LIGHT_LAYERS = {
 def test_light_jobs_load_no_cone_layer(argv):
     proc, modules = _loaded("-m", "schubdeform.cli", *argv)
     assert proc.returncode == 0 and proc.stdout.startswith(f"# command={argv[0]} ")
-    assert _layers(modules) == LIGHT_LAYERS[argv[0]]
+    assert {n for n in _layers(modules) if not _front_end(n)} == LIGHT_LAYERS[argv[0]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -117,6 +125,93 @@ def test_jobs_load_no_dataclasses_or_inspect(job):
     assert not modules & {"dataclasses", "inspect"}
     if job == API_JOB:  # a layer the namespace loads is seen too
         assert "schubdeform.eigencone" in modules
+
+
+@pytest.mark.parametrize("job", [job for job in BENCH_JOBS if job[2:3] != ("roots",)],
+                         ids=lambda job: job[2] if job[0] == "-m" else "api")
+def test_only_jobs_that_make_a_rational_load_fractions(job):
+    # `roots` prints the inverse Cartan matrix; no other benchmark job makes a
+    # Fraction, and `fractions` would pull in `decimal` and `numbers`
+    proc, modules = _loaded(*job, site=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "schubdeform.rootsystem" in modules  # the list is there
+    assert not modules & {"fractions", "decimal", "numbers"}
+
+
+# installed as `sitecustomize`, so that the job itself starts as `python -m`
+# starts it, with cli.py as __main__; at exit it reports how many module
+# objects were made from cli.py and which command modules were loaded
+SITE_PROBE = """
+import atexit, json, os, sys
+
+def _report():
+    made = {id(m) for m in list(sys.modules.values())
+            if getattr(m, "__file__", None)
+            and os.path.realpath(m.__file__) == os.path.realpath(CLI)}
+    commands = sorted(n for n in sys.modules if n.startswith("schubdeform.commands."))
+    print("report:", json.dumps({"cli": len(made), "commands": commands}), file=sys.stderr)
+
+atexit.register(_report)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--type", "A", "--rank", "1"),
+    ("eigencone", "--type", "A", "--rank", "2", "--no-cache"),
+    ("horn-converse-experiment", "--type", "A", "--rank", "2", "--parabolic", "1", "--limit",
+     "1", "--no-cache"),
+])
+def test_a_job_runs_cli_once_and_its_own_command_only(tmp_path, argv):
+    # a command module that imported a second copy of cli.py would compile
+    # and run it again
+    cli_path = SRC / "schubdeform" / "cli.py"
+    (tmp_path / "sitecustomize.py").write_text(f"CLI = {str(cli_path)!r}\n" + SITE_PROBE)
+    proc = _fresh("-m", "schubdeform.cli", *argv, path=tmp_path)
+    assert proc.returncode == 0 and proc.stdout.startswith(f"# command={argv[0]} ")
+    line = next(line for line in proc.stderr.splitlines() if line.startswith("report: "))
+    module = argv[0].replace("-", "_")
+    assert json.loads(line.split(" ", 1)[1]) == {
+        "cli": 1, "commands": [f"schubdeform.commands.{module}"]}
+
+
+def test_running_the_cli_module_warns_of_no_second_copy():
+    # runpy warns when the module it is about to run as __main__ is already imported
+    proc = _fresh("-W", "error::RuntimeWarning", "-m", "schubdeform.cli",
+                  "roots", "--type", "A", "--rank", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("# command=roots ")
+
+
+# one job of each subcommand, and a refused one
+ENTRY_JOBS = [
+    ("roots", "--type", "B", "--rank", "2", "--format", "json"),
+    ("weyl", "--type", "A", "--rank", "2", "--levi", "1"),
+    ("product", "--type", "A", "--rank", "2", "--words", "1;2", "--no-cache"),
+    ("deform-table", "--type", "A", "--rank", "2", "--no-cache"),
+    ("lmovable", "--type", "A", "--rank", "3", "--parabolic", "1", "--words",
+     "2,1;2,1;2,1", "--no-cache"),
+    ("horn-check", "--type", "A", "--rank", "2", "--levi", "1", "--words", "2;2;1,2",
+     "--no-cache"),
+    ("eigencone", "--type", "A", "--rank", "2", "--format", "csv", "--no-cache"),
+    ("redundancy", "--type", "A", "--rank", "2", "--no-cache"),
+    ("leviprod-check", "--type", "A", "--rank", "2", "--no-cache"),
+    ("verify-golden", "--table", "c3_p1", "--no-cache"),
+    ("horn-converse-experiment", "--type", "A", "--rank", "2", "--parabolic", "1",
+     "--limit", "2", "--no-cache"),
+    pytest.param(("weyl", "--type", "A", "--rank", "2", "--parabolic", "5"), id="refused"),
+]
+CONSOLE_SCRIPT = "from schubdeform.cli import main; raise SystemExit(main())"
+
+
+@pytest.mark.parametrize("argv", ENTRY_JOBS, ids=lambda argv: argv[0])
+def test_module_and_console_script_give_the_same_output(argv):
+    # `python -m schubdeform.cli` runs cli.py as __main__; the console script
+    # imports it as schubdeform.cli and calls main
+    as_module = _fresh("-m", "schubdeform.cli", *argv)
+    as_script = _fresh("-c", CONSOLE_SCRIPT, *argv)
+    assert as_module.stdout or as_module.returncode == 2
+    assert (as_module.returncode, as_module.stdout, as_module.stderr) == \
+        (as_script.returncode, as_script.stdout, as_script.stderr)
 
 
 # the jobs that generate systems, or import the API that does, and a Horn check
