@@ -143,7 +143,7 @@ class DeformedRing:
 
     def chi(self, w: WeylElement) -> Weight:
         """Character chi_w as a weight in root coordinates."""
-        return Weight(self._chi[self.position(w)], "root")
+        return Weight(self._chi[self.position(w)])
 
     def position(self, w: WeylElement) -> int:
         return self.parabolic.rep_position[w.index]

@@ -232,7 +232,7 @@ def generate_system(group: WeylGroup, s: int, mode: str) -> InequalitySystem:
     rs = group.rs
     rings = [deformed_ring(parabolic(group, tuple(j for j in range(rs.rank) if j != i)))
              for i in range(rs.rank)]
-    check_tuple_budget((len(ring.reps) for ring in rings), s, rs.label)
+    check_tuple_budget((len(ring.reps) for ring in rings), s - 1, s, rs.label)
     ineqs = []
     for ring in rings:
         for ws in enumerate_tuples(ring, s, mode):

@@ -212,7 +212,8 @@ def levi_blocks(ring: DeformedRing, s: int) -> list[LeviBlock]:
     levi = ring.parabolic.levi
     group = ring.group
     subs = {p: parabolic(group, tuple(i for i in levi if i != p), within=levi) for p in levi}
-    check_tuple_budget((len(sub.reps) for sub in subs.values()), s, ring.rs.label)
+    # _nonzero_tuples leaves all s factors free
+    check_tuple_budget((len(sub.reps) for sub in subs.values()), s, s, ring.rs.label)
     blocks: list[LeviBlock] = []
     for p, sub in subs.items():
         blocks.append(LeviBlock(
@@ -430,7 +431,7 @@ def converse_search(ring: DeformedRing, s: int = 3,
     candidate witness that the character inequalities do not suffice for
     nonvanishing.  Purely experimental: nothing is asserted either way.
     """
-    check_tuple_budget([len(ring.reps)], s, ring.rs.label)
+    check_tuple_budget([len(ring.reps)], s - 1, s, ring.rs.label)
     tuples = dimension_tuples(ring.parabolic, s)  # rejects s < 1 before the Levi scan
     blocks = levi_blocks(ring, s)
     shellbase = {"system": ring.rs.label, "levi": ring.parabolic.levi}

@@ -22,17 +22,7 @@ def inversion_product(group: WeylGroup, u: WeylElement, v: WeylElement) -> WeylE
     pv = group.inversion_set(v)
     if pu & pv:
         return None
-    return element_with_inversions(group, pu | pv)
-
-
-def element_with_inversions(group: WeylGroup, roots: Iterable[int]) -> WeylElement | None:
-    """The element whose inversion set is the given set of positive-root indices.
-
-    The index from inversion sets to elements is built once and kept on `group`.
-    """
-    if group._by_inversions is None:
-        group._by_inversions = {group.inversion_set(w): w for w in group.elements}
-    return group._by_inversions.get(frozenset(roots))
+    return group.with_inversions(pu | pv)
 
 
 def is_closed(rs, roots: frozenset[int]) -> bool:
@@ -56,7 +46,7 @@ def is_inversion_set(group: WeylGroup, roots: Iterable[int]) -> WeylElement | No
     s = frozenset(roots)
     comp = frozenset(range(len(rs.positive_roots))) - s
     combinatorial = is_closed(rs, s) and is_closed(rs, comp)
-    found = element_with_inversions(group, s)
+    found = group.with_inversions(s)
     if combinatorial != (found is not None):
         raise AssertionError(f"closed/coclosed test disagrees with enumeration on {sorted(s)}")
     return found

@@ -4,8 +4,7 @@ Conventions used throughout the package:
 
 - cartan[i][j] = <alpha_j, alpha_i^vee> = 2(alpha_i, alpha_j)/(alpha_i, alpha_i),
   so the simple reflection acts by s_i(alpha_j) = alpha_j - cartan[i][j] alpha_i.
-- Weights are stored in simple-root coordinates ("root" basis) or in
-  fundamental-weight coordinates ("fweight" basis); coweights in the
+- Weights are stored in simple-root coordinates, coweights in the
   simple-coroot basis.
 - Simple roots are numbered as in Bourbaki, Lie Groups ch. 4-6, Plates
   I-IX. The long simple roots are alpha_1 ... alpha_{n-1} in B_n, alpha_n
@@ -18,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     # each function that makes a rational imports Fraction itself, so a job
@@ -132,16 +131,26 @@ def _invert(mat: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ..
 
 
 class Weight(NamedTuple):
-    """Element of the rational span of the weight lattice."""
+    """Element of the rational span of the weight lattice, in simple-root coordinates."""
 
     coords: Vector
-    basis: Literal["root", "fweight"] = "root"
+
+    # a weight never equals a coweight with the same coordinates
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class Coweight(NamedTuple):
     """Element of the rational span of the coweight lattice, in coroot coordinates."""
 
     coords: Vector
+
+    __eq__, __ne__, __hash__ = Weight.__eq__, Weight.__ne__, tuple.__hash__
 
 
 class RootSystem:
@@ -183,9 +192,8 @@ class RootSystem:
             new = []
             for v in frontier:
                 for i in range(n):
-                    pairing = sum(self.cartan[i][j] * v[j] for j in range(n))
                     w = list(v)
-                    w[i] -= pairing
+                    w[i] -= self.coroot_pairing(v, i)
                     wt = tuple(w)
                     if wt not in seen:
                         seen.add(wt)
@@ -210,17 +218,8 @@ class RootSystem:
         return tuple(acc)
 
     def form(self, v: Sequence, w: Sequence) -> Fraction:
-        """Invariant form on root coordinates: (alpha_i, alpha_j) = d_i * cartan[i][j]."""
-        from fractions import Fraction
-
-        total = Fraction(0)
-        for i, vi in enumerate(v):
-            if not vi:
-                continue
-            for j, wj in enumerate(w):
-                if wj and self.cartan[i][j]:
-                    total += vi * wj * self.lengths[i] * self.cartan[i][j]
-        return total
+        """Invariant form on root coordinates: (alpha_i, w) = d_i <w, alpha_i^vee>."""
+        return self.eval_coweight(w, [vi * d for vi, d in zip(v, self.lengths)])
 
     def coroot_pairing(self, v: Sequence, i: int) -> Fraction:
         """<v, alpha_i^vee> for v in root coordinates."""
@@ -235,11 +234,7 @@ class RootSystem:
         """lambda(h) for lambda in root coordinates, h in coroot coordinates."""
         from fractions import Fraction
 
-        total = Fraction(0)
-        for i, ti in enumerate(t):
-            if ti:
-                total += ti * sum(self.cartan[i][j] * v[j] for j in range(self.rank) if v[j])
-        return total
+        return Fraction(sum(ti * self.coroot_pairing(v, i) for i, ti in enumerate(t) if ti))
 
     def highest_root(self) -> tuple[int, ...]:
         """Highest root: the last positive root, as they are ordered by height."""
@@ -257,7 +252,7 @@ class RootSystem:
 
     def fundamental_weight(self, i: int) -> Weight:
         """omega_i in root coordinates (column i of the inverse Cartan matrix)."""
-        return Weight(tuple(self.cartan_inv[j][i] for j in range(self.rank)), "root")
+        return Weight(tuple(self.cartan_inv[j][i] for j in range(self.rank)))
 
     def fundamental_coweight(self, i: int) -> Coweight:
         """x_i with alpha_j(x_i) = delta_ij, in coroot coordinates."""
@@ -266,25 +261,12 @@ class RootSystem:
     def to_fweight(self, coords_root: Sequence) -> Vector:
         return tuple(self.coroot_pairing(coords_root, j) for j in range(self.rank))
 
-    def pair(self, w: Weight, h: Coweight) -> Fraction:
-        """Natural pairing lambda(h)."""
-        from fractions import Fraction
-
-        if w.basis == "fweight":
-            return sum(Fraction(a) * Fraction(b) for a, b in zip(w.coords, h.coords))
-        return self.eval_coweight(w.coords, h.coords)
-
     def rho(self, levi: Iterable[int] | None = None) -> Weight:
         """Half sum of the positive roots (of the Levi subsystem, if given)."""
         from fractions import Fraction
 
         idx = self.levi_positive(levi) if levi is not None else range(len(self.positive_roots))
-        acc = [Fraction(0)] * self.rank
-        for k in idx:
-            r = self.positive_roots[k]
-            for j in range(self.rank):
-                acc[j] += Fraction(r[j], 2)
-        return Weight(tuple(acc), "root")
+        return Weight(tuple(Fraction(c, 2) for c in self.root_sum(idx)))
 
     def levi_positive(self, levi: Iterable[int]) -> tuple[int, ...]:
         """Indices of positive roots supported on the given simple indices."""

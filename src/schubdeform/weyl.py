@@ -3,14 +3,15 @@
 Elements are canonicalized by their integer matrix action on the simple
 roots (columns = images of the simple roots).  Enumeration is breadth-first
 over right multiplication by simple reflections, so the stored word of each
-element is reduced, and it records every product w s_i in a table that the
-rest of the package reads instead of multiplying matrices.
+element is reduced, and it records every product w s_i in a table.  Products
+and inverses are folds of reduced words over that table, so no group
+operation multiplies matrices.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .rootsystem import BudgetError, Coweight, RootSystem
+from .rootsystem import BudgetError, RootSystem
 
 Cols = tuple[tuple[int, ...], ...]
 
@@ -25,10 +26,11 @@ DEFAULT_CAP = 10_000
 TUPLE_CAP = 5_000_000
 
 
-def check_tuple_budget(sizes: Iterable[int], s: int, label: str) -> None:
-    """Raise BudgetError when s-fold scans over quotients with these numbers
-    of representatives could take more than TUPLE_CAP tuples, by the bound
-    sum(n ** (s - 1) for n in sizes).
+def check_tuple_budget(sizes: Iterable[int], free: int, s: int, label: str) -> None:
+    """Raise BudgetError when scans of s-tuples over quotients with these
+    numbers of representatives could take more than TUPLE_CAP tuples, by the
+    bound sum(n ** free for n in sizes), where `free` factors range freely:
+    s - 1 when codimension balance fixes the last factor, s when none does.
 
     The sum stops growing once it passes the cap, so a huge s costs a few
     multiplications, never a huge integer.
@@ -36,7 +38,7 @@ def check_tuple_budget(sizes: Iterable[int], s: int, label: str) -> None:
     total = 0
     for n in sizes:
         term = 1
-        for _ in range(s - 1 if n > 1 else 0):
+        for _ in range(free if n > 1 else 0):
             term *= n
             if total + term > TUPLE_CAP:
                 break
@@ -81,11 +83,6 @@ class WeylElement:
             cur = rs.reflect_coweight(cur, i)
         return cur
 
-    def act_coweight(self, h: Coweight) -> Coweight:
-        from fractions import Fraction
-
-        return Coweight(tuple(Fraction(x) for x in self.act_coweight_coords(h.coords)))
-
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.cols == other.cols
 
@@ -109,16 +106,15 @@ class WeylGroup:
         self.rs = rs
         self.order = order
         self.elements: list[WeylElement] = []
-        self._by_cols: dict[Cols, WeylElement] = {}
         self._right: list[tuple[WeylElement, ...]] = []  # [w.index][i] = w s_i
         self._enumerate()
-        self._inv_index: list[int] = [self._compute_inverse(w).index for w in self.elements]
+        self._inverse = [self._fold(self.identity, reversed(w.word)) for w in self.elements]
         self._inversion_sets: list[frozenset[int]] = [
             self._compute_inversions(w) for w in self.elements
         ]
+        self._by_inversions = dict(zip(self._inversion_sets, self.elements))
         self._parabolics: dict[tuple, Parabolic] = {}  # filled by parabolic
         self._basis = None  # built by schubert.schubert_basis
-        self._by_inversions = None  # built by invsets.element_with_inversions
 
     # -- enumeration ----------------------------------------------------
 
@@ -151,7 +147,6 @@ class WeylGroup:
         for k, w in enumerate(els):
             w.index = k
         self.elements = els
-        self._by_cols = {w.cols: w for w in els}
         if len(els) != self.order:
             raise AssertionError(
                 f"enumerated {len(els)} elements of {self.rs.label}, expected {self.order}"
@@ -166,14 +161,19 @@ class WeylGroup:
     def identity(self) -> WeylElement:
         return self.elements[0]
 
-    def from_word(self, word: Iterable[int]) -> WeylElement:
-        """Element given by a (not necessarily reduced) word of simple indices."""
-        w = self.identity
+    def _fold(self, w: WeylElement, word: Iterable[int]) -> WeylElement:
+        """w s_i1 ... s_ik for the word (i1, ..., ik), read from the right-multiplication table."""
         for i in word:
-            if not 0 <= i < self.rs.rank:
-                raise ValueError(f"simple index {i} out of range")
             w = self._right[w.index][i]
         return w
+
+    def from_word(self, word: Iterable[int]) -> WeylElement:
+        """Element given by a (not necessarily reduced) word of simple indices."""
+        word = tuple(word)
+        bad = next((i for i in word if not 0 <= i < self.rs.rank), None)
+        if bad is not None:
+            raise ValueError(f"simple index {bad} out of range")
+        return self._fold(self.identity, word)
 
     def simple_reflection(self, i: int) -> WeylElement:
         return self._right[0][i]
@@ -183,18 +183,10 @@ class WeylGroup:
         return self._right[w.index][i]
 
     def mult(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        n = self.rs.rank
-        cols = tuple(u.act_root(v.cols[j]) for j in range(n))
-        return self._by_cols[cols]
-
-    def _compute_inverse(self, w: WeylElement) -> WeylElement:
-        u = self.identity
-        for i in reversed(w.word):
-            u = self._right[u.index][i]
-        return u
+        return self._fold(u, v.word)
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        return self.elements[self._inv_index[w.index]]
+        return self._inverse[w.index]
 
     # -- root combinatorics ---------------------------------------------
 
@@ -209,6 +201,12 @@ class WeylGroup:
     def inversion_set(self, w: WeylElement) -> frozenset[int]:
         """Phi_w = {beta > 0 : w(beta) < 0} as positive-root indices; |Phi_w| = l(w)."""
         return self._inversion_sets[w.index]
+
+    def with_inversions(self, roots: Iterable[int]) -> WeylElement | None:
+        """The element whose inversion set is the given set of positive-root
+        indices, or None when it is no inversion set (an element is determined
+        by its inversion set)."""
+        return self._by_inversions.get(frozenset(roots))
 
     def longest_element(self) -> WeylElement:
         return self.elements[-1]
@@ -251,21 +249,17 @@ class Parabolic:
             (w for w in group.elements if self.contains(w)),
             key=lambda w: (w.length, [w.cols[j] for j in self.within]))
         self.rep_position = {w.index: k for k, w in enumerate(self.reps)}
-        self.w_o = self._longest(self.within_roots)
-        self.w_o_levi = self._longest(self.levi_roots)
+        # the longest element of W_I is the one whose inversion set is Phi_I^+
+        self.w_o = group.with_inversions(self.within_roots)
+        self.w_o_levi = group.with_inversions(self.levi_roots)
+        if self.w_o is None or self.w_o_levi is None:
+            raise AssertionError("no longest element found")
         self._iota = [
             group.mult(group.mult(self.w_o, w), self.w_o_levi) for w in self.reps
         ]
         for w, iw in zip(self.reps, self._iota):
             assert self.contains(iw) and iw.length == self.dim - w.length
         self._ring = None  # built by deform.deformed_ring
-
-    def _longest(self, roots: frozenset[int]) -> WeylElement:
-        """Longest element of the subgroup whose positive roots are `roots`."""
-        for w in self.group.elements:
-            if w.length == len(roots) and self.group.inversion_set(w) <= roots:
-                return w
-        raise AssertionError("no longest element found")
 
     def contains(self, w: WeylElement) -> bool:
         """Whether w is in W_L and a minimal-length coset representative (w in W^Q)."""

@@ -18,6 +18,9 @@ TYPES_TO_RANK_8 = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2,
                    + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)]
                    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 
+# the types whose Weyl-group arithmetic is checked against its definitions
+ARITHMETIC_TYPES = [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("F", 4)]
+
 # the types named by the full-flag cross-check requirement
 GB_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 

@@ -313,9 +313,7 @@ def root_coroot(rs, r: Sequence) -> tuple[Fraction, ...]:
 
 def act_weight(w: WeylElement, weight: Weight) -> Weight:
     """w acting on a weight in root coordinates."""
-    if weight.basis != "root":
-        raise ValueError("act_weight takes a weight in root coordinates")
-    return Weight(tuple(Fraction(x) for x in w.act_root(weight.coords)), "root")
+    return Weight(tuple(Fraction(x) for x in w.act_root(weight.coords)))
 
 
 # -- the reflection-sum (Chevalley) rule --------------------------------
@@ -378,7 +376,7 @@ class KostantModule:
 
     element: WeylElement
     degree: int
-    lowest_weight: Weight  # w^{-1} rho - rho, in fundamental-weight coordinates
+    lowest_weight: tuple  # w^{-1} rho - rho, in fundamental-weight coordinates
 
 
 def kostant_decomposition(parab, degree: int) -> list[KostantModule]:
@@ -404,7 +402,7 @@ def kostant_decomposition(parab, degree: int) -> list[KostantModule]:
         for i in parab.levi:
             if fw[i] < 0:
                 raise AssertionError(f"weight of {w} not dominant for the Levi")
-        out.append(KostantModule(w, degree, Weight(tuple(fw), "fweight")))
+        out.append(KostantModule(w, degree, tuple(fw)))
     return out
 
 

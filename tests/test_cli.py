@@ -8,6 +8,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -384,6 +385,28 @@ def test_tuple_scan_budget_exit_3_fast(capsys):
         assert code == 3, argv
         # the message names the cap, never the (possibly huge) bound
         assert err.startswith("error:") and "cap 5000000" in err and len(err) < 200, argv
+
+
+def _address_space_2gb():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("family, rank, levi, s", [
+    ("F", "4", "1,2,3,4", 4), ("B", "3", "1,2,3", 7), ("D", "4", "1,2,3,4", 5)])
+def test_levi_scan_budget_counts_every_factor(family, rank, levi, s):
+    """The Levi scan of horn-check walks every s-tuple of each block's
+    quotient, no factor fixed by balance, so it is bounded by sum |W^P|^s,
+    and these full-Levi jobs exit 3 before the scan.  Each runs in a fresh
+    interpreter limited to 2 GB of address space, so a regression fails here
+    instead of exhausting the machine."""
+    t0 = time.perf_counter()
+    proc = _fresh("horn-check", "--type", family, "--rank", rank, "--levi", levi,
+                  "--words", ";".join(["e"] * s), "--no-cache", "--format", "json",
+                  capture_output=True, preexec_fn=_address_space_2gb)
+    assert time.perf_counter() - t0 < 10
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (f"error: enumeration bound exceeds cap 5000000 "
+                           f"for {family}{rank}, s={s}\n")
 
 
 def test_root_system_budget_exit_3_fast(tmp_path, capsys):

@@ -138,7 +138,7 @@ def test_levi_blocks_structure():
                 assert len(blk.evals) == len(blk.reps)
                 for u, vec in zip(blk.reps, blk.evals):
                     assert u.group is ring.group
-                    h = u.act_coweight(x_p).coords
+                    h = u.act_coweight_coords(x_p.coords)
                     assert vec == tuple(
                         rs.eval_coweight(tuple(int(i == j) for j in range(rank)), h)
                         for i in range(rank))

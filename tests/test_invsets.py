@@ -6,18 +6,22 @@ from math import comb
 import pytest
 
 from schubdeform import crosscheck_gb, parabolic
-from schubdeform.invsets import element_with_inversions, inversion_product, is_closed, is_inversion_set
+from schubdeform.invsets import inversion_product, is_closed, is_inversion_set
 
-from common import group_for, ring_for
+from common import ARITHMETIC_TYPES, group_for, ring_for
 from oracles import kostant_decomposition
 
 
-def test_element_with_inversions_round_trip():
-    g = group_for("B", 2)
-    for w in g.elements:
-        assert element_with_inversions(g, g.inversion_set(w)) == w
-    # a non-inversion set: {theta} alone is coclosed but not closed upward
-    assert element_with_inversions(g, frozenset()) is g.identity
+def test_with_inversions_round_trip():
+    for family, rank in [("B", 2)] + ARITHMETIC_TYPES:
+        g = group_for(family, rank)
+        for w in g.elements:
+            assert g.with_inversions(g.inversion_set(w)) is w
+        assert g.with_inversions(frozenset()) is g.identity
+        assert g.with_inversions(range(g.rs.num_positive_roots)) is g.longest_element()
+        # alpha_1 + alpha_2 is a root, so {alpha_1, alpha_2} is not closed: no inversion set
+        simple = [g.rs.root_index[tuple(int(i == j) for j in range(rank))] for i in (0, 1)]
+        assert g.with_inversions(simple) is None
 
 
 def test_inversion_sets_are_closed_coclosed():

@@ -1,0 +1,33 @@
+"""The Python API block of README.md runs as written."""
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+
+
+def test_readme_python_block_runs_and_shows_its_values():
+    """Each statement runs in order; an expression statement with a trailing
+    comment must evaluate to a value whose repr starts that comment."""
+    [source] = _python_blocks()
+    comments = {tok.start[0]: tok.string[1:].strip()
+                for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(source).body:
+        comment = comments.get(stmt.end_lineno)
+        if isinstance(stmt, ast.Expr) and comment is not None:
+            value = eval(compile(ast.Expression(stmt.value), str(README), "eval"), namespace)
+            assert comment.startswith(repr(value)), (ast.unparse(stmt), repr(value), comment)
+            shown.append(repr(value))
+        else:
+            exec(compile(ast.Module([stmt], []), str(README), "exec"), namespace)
+    assert len(shown) == 7, shown

@@ -169,7 +169,7 @@ def test_fweight_round_trip():
 
 
 def test_weight_coweight_types():
-    w = Weight((1, 2, 3), "root")
+    w = Weight((1, 2, 3))
     assert w.coords == (1, 2, 3)
     h = Coweight((Fraction(1, 2), Fraction(0), Fraction(1)))
     assert h.coords[0] == Fraction(1, 2)
