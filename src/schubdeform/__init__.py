@@ -22,9 +22,9 @@ _LAYERS = {
     "horn": ("HornCheck", "HornReport", "central_characters", "coset_codim",
              "dimension_tuples", "check_character", "check_refined", "check_dimension",
              "codim_difference_identity", "converse_search"),
-    "eigencone": ("Inequality", "InequalitySystem", "Verdict", "generate_system", "evaluate",
-                  "prune_redundant", "systems_equivalent", "dual_coweight"),
-    "cones": ("cone_contains",),
+    "eigencone": ("Inequality", "InequalitySystem", "generate_system", "prune_redundant",
+                  "systems_equivalent", "dual_coweight"),
+    "cones": ("cone_contains", "Verdict", "evaluate"),
     "golden": ("GoldenTable", "GoldenResult", "GOLDEN_NAMES", "verify_table", "verify_all"),
 }
 _HOMES = {name: home for home, names in _LAYERS.items() for name in names}

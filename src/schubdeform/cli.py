@@ -30,9 +30,8 @@ from .rootsystem import BudgetError, root_system
 
 if TYPE_CHECKING:
     from .deform import DeformedRing
-    from .eigencone import InequalitySystem
     from .schubert import SchubertBasis
-    from .weyl import Parabolic, WeylElement, WeylGroup
+    from .weyl import Parabolic, WeylGroup
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -161,21 +160,6 @@ def _parse_levi(text: str, rank: int, what: str) -> tuple[int, ...]:
     return idx
 
 
-def parse_words(text: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    """Semicolon-separated reduced words in 1-based simple indices.
-
-    An empty segment or "e" denotes the identity, e.g. "1,2;e;2,3,2".
-    """
-    words = []
-    for seg in text.split(";"):
-        seg = seg.strip()
-        if seg in ("", "e", "-"):
-            words.append(())
-            continue
-        words.append(_parse_index_list(seg, rank, "word"))
-    return tuple(words)
-
-
 def _basis_for(args: argparse.Namespace, group: WeylGroup) -> SchubertBasis:
     """The group's basis; --no-cache beats --cache-dir, which beats SCHUBDEFORM_CACHE_DIR."""
     from .schubert import schubert_basis
@@ -215,49 +199,6 @@ def _ring_for(args: argparse.Namespace) -> DeformedRing:
     return deformed_ring(_parabolic_for(args, _group_for(args)))
 
 
-def _tuple_for(ring: DeformedRing, text: str) -> list[WeylElement]:
-    """The classes named by semicolon-separated words: each reduced and in W^P."""
-    from .weyl import one_based
-
-    parab = ring.parabolic
-    out = []
-    for word in parse_words(text, ring.rs.rank):
-        w = parab.group.from_word(word)
-        if w.length != len(word):
-            raise ValueError(f"word {one_based(word, 'e')} is not reduced")
-        if not parab.contains(w):
-            rep = parab.minimal_rep(w)
-            raise ValueError(
-                f"word {one_based(word, 'e')} is not a minimal coset representative"
-                f" (its coset is represented by {one_based(rep.word, 'e')})")
-        out.append(w)
-    return out
-
-
-# -- shared by eigencone and redundancy ---------------------------------
-
-def _system_tables(system: InequalitySystem) -> list[Table]:
-    per: dict[int, list[int]] = {}
-    for k, q in enumerate(system.inequalities):
-        per.setdefault(q.omitted, []).append(k)
-    rows = []
-    for i in sorted(per):
-        ks = per[i]
-        row = [i + 1, len(ks)]
-        if system.redundant is not None:
-            red = sum(1 for k in ks if system.redundant[k])
-            row += [red, len(ks) - red]
-        rows.append(row)
-    total = ["total", len(system.inequalities)]
-    cols = ["parabolic", "inequalities"]
-    if system.redundant is not None:
-        nred = sum(system.redundant)
-        total += [nred, len(system.inequalities) - nred]
-        cols += ["redundant", "essential"]
-    rows.append(total)
-    return [Table(f"inequality system {system.label}", cols, rows)]
-
-
 # -- argument parser ------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser, parab: bool = True,
@@ -271,12 +212,6 @@ def _add_common(p: argparse.ArgumentParser, parab: bool = True,
                             help="1-based simple indices of the Levi, e.g. '1,3' ('-' for Borel)")
         choice.add_argument("--parabolic", type=int,
                             help="maximal parabolic by its omitted 1-based simple index")
-
-
-def _words_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--words", required=True,
-                   help="semicolon-separated reduced words, 1-based, e.g. '1,2;2,1'")
 
 
 # each subcommand's help line, in `-h` order
@@ -306,25 +241,39 @@ def _command(name: str):
     return import_module(f".commands.{name.replace('-', '_')}", __package__)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser built for one argv (`argv` is None for the full parser).
+
+    A parser with one subcommand would name only that one in its usage
+    lines, so it reports no error itself: the full parser parses the argv
+    again and reports the error as it always does.
+    """
+
+    argv: list[str] | None = None
+
+    def error(self, message: str):
+        if self.argv is not None:
+            build_parser().parse_args(self.argv)
+        super().error(message)
+
+
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     """The command-line parser.
 
-    Every subcommand is registered with its help line, so the usage line and
-    `-h` never change.  Given the `argv` it is about to parse, only the
-    subcommand that argv names gets its arguments, and only its command
-    module and the layers that module runs are loaded; without argv, or
-    when argv names none, every subcommand gets them.
+    Given the `argv` it is about to parse, when argv[0] names a command,
+    only that subcommand is registered, so only its command module and the
+    layers that module runs are loaded; a parse error is reported by the
+    full parser.  Without argv, or when argv[0] names no command (as for
+    `-h` or a missing or unknown command), every subcommand is registered.
     """
-    top = argparse.ArgumentParser(
-        prog="schubdeform",
-        description="Exact Schubert calculus with the deformed product.")
+    top = _Parser(prog="schubdeform",
+                  description="Exact Schubert calculus with the deformed product.")
     sub = top.add_subparsers(dest="command", required=True)
-    # no top-level option takes a value, so the first word that is no option names the command
-    named = next((a for a in argv or () if not a.startswith("-")), None)
-    for name, summary in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        if named in _COMMANDS and name != named:
-            continue
+    named = [argv[0]] if argv and argv[0] in _COMMANDS else []
+    for name in named or _COMMANDS:
+        p = sub.add_parser(name, help=_COMMANDS[name])
+        if named:
+            top.argv = p.argv = list(argv)
         _command(name).add_arguments(p)
         p.add_argument("--format", choices=("md", "csv", "json"), default="md")
         if name not in ("roots", "weyl"):  # every other command builds a Schubert basis

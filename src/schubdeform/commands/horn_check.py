@@ -4,8 +4,8 @@ from __future__ import annotations
 import argparse
 from typing import TYPE_CHECKING
 
-from ..cli import (EXIT_MISMATCH, EXIT_OK, Table, _job, _parse_levi, _ring_for, _tuple_for,
-                   _words_args, parse_words)
+from ..cli import EXIT_MISMATCH, EXIT_OK, Table, _job, _parse_levi, _ring_for
+from ._words import _tuple_for, _words_args, parse_words
 
 if TYPE_CHECKING:
     from ..horn import HornReport

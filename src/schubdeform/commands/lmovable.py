@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import argparse
 
-from ..cli import EXIT_OK, Table, _ring_for, _tuple_for, _words_args
+from ..cli import EXIT_OK, Table, _ring_for
+from ._words import _tuple_for, _words_args
 
 add_arguments = _words_args
 

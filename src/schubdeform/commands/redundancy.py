@@ -6,8 +6,8 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..cli import (EXIT_OK, JSON_SCHEMA_VERSION, Table, _add_common, _group_for, _job,
-                   _system_tables)
+from ..cli import EXIT_OK, JSON_SCHEMA_VERSION, Table, _add_common, _group_for, _job
+from .eigencone import _system_tables
 
 if TYPE_CHECKING:
     from ..eigencone import InequalitySystem

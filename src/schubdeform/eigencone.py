@@ -7,16 +7,15 @@ cuts out the additive eigencone inside the dominant tuples.  Two modes:
 the classical cup product, and the degenerate product which keeps only
 the Levi-movable tuples and yields a smaller system describing the same
 cone.  Redundancy and system equivalence are decided by exact rational
-cone membership against the other inequalities plus dominance.
+cone membership against the other inequalities plus dominance; those
+linear programs live in `cones`, which only pruning and equivalence load.
 """
 from __future__ import annotations
 
-from collections import Counter
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .cones import cone_contains
 from .deform import MODES, DeformedRing, deformed_ring
-from .rootsystem import BudgetError, Coweight, RootSystem, root_system
+from .rootsystem import Coweight, RootSystem, root_system
 from .weyl import WeylElement, WeylGroup, check_tuple_budget, parabolic
 
 if TYPE_CHECKING:
@@ -146,13 +145,6 @@ def _int_list(x, what: str, lo: int | None = None, hi: int | None = None) -> lis
     return x
 
 
-class Verdict(NamedTuple):
-    """Membership result with the violated inequalities and exact values."""
-
-    member: bool
-    violations: list[tuple[Inequality, Fraction]]
-
-
 def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylElement, ...]]:
     """Generating tuples: balanced codimensions, product equal to the point.
 
@@ -240,113 +232,6 @@ def generate_system(group: WeylGroup, s: int, mode: str) -> InequalitySystem:
     return InequalitySystem(rs=rs, s=s, mode=mode, inequalities=ineqs)
 
 
-def evaluate(system: InequalitySystem, hs: Sequence[Coweight]) -> Verdict:
-    """Membership of a tuple of dominant coweights in the described cone."""
-    rs = system.rs
-    if len(hs) != system.s:
-        raise ValueError(f"expected {system.s} coweights, got {len(hs)}")
-    dominance = dominance_rows(rs, 1)
-    for h in hs:
-        if len(h.coords) != rs.rank:
-            raise ValueError(f"coweight {h.coords} has {len(h.coords)} coordinates, "
-                             f"expected {rs.rank} for {rs.label}")
-        if any(sum(a * t for a, t in zip(row, h.coords)) > 0 for row in dominance):
-            raise ValueError(f"coweight {h.coords} is not dominant")
-    violations = []
-    for q in system.inequalities:
-        v = q.value(hs)
-        if v > 0:
-            violations.append((q, v))
-    return Verdict(member=not violations, violations=violations)
-
-
-def dominance_rows(rs: RootSystem, s: int) -> list[tuple[int, ...]]:
-    """Rows cutting out dominance of every factor, in nonpositive form.
-
-    Row (j,i) evaluates to -alpha_i(h_j) on the concatenated coroot
-    coordinates, so dominance is exactly `row . x <= 0` for every row.
-    """
-    rows = []
-    n = rs.rank
-    for j in range(s):
-        for i in range(n):
-            vec = [0] * (s * n)
-            for k in range(n):
-                vec[j * n + k] = -rs.cartan[k][i]
-            rows.append(tuple(vec))
-    return rows
-
-
-# Tableau cells of one cone-membership LP: a tableau this size holds about
-# 8 MB of references, and every pivot touches each cell.  The largest LP of a
-# generated rank-4 system at s = 3 (B4 classical, 957 rows) has 11,784 cells.
-LP_CELL_CAP = 1_000_000
-# Tableau cells over the LPs of one run, one LP per orbit label: at s = 3, B4
-# needs about 2.0 M to prune its classical rows and 2.0 M for equivalence.
-LP_RUN_CAP = 10_000_000
-
-
-def _check_lp_budget(rs: RootSystem, s: int, *sides: tuple[int, Sequence[int]]) -> None:
-    """Raise BudgetError when one LP would have a tableau of more than
-    LP_CELL_CAP cells, or the run's LPs more than LP_RUN_CAP cells together.
-
-    Each side (rows, labels) takes one LP per distinct label against `rows`
-    rows plus dominance.  The tableau has one row per coordinate (s * rank)
-    and a column per generator (the rows and the s * rank dominance rows),
-    per artificial variable and for the right-hand side.  Callers check
-    before building any dominance row, so a huge s costs nothing.
-    """
-    dim = s * rs.rank
-    planned = []
-    for rows, labels in sides:
-        cells = dim * (rows + 2 * dim + 1)
-        if cells > LP_CELL_CAP:
-            raise BudgetError(f"LP tableau of {cells} cells exceeds cap {LP_CELL_CAP} "
-                              f"for {rs.label}, s={s}")
-        planned.append((len(set(labels)), cells))
-    if sum(lps * cells for lps, cells in planned) > LP_RUN_CAP:
-        plan = " and ".join(f"{lps} LPs of {cells} cells" for lps, cells in planned)
-        raise BudgetError(f"{plan} exceed the run cap {LP_RUN_CAP} for {rs.label}, s={s}")
-
-
-def orbit_labels(rows: Sequence[tuple[int, ...]], s: int) -> list[int]:
-    """Label each row with the index of the first row of its S_s-orbit.
-
-    S_s permutes the s blocks of a flat row, so two rows share an orbit
-    exactly when their blocks agree as multisets: each row is keyed by its
-    sorted blocks.  Orbits are used only when the rows, counted with
-    multiplicity, are closed under swapping blocks 1 and 2 and under
-    rotating the blocks, which generate S_s; otherwise each orbit is one row
-    and its equal copies.
-    """
-    count = Counter(rows)
-    k = len(rows[0]) // s if rows else 0
-    closed = all(count[r[k:2 * k] + r[:k] + r[2 * k:]] == c and count[r[k:] + r[:k]] == c
-                 for r, c in count.items())
-    first: dict[tuple, int] = {}
-    labels = []
-    for i, r in enumerate(rows):
-        key = tuple(sorted(r[j * k:(j + 1) * k] for j in range(s))) if closed else r
-        labels.append(first.setdefault(key, i))
-    return labels
-
-
-def _contained(rows: Sequence[tuple[int, ...]], labels: Sequence[int],
-               generators: Callable[[int], list[tuple[int, ...]]]) -> Iterator[bool]:
-    """cone_contains(rows[k], generators(k)) for each k in order, solved once
-    per label; a row that occurs among its own generators needs no LP.
-
-    Sound when the generators of rows with one label are images of each
-    other under the block permutation that maps the rows.
-    """
-    verdicts: dict[int, bool] = {}
-    for k, label in enumerate(labels):
-        if label not in verdicts:
-            gens = generators(k)
-            verdicts[label] = rows[k] in gens or cone_contains(rows[k], gens)
-        yield verdicts[label]
-
-
 def prune_redundant(system: InequalitySystem) -> InequalitySystem:
     """Annotate each inequality implied by the others plus dominance.
 
@@ -358,6 +243,8 @@ def prune_redundant(system: InequalitySystem) -> InequalitySystem:
     orbit; a saved system that is not closed takes one LP per row.  A row
     with an equal copy is redundant without an LP.
     """
+    from .cones import _check_lp_budget, _contained, dominance_rows, orbit_labels
+
     flats = [q.flat() for q in system.inequalities]
     labels = orbit_labels(flats, system.s)
     _check_lp_budget(system.rs, system.s, (len(flats), labels))
@@ -375,6 +262,8 @@ def systems_equivalent(a: InequalitySystem, b: InequalitySystem) -> bool:
     one LP per S_s-orbit of rows decides its orbit; a row that is also a row
     of the other system needs no LP.
     """
+    from .cones import _check_lp_budget, _contained, dominance_rows, orbit_labels
+
     if a.rs is not b.rs or a.s != b.s:
         raise ValueError("systems must be over the same group and length")
     fa = [q.flat() for q in a.inequalities]

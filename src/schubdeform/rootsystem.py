@@ -258,16 +258,6 @@ class RootSystem:
         """x_i with alpha_j(x_i) = delta_ij, in coroot coordinates."""
         return Coweight(tuple(self.cartan_inv[i][k] for k in range(self.rank)))
 
-    def to_fweight(self, coords_root: Sequence) -> Vector:
-        return tuple(self.coroot_pairing(coords_root, j) for j in range(self.rank))
-
-    def rho(self, levi: Iterable[int] | None = None) -> Weight:
-        """Half sum of the positive roots (of the Levi subsystem, if given)."""
-        from fractions import Fraction
-
-        idx = self.levi_positive(levi) if levi is not None else range(len(self.positive_roots))
-        return Weight(tuple(Fraction(c, 2) for c in self.root_sum(idx)))
-
     def levi_positive(self, levi: Iterable[int]) -> tuple[int, ...]:
         """Indices of positive roots supported on the given simple indices."""
         lv = set(levi)

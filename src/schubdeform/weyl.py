@@ -3,9 +3,13 @@
 Elements are canonicalized by their integer matrix action on the simple
 roots (columns = images of the simple roots).  Enumeration is breadth-first
 over right multiplication by simple reflections, so the stored word of each
-element is reduced, and it records every product w s_i in a table.  Products
-and inverses are folds of reduced words over that table, so no group
-operation multiplies matrices.
+element is reduced, and it records every product w s_i in a table.  It finds
+elements by their inversion sets: s_i permutes the positive roots other than
+alpha_i, so the inversion set of w s_i follows from that of w, and an
+element's matrix is built only when the element is first found (Humphreys,
+Reflection Groups and Coxeter Groups, 1990, ch. 1).  Products and inverses
+are folds of reduced words over the table, so no group operation multiplies
+matrices.
 """
 from __future__ import annotations
 
@@ -16,10 +20,10 @@ from .rootsystem import BudgetError, RootSystem
 Cols = tuple[tuple[int, ...], ...]
 
 # largest group weyl_group enumerates.  Measured on a 2-core VM with Python
-# 3.11: A5 (720 elements) 0.28 s, D5 (1,920) 0.73 s, B5 (3,840) 2.0 s and A6
-# (5,040) 2.4 s, while A7 (40,320) took 32 s and 98 MB.  Every rank <= 4 group
-# fits (F4, the largest, has 1,152 elements); larger ones are refused before
-# enumeration.
+# 3.11: F4 (1,152 elements) 0.02 s, D5 (1,920) 0.05 s, B5 (3,840) 0.09 s and
+# A6 (5,040) 0.13 s; past the cap, D6 (23,040) takes 1.1 s and 57 MB, and A7
+# (40,320) 1.8 s and 83 MB.  Every rank <= 4 group fits (F4, the largest, has
+# 1,152 elements); larger ones are refused before enumeration.
 DEFAULT_CAP = 10_000
 
 # tuples an s-fold scan over the representatives of quotients may take
@@ -107,53 +111,69 @@ class WeylGroup:
         self.order = order
         self.elements: list[WeylElement] = []
         self._right: list[tuple[WeylElement, ...]] = []  # [w.index][i] = w s_i
+        self._inversion_sets: list[frozenset[int]] = []  # [w.index] = Phi(w)
+        self._by_inversions: dict[frozenset[int], WeylElement] = {}
         self._enumerate()
         self._inverse = [self._fold(self.identity, reversed(w.word)) for w in self.elements]
-        self._inversion_sets: list[frozenset[int]] = [
-            self._compute_inversions(w) for w in self.elements
-        ]
-        self._by_inversions = dict(zip(self._inversion_sets, self.elements))
         self._parabolics: dict[tuple, Parabolic] = {}  # filled by parabolic
         self._basis = None  # built by schubert.schubert_basis
 
     # -- enumeration ----------------------------------------------------
 
     def _enumerate(self):
-        n = self.rs.rank
-        cartan = self.rs.cartan
+        rs = self.rs
+        n, cartan = rs.rank, rs.cartan
+        simple = [rs.root_index[tuple(int(j == i) for j in range(n))] for i in range(n)]
+        # s_i permutes the positive roots other than alpha_i; perms[i] also
+        # fixes alpha_i, so that Phi(w s_i) = s_i(Phi(w) - {alpha_i}), plus
+        # alpha_i when alpha_i is not in Phi(w), is perms[i](Phi(w)) ^ {alpha_i}
+        perms = []
+        for i in range(n):
+            perm = []
+            for r in rs.positive_roots:
+                img = list(r)
+                img[i] -= rs.coroot_pairing(r, i)
+                perm.append(rs.root_index.get(tuple(img), simple[i]))
+            perms.append(perm)
+        flips = [frozenset((a,)) for a in simple]
         ident: Cols = tuple(tuple(int(j == k) for k in range(n)) for j in range(n))
         e = WeylElement(ident, (), self)
-        found = {ident: e}
-        right: dict[Cols, list[Cols]] = {}
-        frontier = [e]
-        while frontier:
-            new = []
-            for w in frontier:
-                products = right[w.cols] = []
-                for i in range(n):
+        e.index = 0
+        # breadth-first: the elements in the order they are found, each keyed
+        # by its inversion set, with the products w s_i of each
+        found: dict[frozenset[int], WeylElement] = {frozenset(): e}
+        order, sets, right = [e], [frozenset()], []
+        for w, inv in zip(order, sets):  # the loop reaches what it appends
+            products = []
+            for i in range(n):
+                key = frozenset(map(perms[i].__getitem__, inv)) ^ flips[i]
+                x = found.get(key)
+                if x is None:
                     # right multiplication: (w s_i)(alpha_j) = w(alpha_j - a_ij alpha_i)
                     wi = w.cols[i]
                     cols = tuple(
                         col if not cartan[i][j] else
                         tuple(c - cartan[i][j] * ci for c, ci in zip(col, wi))
                         for j, col in enumerate(w.cols))
-                    products.append(cols)
-                    if cols not in found:
-                        el = WeylElement(cols, w.word + (i,), self)
-                        found[cols] = el
-                        new.append(el)
-            frontier = new
-        els = sorted(found.values(), key=lambda w: (w.length, w.cols))
+                    x = found[key] = WeylElement(cols, w.word + (i,), self)
+                    x.index = len(order)
+                    order.append(x)
+                    sets.append(key)
+                products.append(x)
+            right.append(tuple(products))
+            w.descents = sum(1 << i for i, a in enumerate(simple) if a in inv)
+        if len(order) != self.order:
+            raise AssertionError(
+                f"enumerated {len(order)} elements of {rs.label}, expected {self.order}"
+            )
+        els = sorted(order, key=lambda w: (w.length, w.cols))
+        found_at = [w.index for w in els]
         for k, w in enumerate(els):
             w.index = k
         self.elements = els
-        if len(els) != self.order:
-            raise AssertionError(
-                f"enumerated {len(els)} elements of {self.rs.label}, expected {self.order}"
-            )
-        self._right = [tuple(found[c] for c in right[w.cols]) for w in els]
-        for w, products in zip(els, self._right):
-            w.descents = sum(1 << i for i, x in enumerate(products) if x.length < w.length)
+        self._right = [right[k] for k in found_at]
+        self._inversion_sets = [sets[k] for k in found_at]
+        self._by_inversions = found
 
     # -- group operations -----------------------------------------------
 
@@ -189,14 +209,6 @@ class WeylGroup:
         return self._inverse[w.index]
 
     # -- root combinatorics ---------------------------------------------
-
-    def _compute_inversions(self, w: WeylElement) -> frozenset[int]:
-        out = []
-        for k, r in enumerate(self.rs.positive_roots):
-            img = w.act_root(r)
-            if any(c < 0 for c in img):
-                out.append(k)
-        return frozenset(out)
 
     def inversion_set(self, w: WeylElement) -> frozenset[int]:
         """Phi_w = {beta > 0 : w(beta) < 0} as positive-root indices; |Phi_w| = l(w)."""

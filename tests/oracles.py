@@ -38,7 +38,8 @@ from typing import Iterable, Sequence
 
 from schubdeform.cones import cone_contains
 from schubdeform.deform import deformed_ring
-from schubdeform.eigencone import dominance_rows, tuple_inequality
+from schubdeform.cones import dominance_rows
+from schubdeform.eigencone import tuple_inequality
 from schubdeform.horn import dimension_tuples
 from schubdeform.poly import Poly
 from schubdeform.rootsystem import Weight
@@ -311,6 +312,17 @@ def root_coroot(rs, r: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(2 * rs.lengths[k] * r[k], 1) / bb for k in range(rs.rank))
 
 
+def to_fweight(rs, coords_root: Sequence) -> tuple:
+    """Fundamental-weight coordinates of a weight given in root coordinates."""
+    return tuple(rs.coroot_pairing(coords_root, j) for j in range(rs.rank))
+
+
+def rho(rs, levi: Iterable[int] | None = None) -> Weight:
+    """Half sum of the positive roots (of the Levi subsystem, if given)."""
+    idx = rs.levi_positive(levi) if levi is not None else range(rs.num_positive_roots)
+    return Weight(tuple(Fraction(c, 2) for c in rs.root_sum(idx)))
+
+
 def act_weight(w: WeylElement, weight: Weight) -> Weight:
     """w acting on a weight in root coordinates."""
     return Weight(tuple(Fraction(x) for x in w.act_root(weight.coords)))
@@ -388,17 +400,17 @@ def kostant_decomposition(parab, degree: int) -> list[KostantModule]:
     """
     rs = parab.rs
     group = parab.group
-    rho = rs.rho().coords
+    rho_w = rho(rs).coords
     out = []
     for w in parab.reps:
         if w.length != degree:
             continue
         winv = group.inverse(w)
         coords = tuple(Fraction(a) - Fraction(b) for a, b in
-                       zip(winv.act_root(rho), rho))
+                       zip(winv.act_root(rho_w), rho_w))
         if tuple(-c for c in rs.root_sum(group.inversion_set(w))) != coords:
             raise AssertionError(f"weight formulas disagree at {w}")
-        fw = rs.to_fweight(coords)
+        fw = to_fweight(rs, coords)
         for i in parab.levi:
             if fw[i] < 0:
                 raise AssertionError(f"weight of {w} not dominant for the Levi")

@@ -25,7 +25,7 @@ from schubdeform import (
     systems_equivalent,
     verify_all,
 )
-from schubdeform.eigencone import dominance_rows
+from schubdeform.cones import dominance_rows
 from schubdeform.horn import (
     check_character,
     check_dimension,

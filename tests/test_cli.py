@@ -226,6 +226,7 @@ PARSES = [[name, "--help"] for name in COMMAND_NAMES] + [
      "--check", "dimension", "--inner-levi", "1", "--outer-levi", "1,3"],
     ["redundancy"], ["verify-golden"],
     ["eigencone", "--type", "G", "--rank", "2", "--cache-dir", "c"],
+    ["eigencone", "--bogus"], ["eigencone", "-h"], ["--help", "eigencone"],
 ]
 
 
@@ -247,12 +248,25 @@ def test_words_has_one_definition():
     assert words[0][1].help
 
 
+# argv, and the subcommands the parser built for it registers
+REGISTERED = [
+    (["roots", "--type", "A"], ["roots"]),
+    (["eigencone", "--bogus"], ["eigencone"]),
+    (["-h", "roots"], COMMAND_NAMES),
+    (["--type", "A", "roots"], COMMAND_NAMES),
+    (["no-such-command"], COMMAND_NAMES),
+    ([], COMMAND_NAMES),
+]
+
+
 def test_parser_for_argv_fills_in_only_the_named_command():
-    subs = next(a for a in cli.build_parser(["roots", "--type", "A"])._actions
-                if isinstance(a, argparse._SubParsersAction))
-    assert list(subs.choices) == COMMAND_NAMES
-    filled = [name for name, p in subs.choices.items() if "--format" in p._option_string_actions]
-    assert filled == ["roots"]
+    """One subcommand when argv[0] names a command, every one otherwise;
+    each registered subcommand gets its arguments."""
+    for argv, choices in REGISTERED:
+        subs = next(a for a in cli.build_parser(argv)._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        assert list(subs.choices) == choices, argv
+        assert all("--format" in p._option_string_actions for p in subs.choices.values())
 
 
 TOKENS = st.sampled_from(COMMAND_NAMES + [

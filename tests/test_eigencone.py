@@ -21,15 +21,9 @@ from schubdeform import (
     systems_equivalent,
     weyl_group,
 )
-from schubdeform import eigencone, weyl
-from schubdeform.eigencone import (
-    MODES,
-    InequalitySystem,
-    dominance_rows,
-    enumerate_tuples,
-    orbit_labels,
-    tuple_inequality,
-)
+from schubdeform import cones, weyl
+from schubdeform.cones import dominance_rows, orbit_labels
+from schubdeform.eigencone import MODES, InequalitySystem, enumerate_tuples, tuple_inequality
 
 from common import ALL_TYPES, group_for, maximal_ring, ring_for
 from oracles import (
@@ -206,9 +200,9 @@ def test_equivalence_sizes_each_side_by_the_other(monkeypatch):
     doubled = [q._replace(functional=tuple(tuple(2 * x for x in block) for block in q.functional))
                for q in a.inequalities]
     b = _variant(a, a.inequalities + doubled)
-    monkeypatch.setattr(eigencone, "LP_RUN_CAP", 2088)
+    monkeypatch.setattr(cones, "LP_RUN_CAP", 2088)
     assert systems_equivalent(a, b) and systems_equivalent(b, a)
-    monkeypatch.setattr(eigencone, "LP_RUN_CAP", 2087)
+    monkeypatch.setattr(cones, "LP_RUN_CAP", 2087)
     for x, y in ((a, b), (b, a)):
         with pytest.raises(BudgetError, match="run cap 2087"):
             systems_equivalent(x, y)

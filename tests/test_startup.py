@@ -231,6 +231,28 @@ def test_only_horn_checks_load_the_horn_layer(job):
     assert ("schubdeform.horn" in modules) == (job is HORN_JOB)
 
 
+@pytest.mark.parametrize("argv,loads", [
+    (("eigencone", "--type", "B", "--rank", "2", "--no-cache"), False),
+    (("eigencone", "--type", "B", "--rank", "2", "--mode", "deformed", "--no-cache"), False),
+    (("verify-golden", "--table", "c3_p1", "--no-cache"), False),
+    (("redundancy", "--type", "B", "--rank", "2", "--no-cache"), True),
+], ids=lambda x: x[0] if isinstance(x, tuple) else str(x))
+def test_only_pruning_loads_the_cone_layer(argv, loads):
+    # generating a system solves no linear program; pruning one does
+    proc, modules = _loaded("-m", "schubdeform.cli", *argv, site=False)
+    assert proc.returncode == 0 and proc.stdout.startswith(f"# command={argv[0]} ")
+    assert "schubdeform.schubert" in modules  # the list is there
+    assert ("schubdeform.cones" in modules) is loads
+
+
+@pytest.mark.parametrize("argv", ENTRY_JOBS, ids=lambda argv: argv[0])
+def test_only_word_commands_load_the_words_module(argv):
+    proc, modules = _loaded("-m", "schubdeform.cli", *argv, site=False)
+    assert "schubdeform.rootsystem" in modules  # the list is there
+    assert ("schubdeform.commands._words" in modules) is \
+        (argv[0] in ("product", "lmovable", "horn-check"))
+
+
 def test_listing_golden_tables_reads_no_resource_module():
     # without `site`, which may import importlib.resources itself
     proc, modules = _loaded("-m", "schubdeform.cli", "verify-golden", "--table", "c3_p1",

@@ -60,17 +60,41 @@ def test_group_axioms(family, rank):
         assert g.mult(s, s) == e
 
 
-@pytest.mark.parametrize("family,rank", ALL_TYPES + [("F", 4)])
+# every type of rank at most 4 the library admits
+TYPES_TO_RANK_4 = ALL_TYPES + [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4)]
+
+
+@pytest.mark.parametrize("family,rank", TYPES_TO_RANK_4)
 def test_right_multiplication_table_and_descents(family, rank):
-    """w s_i read from the table is the matrix product, and bit i of the
-    descent mask is set exactly when w sends alpha_i to a negative root."""
+    """Against the definitions, not the enumeration's own recurrence: w s_i
+    read from the table is the matrix product, the stored inversion set of w
+    is {beta > 0 : w(beta) < 0}, and bit i of the descent mask is set exactly
+    when w sends alpha_i to a negative root.  Each element's matrix is the
+    product of its word's reflections, s_i(alpha_j) = alpha_j - a_ij alpha_i,
+    and the elements are ordered by length, then matrix."""
     g = group_for(family, rank)
+    roots, cartan = g.rs.positive_roots, g.rs.cartan
+    identity = tuple(tuple(int(j == k) for k in range(rank)) for j in range(rank))
+    assert g.identity.cols == identity
+    for i in range(rank):
+        assert g.simple_reflection(i).cols == tuple(
+            tuple(int(k == j) - cartan[i][j] * int(k == i) for k in range(rank))
+            for j in range(rank))
+    assert [w.index for w in g.elements] == list(range(g.order))
+    assert g.elements == sorted(g.elements, key=lambda w: (w.length, w.cols))
     for w in g.elements:
+        cols = identity
+        for i in reversed(w.word):
+            cols = tuple(g.simple_reflection(i).act_root(col) for col in cols)
+        assert cols == w.cols
+        assert g.inversion_set(w) == {k for k, r in enumerate(roots)
+                                      if any(c < 0 for c in w.act_root(r))}
         for i in range(rank):
-            assert g.times_simple(w, i) is g.mult(w, g.simple_reflection(i))
+            ws = g.times_simple(w, i)
+            assert ws.cols == _column_product(w, g.simple_reflection(i))
             negative = any(c < 0 for c in w.cols[i])
             assert bool(w.descents >> i & 1) is negative
-            assert negative is (g.times_simple(w, i).length < w.length)
+            assert negative is (ws.length < w.length)
         assert w.descents >> rank == 0
 
 
