@@ -21,7 +21,7 @@ _LAYERS = {
     "invsets": ("inversion_product", "is_inversion_set", "crosscheck_gb", "CrossCheckReport"),
     "horn": ("HornCheck", "HornReport", "central_characters", "coset_codim",
              "dimension_tuples", "check_character", "check_refined", "check_dimension",
-             "codim_difference_identity", "converse_search"),
+             "codim_difference_identity"),
     "eigencone": ("Inequality", "InequalitySystem", "generate_system", "prune_redundant",
                   "systems_equivalent", "dual_coweight"),
     "cones": ("cone_contains", "Verdict", "evaluate"),

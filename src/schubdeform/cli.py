@@ -48,7 +48,7 @@ def _job(args: argparse.Namespace) -> dict:
     object, and the fields of the header line.  Options without a value are left out."""
     job = {}
     for key in ("command", "type", "rank", "levi", "parabolic", "s", "mode", "words", "check",
-                "inner-levi", "outer-levi", "levi-words", "table", "limit", "input",
+                "inner-levi", "outer-levi", "levi-words", "table", "input",
                 "output", "format", "cache_dir", "no_cache"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None and val is not False:
@@ -226,7 +226,6 @@ _COMMANDS = {
     "redundancy": "prune a saved or freshly generated system",
     "leviprod-check": "degenerate product vs inversion-set rule on the full flag variety",
     "verify-golden": "check bundled multiplication tables",
-    "horn-converse-experiment": "search for zero-product tuples passing the character checks",
 }
 
 

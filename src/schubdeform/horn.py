@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .deform import DeformedRing, MovabilityCertificate, deformed_ring
+from .deform import DeformedRing, deformed_ring
 from .weyl import Parabolic, WeylElement, check_tuple_budget, one_based, parabolic
 
 _REL = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
@@ -133,7 +133,8 @@ def dimension_tuples(parab: Parabolic, s: int) -> Iterator[tuple[WeylElement, ..
     """All s-tuples of minimal representatives with codimension sum dim G/P.
 
     Deterministic order: factors run through the representatives in their
-    stored (length, matrix) order.
+    stored (length, matrix) order.  No command runs it: it is the tests'
+    enumerator of balanced tuples, and the benchmark tracer times it by name.
     """
     if s < 1:
         raise ValueError("need at least one factor")
@@ -252,17 +253,6 @@ def _levi_checks(kind: str, chi: Sequence[Sequence[int]], chi_e: Sequence[int],
     return checks
 
 
-def _character_checks(ring: DeformedRing, ws: Sequence[WeylElement],
-                      cert: MovabilityCertificate,
-                      blocks: Sequence[LeviBlock]) -> list[HornCheck]:
-    """The certificate's character gaps, which must be nonpositive, then the Levi pairings."""
-    chi = [ring.chi(w).coords for w in ws]
-    chi_e = ring.chi(ring.group.identity).coords
-    checks = [HornCheck("character", gap, 0, "<=", {"coweight": i})
-              for i, gap in cert.character_gap.items()]
-    return checks + _levi_checks("character-levi", chi, chi_e, blocks)
-
-
 def check_character(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport:
     """Character inequalities for a tuple with codimension sum dim G/P.
 
@@ -276,7 +266,11 @@ def check_character(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport
     if cert.coefficient == 0:
         return HornReport(applicable=False, coefficient=0, checks=[],
                           reason="classical point coefficient is zero", **shell)
-    checks = _character_checks(ring, ws, cert, levi_blocks(ring, len(ws)))
+    chi = [ring.chi(w).coords for w in ws]
+    chi_e = ring.chi(ring.group.identity).coords
+    checks = [HornCheck("character", gap, 0, "<=", {"coweight": i})
+              for i, gap in cert.character_gap.items()]
+    checks += _levi_checks("character-levi", chi, chi_e, levi_blocks(ring, len(ws)))
     return HornReport(applicable=True, coefficient=cert.coefficient, checks=checks,
                       reason="", **shell)
 
@@ -419,33 +413,3 @@ def _codim_sides(sub: Parabolic, qhat_parab: Parabolic, overlap: frozenset[int],
     lhs = coset_codim(qhat_parab, hat) - sub.codim(sub.minimal_rep(u))
     return lhs, len(overlap - qhat_parab.group.inversion_set(hat))
 
-
-# -- converse experiment -------------------------------------------------
-
-
-def converse_search(ring: DeformedRing, s: int = 3,
-                    limit: int | None = 10) -> list[HornReport]:
-    """Tuples meeting every character inequality yet with zero product.
-
-    Scans the codimension-balanced s-tuples; each report returned is a
-    candidate witness that the character inequalities do not suffice for
-    nonvanishing.  Purely experimental: nothing is asserted either way.
-    """
-    check_tuple_budget([len(ring.reps)], s - 1, s, ring.rs.label)
-    tuples = dimension_tuples(ring.parabolic, s)  # rejects s < 1 before the Levi scan
-    blocks = levi_blocks(ring, s)
-    shellbase = {"system": ring.rs.label, "levi": ring.parabolic.levi}
-    found: list[HornReport] = []
-    for ws in tuples:
-        cert = ring.is_levi_movable(ws)
-        if cert.coefficient != 0:
-            continue
-        checks = _character_checks(ring, ws, cert, blocks)
-        if all(c.passed for c in checks):
-            found.append(HornReport(
-                words=tuple(w.word for w in ws), applicable=True,
-                reason="zero product but every character check passes",
-                coefficient=0, checks=checks, **shellbase))
-            if limit is not None and len(found) >= limit:
-                break
-    return found

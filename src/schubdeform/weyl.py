@@ -34,7 +34,8 @@ def check_tuple_budget(sizes: Iterable[int], free: int, s: int, label: str) -> N
     """Raise BudgetError when scans of s-tuples over quotients with these
     numbers of representatives could take more than TUPLE_CAP tuples, by the
     bound sum(n ** free for n in sizes), where `free` factors range freely:
-    s - 1 when codimension balance fixes the last factor, s when none does.
+    s - 1 for generation, where codimension balance fixes the last factor,
+    and s for the Levi blocks of the Horn checks, where none does.
 
     The sum stops growing once it passes the cap, so a huge s costs a few
     multiplications, never a huge integer.

@@ -73,7 +73,7 @@ def test_weyl_csv_comment_headers(capsys):
 
 
 # Job shapes no benchmark pin covers: an output file, an input file, the cache
-# flags on their own, `--limit 0` and every horn-check option.  Paths are
+# flags on their own, `--parabolic` and every horn-check option.  Paths are
 # relative to the test's working directory, so the header bytes are fixed.
 HEADER_JOBS = [
     (["eigencone", "--type", "A", "--rank", "2", "--output", "system.json",
@@ -86,11 +86,10 @@ HEADER_JOBS = [
      "# command=redundancy s=3 mode=classical input=system.json format=md",
      {"command": "redundancy", "s": 3, "mode": "classical", "input": "system.json",
       "format": "json"}),
-    (["horn-converse-experiment", "--type", "A", "--rank", "2", "--parabolic", "1",
-      "--limit", "0"],
-     "# command=horn-converse-experiment type=A rank=2 parabolic=1 s=3 limit=0 format=md",
-     {"command": "horn-converse-experiment", "type": "A", "rank": 2, "parabolic": 1,
-      "s": 3, "limit": 0, "format": "json"}),
+    (["lmovable", "--type", "A", "--rank", "3", "--parabolic", "1", "--words", "2,1;2,1;2,1"],
+     "# command=lmovable type=A rank=3 parabolic=1 words=2,1;2,1;2,1 format=md",
+     {"command": "lmovable", "type": "A", "rank": 3, "parabolic": 1, "words": "2,1;2,1;2,1",
+      "format": "json"}),
     (["verify-golden", "--table", "b3_p2", "--cache-dir", "cache"],
      "# command=verify-golden table=b3_p2 format=md cache-dir=cache",
      {"command": "verify-golden", "table": "b3_p2", "format": "json", "cache_dir": "cache"}),
@@ -171,7 +170,7 @@ def test_header_line_and_json_job_walk_the_same_fields(argv):
 
 # the commands that compute structure constants, each through a SchubertBasis
 BASIS_COMMANDS = {"product", "deform-table", "lmovable", "horn-check", "eigencone",
-                  "redundancy", "leviprod-check", "verify-golden", "horn-converse-experiment"}
+                  "redundancy", "leviprod-check", "verify-golden"}
 
 
 def test_every_flag_is_echoed_and_cache_flags_sit_on_basis_commands():
@@ -208,8 +207,7 @@ def _parsed(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
 
 
 COMMAND_NAMES = ["roots", "weyl", "product", "deform-table", "lmovable", "horn-check",
-                 "eigencone", "redundancy", "leviprod-check", "verify-golden",
-                 "horn-converse-experiment"]
+                 "eigencone", "redundancy", "leviprod-check", "verify-golden"]
 PARSES = [[name, "--help"] for name in COMMAND_NAMES] + [
     ["-h"], [], ["no-such-command"], ["-h", "roots"], ["--bogus", "roots"],
     ["roots", "--type", "A", "--rank", "2", "--bogus"],
@@ -271,7 +269,7 @@ def test_parser_for_argv_fills_in_only_the_named_command():
 
 TOKENS = st.sampled_from(COMMAND_NAMES + [
     "-h", "--help", "--type", "--rank", "--levi", "--parabolic", "--words", "--s", "--mode",
-    "--table", "--format", "--no-cache", "--cache-dir", "--input", "--limit", "--check",
+    "--table", "--format", "--no-cache", "--cache-dir", "--input", "--check",
     "--bogus", "--", "-", "-1", "A", "Z", "2", "1;2", "deformed", "c3_p1", "json", "x"])
 
 
@@ -345,9 +343,7 @@ def test_invalid_input_exit_2(capsys):
          "--words", "2,1;2,1;2,1", "--inner-levi", "2,2", "--outer-levi", "2,3"],
         ["horn-check", "--type", "A", "--rank", "3", "--parabolic", "1",
          "--words", "2,1;2,1;2,1", "--inner-levi", "2", "--outer-levi", "2,3,2"],
-        ["horn-converse-experiment", "--type", "A", "--rank", "3", "--limit", "-1"],
-        ["horn-converse-experiment", "--type", "A", "--rank", "2", "--parabolic", "1",
-         "--s", "-1"],
+        ["eigencone", "--type", "A", "--rank", "2", "--s", "-1"],
     ]
     for argv in bad:
         code, _, err = run(capsys, *argv)
@@ -389,10 +385,11 @@ def test_tuple_scan_budget_exit_3_fast(capsys):
     for argv in (["eigencone", "--type", "A", "--rank", "2", "--s", "100000"],
                  ["redundancy", "--type", "A", "--rank", "2", "--s", "100000"],
                  ["eigencone", "--type", "A", "--rank", "2", "--s", "2000"],
-                 ["horn-converse-experiment", "--type", "A", "--rank", "2", "--s", "100"],
-                 ["horn-converse-experiment", "--type", "A", "--rank", "2", "--s", "1000"],
-                 ["horn-converse-experiment", "--type", "A", "--rank", "2", "--levi", "1,2",
-                  "--s", "1000"]):
+                 # the Levi blocks of the full Levi, one word per factor
+                 ["horn-check", "--type", "A", "--rank", "2", "--levi", "1,2",
+                  "--words", ";".join(["e"] * 100)],
+                 ["horn-check", "--type", "A", "--rank", "2", "--levi", "1,2",
+                  "--words", ";".join(["e"] * 1000)]):
         t0 = time.perf_counter()
         code, _, err = run(capsys, *argv)
         assert time.perf_counter() - t0 < 1.0, argv
@@ -913,15 +910,6 @@ def test_leviprod_check_passes(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and doc["mismatches"] == 0
-
-
-def test_horn_converse_experiment(capsys):
-    code, out, _ = run(capsys, "horn-converse-experiment", "--type", "A",
-                       "--rank", "2", "--parabolic", "1", "--limit", "5",
-                       "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["candidates"] == []
 
 
 def test_deform_table_runs(capsys):

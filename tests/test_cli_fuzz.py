@@ -3,8 +3,8 @@
 Every subcommand runs with a rank <= 3 type, or with a type the library
 refuses; rank 4 only for `roots` and `weyl`, whose work does not grow with
 the tables.  Levi sets repeat indices, leave the range or are `-`; words are
-reduced, not reduced, outside W^P or junk; `--parabolic`, `--s`, `--limit`
-and `--format` take good and bad values, and `--levi` sometimes comes with
+reduced, not reduced, outside W^P or junk; `--parabolic`, `--s` and
+`--format` take good and bad values, and `--levi` sometimes comes with
 `--parabolic`.  Where tuples are scanned, s is at most 3.  Every run must
 exit 0, 2, 3 or 4 without a traceback, with an empty stderr exactly on exit 0.
 
@@ -29,7 +29,7 @@ from common import ALL_TYPES
 TYPES = ALL_TYPES * 3 + [("A", 0), ("G", 3), ("D", 2), ("E", 3)]
 RANK4 = [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4)]
 TABLE_COMMANDS = ["product", "deform-table", "lmovable", "horn-check", "eigencone",
-                  "redundancy", "leviprod-check", "horn-converse-experiment"]
+                  "redundancy", "leviprod-check"]
 # the commands that compute structure constants, and so offer the cache flags
 CACHE_COMMANDS = TABLE_COMMANDS + ["verify-golden"]
 JUNK = st.sampled_from(["", "x", "1,,2", "0", "-1", "1;2", "e", " ", "1.5"])
@@ -131,12 +131,9 @@ def argvs(draw):
                      "--outer-levi", draw(levi_sets(rank))]
         if draw(st.booleans()):
             argv += ["--levi-words", draw(words(group, (), 3))]
-    if command in ("eigencone", "redundancy", "horn-converse-experiment"):
-        argv += ["--s", str(draw(st.integers(-1, 3)))]
     if command in ("eigencone", "redundancy"):
+        argv += ["--s", str(draw(st.integers(-1, 3)))]
         argv += ["--mode", draw(st.sampled_from(["classical", "deformed"]))]
-    if command == "horn-converse-experiment":
-        argv += ["--limit", str(draw(st.integers(-1, 3)))]
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["md", "csv", "json", "xml"]))]
     return argv

@@ -12,7 +12,6 @@ from schubdeform import (
     check_dimension,
     check_refined,
     codim_difference_identity,
-    converse_search,
     coset_codim,
     deformed_ring,
     dimension_tuples,
@@ -191,12 +190,6 @@ def test_codim_difference_identity_samples():
         for u in levi_group[:4]:
             lhs, rhs = codim_difference_identity(ring, w, u, (0,), (0, 1))
             assert lhs == rhs
-
-
-def test_converse_search_reports_only():
-    ring = maximal_ring("A", 2, 0)
-    found = converse_search(ring, s=3, limit=5)
-    assert found == []  # no false positives on the projective plane
 
 
 # Levi-movable three-factor tuples over all pairs Q < P < G of each type

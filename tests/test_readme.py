@@ -1,10 +1,14 @@
-"""The Python API block of README.md runs as written."""
+"""README.md as written: its Python API block runs, and its table of
+subcommands is the command line's."""
 
 import ast
 import io
 import re
 import tokenize
+from itertools import groupby
 from pathlib import Path
+
+from schubdeform import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +35,12 @@ def test_readme_python_block_runs_and_shows_its_values():
         else:
             exec(compile(ast.Module([stmt], []), str(README), "exec"), namespace)
     assert len(shown) == 7, shown
+
+
+def test_readme_subcommand_table_names_every_command_in_help_order():
+    """The table's first column starts with the command, one or more rows
+    each; together they name exactly the commands of `-h`, in its order."""
+    section = README.read_text().split("\nSubcommands:\n\n", 1)[1]
+    rows = section.split("\n\n", 1)[0].splitlines()[2:]
+    names = [row.split("`")[1].split()[0] for row in rows]
+    assert [name for name, _ in groupby(names)] == list(cli._COMMANDS)

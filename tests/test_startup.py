@@ -158,8 +158,7 @@ atexit.register(_report)
 @pytest.mark.parametrize("argv", [
     ("roots", "--type", "A", "--rank", "1"),
     ("eigencone", "--type", "A", "--rank", "2", "--no-cache"),
-    ("horn-converse-experiment", "--type", "A", "--rank", "2", "--parabolic", "1", "--limit",
-     "1", "--no-cache"),
+    ("deform-table", "--type", "A", "--rank", "2", "--parabolic", "1", "--no-cache"),
 ])
 def test_a_job_runs_cli_once_and_its_own_command_only(tmp_path, argv):
     # a command module that imported a second copy of cli.py would compile
@@ -182,7 +181,8 @@ def test_running_the_cli_module_warns_of_no_second_copy():
     assert proc.stdout.startswith("# command=roots ")
 
 
-# one job of each subcommand, and a refused one
+# one job of each subcommand, the help, which builds the parser of every one,
+# and a refused job
 ENTRY_JOBS = [
     ("roots", "--type", "B", "--rank", "2", "--format", "json"),
     ("weyl", "--type", "A", "--rank", "2", "--levi", "1"),
@@ -196,8 +196,7 @@ ENTRY_JOBS = [
     ("redundancy", "--type", "A", "--rank", "2", "--no-cache"),
     ("leviprod-check", "--type", "A", "--rank", "2", "--no-cache"),
     ("verify-golden", "--table", "c3_p1", "--no-cache"),
-    ("horn-converse-experiment", "--type", "A", "--rank", "2", "--parabolic", "1",
-     "--limit", "2", "--no-cache"),
+    ("-h",),
     pytest.param(("weyl", "--type", "A", "--rank", "2", "--parabolic", "5"), id="refused"),
 ]
 CONSOLE_SCRIPT = "from schubdeform.cli import main; raise SystemExit(main())"
@@ -249,8 +248,9 @@ def test_only_pruning_loads_the_cone_layer(argv, loads):
 def test_only_word_commands_load_the_words_module(argv):
     proc, modules = _loaded("-m", "schubdeform.cli", *argv, site=False)
     assert "schubdeform.rootsystem" in modules  # the list is there
+    # the help builds the parser of every command, the word commands' included
     assert ("schubdeform.commands._words" in modules) is \
-        (argv[0] in ("product", "lmovable", "horn-check"))
+        (argv[0] in ("product", "lmovable", "horn-check", "-h"))
 
 
 def test_listing_golden_tables_reads_no_resource_module():
