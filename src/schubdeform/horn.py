@@ -230,12 +230,11 @@ def levi_blocks(ring: DeformedRing, s: int) -> list[LeviBlock]:
 # -- character inequalities ----------------------------------------------
 
 
-def _report_shell(ring: DeformedRing, ws: Sequence[WeylElement]) -> dict:
-    return {
-        "system": ring.rs.label,
-        "levi": ring.parabolic.levi,
-        "words": tuple(w.word for w in ws),
-    }
+def _report(ring: DeformedRing, ws: Sequence[WeylElement], coefficient: int | None,
+            checks: list[HornCheck], reason: str = "") -> HornReport:
+    """The report of one family of checks on `ws`: it applies exactly when it gives no reason."""
+    return HornReport(ring.rs.label, ring.parabolic.levi, tuple(w.word for w in ws),
+                      not reason, reason, coefficient, checks)
 
 
 def _levi_checks(kind: str, chi: Sequence[Sequence[int]], chi_e: Sequence[int],
@@ -262,17 +261,14 @@ def check_character(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport
     DimensionError when the codimension condition fails.
     """
     cert = ring.is_levi_movable(ws)
-    shell = _report_shell(ring, ws)
     if cert.coefficient == 0:
-        return HornReport(applicable=False, coefficient=0, checks=[],
-                          reason="classical point coefficient is zero", **shell)
+        return _report(ring, ws, 0, [], "classical point coefficient is zero")
     chi = [ring.chi(w).coords for w in ws]
     chi_e = ring.chi(ring.group.identity).coords
     checks = [HornCheck("character", gap, 0, "<=", {"coweight": i})
               for i, gap in cert.character_gap.items()]
     checks += _levi_checks("character-levi", chi, chi_e, levi_blocks(ring, len(ws)))
-    return HornReport(applicable=True, coefficient=cert.coefficient, checks=checks,
-                      reason="", **shell)
+    return _report(ring, ws, cert.coefficient, checks)
 
 
 # -- central character refinements ---------------------------------------
@@ -288,14 +284,11 @@ def check_refined(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport:
     """
     parab = ring.parabolic
     cert = ring.is_levi_movable(ws)
-    shell = _report_shell(ring, ws)
     if not cert.movable:
-        return HornReport(
-            applicable=False, coefficient=cert.coefficient, checks=[],
-            reason=("tuple is not Levi-movable: coefficient "
-                    f"{cert.coefficient}, character gaps "
-                    f"{ {i + 1: g for i, g in sorted(cert.character_gap.items())} }"),
-            **shell)
+        return _report(ring, ws, cert.coefficient, [],
+                       "tuple is not Levi-movable: coefficient "
+                       f"{cert.coefficient}, character gaps "
+                       f"{ {i + 1: g for i, g in sorted(cert.character_gap.items())} }")
     group = ring.group
     checks = []
     classes = central_characters(parab)
@@ -310,11 +303,28 @@ def check_refined(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport:
         chi_c_e = ring.rs.root_sum(roots)
         checks += _levi_checks("class-levi", chi_c, chi_c_e, blocks,
                                signature=cc.signature)
-    return HornReport(applicable=True, coefficient=cert.coefficient,
-                      checks=checks, reason="", **shell)
+    return _report(ring, ws, cert.coefficient, checks)
 
 
 # -- dimension inequalities ----------------------------------------------
+
+
+def _levi_pair(ring: DeformedRing, inner_levi: Iterable[int], outer_levi: Iterable[int]
+               ) -> tuple[Parabolic, Parabolic, frozenset[int] | None]:
+    """L/(L cap Q) for the inner Levi Q, G/Qhat for the outer Levi, and the common
+    nilradical roots of Qhat and P when Qhat meets P exactly in Q, else None.
+    Q must sit inside the Levi of P and Qhat contain Q, checked before either is built."""
+    parab = ring.parabolic
+    q, qh, levi = set(inner_levi), set(outer_levi), set(parab.levi)
+    if not q <= levi:
+        raise ValueError(f"inner Levi {one_based(sorted(q))} must sit inside the Levi "
+                         f"{one_based(parab.levi)} (1-based indices)")
+    if not q <= qh:
+        raise ValueError(f"outer Levi {one_based(sorted(qh))} must contain the inner Levi "
+                         f"{one_based(sorted(q))} (1-based indices)")
+    qhat_parab = parabolic(ring.group, qh)
+    overlap = qhat_parab.nilradical_roots & parab.nilradical_roots if qh & levi == q else None
+    return parabolic(ring.group, q, within=parab.levi), qhat_parab, overlap
 
 
 def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
@@ -331,55 +341,42 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
     per-factor counts of kept roots in the common nilradical are bounded
     by its size.
     """
-    parab = ring.parabolic
-    group = ring.group
     ring.check_tuple(ws)
-    q = tuple(sorted(set(inner_levi)))
-    qh = tuple(sorted(set(outer_levi)))
-    if not set(q) <= set(parab.levi):
-        raise ValueError(f"inner Levi {one_based(q)} must sit inside the Levi "
-                         f"{one_based(parab.levi)} (1-based indices)")
-    if not set(q) <= set(qh):
-        raise ValueError(f"outer Levi {one_based(qh)} must contain the inner Levi "
-                         f"{one_based(q)} (1-based indices)")
+    sub, qhat_parab, overlap = _levi_pair(ring, inner_levi, outer_levi)
     if not ring.fold(ws):
         raise ValueError("tuple has zero classical product")
 
-    sub = parabolic(group, q, within=parab.levi)
     us = [sub.minimal_rep(_levi_element(sub, u)) for u in utuple]
     if len(us) != len(ws):
         raise ValueError("Levi tuple length must match the main tuple")
     if not deformed_ring(sub).fold(us):
         raise ValueError("Levi tuple has zero classical product")
 
-    qhat_parab = parabolic(group, qh)
-    qhat_ring = deformed_ring(qhat_parab)
-    raw = [group.mult(w, u) for w, u in zip(ws, us)]
+    raw = [ring.group.mult(w, u) for w, u in zip(ws, us)]
     hats = [qhat_parab.minimal_rep(r) for r in raw]
     for r, h in zip(raw, hats):
         if coset_codim(qhat_parab, r) != qhat_parab.codim(h):
             raise AssertionError("codimension not constant on the coset")
 
     checks = []
-    hat_prod = qhat_ring.fold(hats)
+    qh = qhat_parab.levi
+    hat_prod = deformed_ring(qhat_parab).fold(hats)
     hat_words = tuple(h.word for h in hats)
     checks.append(HornCheck("product-nonzero", len(hat_prod), 1, ">=",
                             {"outer_levi": qh, "hat_words": hat_words}))
     checks.append(HornCheck(
         "dimension-bound", sum(qhat_parab.codim(h) for h in hats),
         qhat_parab.dim, "<=", {"outer_levi": qh, "hat_words": hat_words}))
-    if set(qh) & set(parab.levi) == set(q):
-        overlap = qhat_parab.nilradical_roots & parab.nilradical_roots
-        sides = [_codim_sides(sub, qhat_parab, overlap, r, u) for r, u in zip(raw, us)]
+    if overlap is not None:
+        sides = [codim_difference_identity(ring, w, u, sub.levi, qh) for w, u in zip(ws, us)]
         if any(lhs != rhs for lhs, rhs in sides):
             raise AssertionError("codimension difference identity failed")
         terms = [rhs for _, rhs in sides]
         checks.append(HornCheck(
             "dimension", sum(terms), len(overlap), "<=",
-            {"inner_levi": q, "outer_levi": qh, "terms": tuple(terms),
+            {"inner_levi": sub.levi, "outer_levi": qh, "terms": tuple(terms),
              "hat_words": hat_words}))
-    return HornReport(applicable=True, coefficient=None, checks=checks,
-                      reason="", **_report_shell(ring, ws))
+    return _report(ring, ws, None, checks)
 
 
 def codim_difference_identity(ring: DeformedRing, w: WeylElement, u,
@@ -389,27 +386,16 @@ def codim_difference_identity(ring: DeformedRing, w: WeylElement, u,
 
     Left: codim of the coset of w u in G/Qhat minus the codim of u in its
     quotient of the Levi.  Right: the count of common nilradical roots of
-    Qhat and P kept positive by w u.  Requires Qhat to meet P exactly in
-    the inner parabolic; the two sides agree for every w in W^P and every
-    u in the Levi subgroup.
+    Qhat and P kept positive by w u.  Requires w in W^P and Qhat to meet P
+    exactly in the inner parabolic; the two sides then agree for every u
+    in the Levi subgroup.
     """
-    parab = ring.parabolic
-    group = ring.group
-    q = tuple(sorted(set(inner_levi)))
-    qh = tuple(sorted(set(outer_levi)))
-    if set(qh) & set(parab.levi) != set(q):
+    ring.check_tuple((w,))
+    sub, qhat_parab, overlap = _levi_pair(ring, inner_levi, outer_levi)
+    if overlap is None:
         raise ValueError("outer parabolic must meet P exactly in the inner one")
-    sub = parabolic(group, q, within=parab.levi)
     el = _levi_element(sub, u)
-    qhat_parab = parabolic(group, qh)
-    overlap = qhat_parab.nilradical_roots & parab.nilradical_roots
-    return _codim_sides(sub, qhat_parab, overlap, group.mult(w, el), el)
-
-
-def _codim_sides(sub: Parabolic, qhat_parab: Parabolic, overlap: frozenset[int],
-                 hat: WeylElement, u: WeylElement) -> tuple[int, int]:
-    """The two sides of the codimension difference identity for hat = w u, where
-    `overlap` holds the common nilradical roots of Qhat and P."""
-    lhs = coset_codim(qhat_parab, hat) - sub.codim(sub.minimal_rep(u))
-    return lhs, len(overlap - qhat_parab.group.inversion_set(hat))
+    hat = ring.group.mult(w, el)
+    lhs = coset_codim(qhat_parab, hat) - sub.codim(sub.minimal_rep(el))
+    return lhs, len(overlap - ring.group.inversion_set(hat))
 

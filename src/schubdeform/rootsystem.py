@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     # each function that makes a rational imports Fraction itself, so a job
@@ -35,25 +35,32 @@ class BudgetError(RuntimeError):
     """Raised when an enumeration would exceed its configured cap."""
 
 
-# number of positive roots of each family, in closed form
-_POSITIVE_ROOTS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
-}
+def _chain(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, i + 1) for i in range(n - 1))
 
-_FAMILY_RANKS = {
-    "A": lambda n: n >= 1,
-    "B": lambda n: n >= 2,
-    "C": lambda n: n >= 2,
-    "D": lambda n: n >= 3,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
+
+# one row of _FAMILIES: which ranks a family admits, its number of positive
+# roots in closed form, and its Dynkin diagram in Bourbaki numbering (0-based),
+# as the bonds and each simple root's half squared length with short = 1
+class _Family(NamedTuple):
+    admits: Callable[[int], bool]
+    positive_roots: Callable[[int], int]
+    dynkin: Callable[[int], tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]
+
+
+_FAMILIES = {
+    "A": _Family(lambda n: n >= 1, lambda n: n * (n + 1) // 2,
+                 lambda n: (_chain(n), (1,) * n)),
+    "B": _Family(lambda n: n >= 2, lambda n: n * n,
+                 lambda n: (_chain(n), (2,) * (n - 1) + (1,))),
+    "C": _Family(lambda n: n >= 2, lambda n: n * n,
+                 lambda n: (_chain(n), (1,) * (n - 1) + (2,))),
+    "D": _Family(lambda n: n >= 3, lambda n: n * (n - 1),
+                 lambda n: (_chain(n - 1) + ((n - 3, n - 1),), (1,) * n)),
+    "E": _Family(lambda n: n in (6, 7, 8), lambda n: {6: 36, 7: 63, 8: 120}[n],
+                 lambda n: (((0, 2), (1, 3)) + _chain(n)[2:], (1,) * n)),
+    "F": _Family(lambda n: n == 4, lambda n: 24, lambda n: (_chain(4), (2, 2, 1, 1))),
+    "G": _Family(lambda n: n == 2, lambda n: 6, lambda n: (_chain(2), (1, 3))),
 }
 
 
@@ -67,35 +74,18 @@ class CartanType(NamedTuple("CartanType", [("family", str), ("rank", int)])):
 
     def __new__(cls, family: str, rank: int):
         fam = family.upper()
-        if fam not in _FAMILY_RANKS:
+        if fam not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}; expected one of A-G")
-        if not _FAMILY_RANKS[fam](rank):
+        if not _FAMILIES[fam].admits(rank):
             raise ValueError(f"rank {rank} not admissible for family {fam}")
         return super().__new__(cls, fam, rank)
 
     @property
     def num_positive_roots(self) -> int:
-        return _POSITIVE_ROOTS[self.family](self.rank)
+        return _FAMILIES[self.family].positive_roots(self.rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
-
-
-def _chain(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, i + 1) for i in range(n - 1))
-
-
-# the Dynkin diagram of each family in Bourbaki numbering (0-based): its
-# bonds, and each simple root's half squared length with short = 1
-_DYNKIN = {
-    "A": lambda n: (_chain(n), (1,) * n),
-    "B": lambda n: (_chain(n), (2,) * (n - 1) + (1,)),
-    "C": lambda n: (_chain(n), (1,) * (n - 1) + (2,)),
-    "D": lambda n: (_chain(n - 1) + ((n - 3, n - 1),), (1,) * n),
-    "E": lambda n: (((0, 2), (1, 3)) + _chain(n)[2:], (1,) * n),
-    "F": lambda n: (_chain(4), (2, 2, 1, 1)),
-    "G": lambda n: (_chain(2), (1, 3)),
-}
 
 
 def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
@@ -103,7 +93,7 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
 
     Across a bond, a_ij = -max(d_i, d_j) / d_i for the half squared lengths d.
     """
-    bonds, d = _DYNKIN[ct.family](ct.rank)
+    bonds, d = _FAMILIES[ct.family].dynkin(ct.rank)
     a = [[2 if i == j else 0 for j in range(ct.rank)] for i in range(ct.rank)]
     for i, j in bonds:
         a[i][j] = -(max(d[i], d[j]) // d[i])
@@ -170,7 +160,7 @@ class RootSystem:
         self.label = str(ct)
         self.cartan = cartan_matrix(ct)
         self.rank = ct.rank
-        self.lengths = _DYNKIN[ct.family](ct.rank)[1]
+        self.lengths = _FAMILIES[ct.family].dynkin(ct.rank)[1]
         self.positive_roots = self._close_roots()
         self.root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self._heights = tuple(sum(r) for r in self.positive_roots)

@@ -1,7 +1,8 @@
 """Weyl groups as explicit permutation-style groups on the root lattice.
 
-Elements are canonicalized by their integer matrix action on the simple
-roots (columns = images of the simple roots).  Enumeration is breadth-first
+Each element is built once, as one object of its group, so elements compare
+by identity; each keeps its integer matrix action on the simple roots
+(columns = images of the simple roots).  Enumeration is breadth-first
 over right multiplication by simple reflections, so the stored word of each
 element is reduced, and it records every product w s_i in a table.  It finds
 elements by their inversion sets: s_i permutes the positive roots other than
@@ -53,7 +54,8 @@ def check_tuple_budget(sizes: Iterable[int], free: int, s: int, label: str) -> N
 
 
 class WeylElement:
-    """Group element, identified by its action on the simple roots."""
+    """Group element, one object per element of its group; `cols` is its action
+    on the simple roots."""
 
     __slots__ = ("cols", "word", "index", "group", "descents")
 
@@ -88,12 +90,6 @@ class WeylElement:
             cur = rs.reflect_coweight(cur, i)
         return cur
 
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.cols == other.cols
-
-    def __hash__(self):
-        return hash(self.cols)
-
     def __repr__(self):
         word = "".join(str(i + 1) for i in self.word) or "e"
         return f"W[{word}]"
@@ -110,10 +106,6 @@ class WeylGroup:
             )
         self.rs = rs
         self.order = order
-        self.elements: list[WeylElement] = []
-        self._right: list[tuple[WeylElement, ...]] = []  # [w.index][i] = w s_i
-        self._inversion_sets: list[frozenset[int]] = []  # [w.index] = Phi(w)
-        self._by_inversions: dict[frozenset[int], WeylElement] = {}
         self._enumerate()
         self._inverse = [self._fold(self.identity, reversed(w.word)) for w in self.elements]
         self._parabolics: dict[tuple, Parabolic] = {}  # filled by parabolic
@@ -171,9 +163,9 @@ class WeylGroup:
         found_at = [w.index for w in els]
         for k, w in enumerate(els):
             w.index = k
-        self.elements = els
-        self._right = [right[k] for k in found_at]
-        self._inversion_sets = [sets[k] for k in found_at]
+        self.elements: list[WeylElement] = els
+        self._right = [right[k] for k in found_at]  # [w.index][i] = w s_i
+        self._inversion_sets = [sets[k] for k in found_at]  # [w.index] = Phi(w)
         self._by_inversions = found
 
     # -- group operations -----------------------------------------------

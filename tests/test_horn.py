@@ -192,6 +192,42 @@ def test_codim_difference_identity_samples():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_codim_difference_identity_needs_w_in_the_quotient(family):
+    """The sides agree for every w in W^P and u in W_L; any other w is refused."""
+    ring = ring_for(family, 3, (0, 2))
+    levi_group = parabolic(ring.group, (), within=ring.parabolic.levi).reps
+    for w in ring.group.elements:
+        if ring.parabolic.contains(w):
+            for u in levi_group:
+                lhs, rhs = codim_difference_identity(ring, w, u, (0,), (0, 1))
+                assert lhs == rhs
+        else:
+            with pytest.raises(ValueError, match="not a minimal coset representative"):
+                codim_difference_identity(ring, w, ring.group.identity, (0,), (0, 1))
+
+
+def test_dimension_check_refusals():
+    """A zero classical product, a Levi tuple of the wrong length or with zero
+    product on L/(L cap Q), and an outer Levi meeting the Levi of P in more
+    than the inner one are each refused."""
+    ring = ring_for("B", 3, (0, 2))
+    g = ring.group
+    sub = parabolic(g, (0,), within=ring.parabolic.levi)
+    unit = max(sub.reps, key=lambda w: w.length)
+    ws = next(ws for ws in dimension_tuples(ring.parabolic, 2)
+              if ring.point_coefficient(ws) != 0)
+    point = g.identity  # labels the point class, whose square is zero
+    with pytest.raises(ValueError, match="^tuple has zero classical product$"):
+        check_dimension(ring, (point, point), (0,), (0, 1), (unit, unit))
+    with pytest.raises(ValueError, match="^Levi tuple length must match the main tuple$"):
+        check_dimension(ring, ws, (0,), (0, 1), (unit,))
+    with pytest.raises(ValueError, match="^Levi tuple has zero classical product$"):
+        check_dimension(ring, ws, (0,), (0, 1), ((), ()))  # the point class of P^1, twice
+    with pytest.raises(ValueError, match="^outer parabolic must meet P exactly in the inner one$"):
+        codim_difference_identity(ring, ws[0], (), (0,), (0, 1, 2))
+
+
 # Levi-movable three-factor tuples over all pairs Q < P < G of each type
 RICHMOND_MOVABLE = {("A", 2): 30, ("A", 3): 864, ("B", 2): 42, ("B", 3): 1770,
                     ("C", 2): 42, ("C", 3): 1776, ("D", 3): 864, ("G", 2): 66}

@@ -1,14 +1,18 @@
-"""README.md as written: its Python API block runs, and its table of
-subcommands is the command line's."""
+"""README.md as written: its Python API block runs, its command transcripts
+show what the commands print, and its table of subcommands is the command
+line's."""
 
 import ast
 import io
 import re
+import shlex
 import tokenize
 from itertools import groupby
 from pathlib import Path
 
 from schubdeform import cli
+
+from common import CACHE_ENV_VAR
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,6 +39,22 @@ def test_readme_python_block_runs_and_shows_its_values():
         else:
             exec(compile(ast.Module([stmt], []), str(README), "exec"), namespace)
     assert len(shown) == 7, shown
+
+
+def test_readme_transcripts_show_the_commands_output(tmp_path, capsys, monkeypatch):
+    """Each `$ schubdeform ...` block shows lines the command prints, in order;
+    a `...` line stands for lines left out, and an end of the block without one
+    is that end of the output."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    blocks = re.findall(r"^```text\n\$ schubdeform (.*?)\n(.*?)^```$", README.read_text(),
+                        re.S | re.M)
+    assert len(blocks) == 2
+    for command, shown in blocks:
+        assert cli.main(shlex.split(command)) == 0, command
+        pattern = "".join(r"(?:.*\n)*?" if line == "..." else re.escape(line) + "\n"
+                          for line in shown.splitlines())
+        assert re.fullmatch(pattern, capsys.readouterr().out), command
 
 
 def test_readme_subcommand_table_names_every_command_in_help_order():

@@ -120,6 +120,21 @@ def test_products_and_inverses_match_the_matrices(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", ARITHMETIC_TYPES)
+def test_each_element_is_one_object_of_its_group(family, rank):
+    """Every lookup returns the group's own object, and elements compare by
+    identity: a separately built group of the same type, with the same
+    matrices in the same order, shares no equal element."""
+    g = group_for(family, rank)
+    other = weyl_group(_fresh(family, rank))
+    for w, x in zip(g.elements, other.elements, strict=True):
+        assert g.from_word(w.word) is w
+        assert g.inverse(g.inverse(w)) is w
+        assert g.with_inversions(g.inversion_set(w)) is w
+        assert x.cols == w.cols and x != w
+    assert not set(g.elements) & set(other.elements)
+
+
+@pytest.mark.parametrize("family,rank", ARITHMETIC_TYPES)
 def test_longest_elements_invert_their_positive_roots(family, rank):
     """For every Levi inside every sub-Levi `within`, w_o inverts exactly the
     positive roots of `within` and w_o_levi exactly those of the Levi."""
