@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines (or, for BudgetError, re-exports)
 _LAYERS = {
-    "rootsystem": ("CartanType", "RootSystem", "Weight", "Coweight", "build_root_system",
-                   "root_system"),
+    "rootsystem": ("CartanType", "RootSystem", "build_root_system", "root_system"),
     "weyl": ("WeylGroup", "WeylElement", "Parabolic", "weyl_group", "parabolic",
              "BudgetError"),
     "schubert": ("SchubertBasis", "schubert_basis"),

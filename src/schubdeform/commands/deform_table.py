@@ -9,11 +9,12 @@ add_arguments = _add_common
 
 
 def run(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from ..weyl import one_based
+    from ..weyl import check_tuple_budget, one_based
 
     ring = _ring_for(args)
     parab = ring.parabolic
     order = [pos for pos in ring.table_order() if ring.reps[pos].length < parab.dim]
+    check_tuple_budget((len(order),), 2, 2, ring.rs.label)
     labels = [ring.labels[pos] for pos in order]
     classes = Table("classes", ["label", "word", "codim"],
                     [[ring.labels[pos], one_based(ring.reps[pos].word, "e"),

@@ -4,7 +4,7 @@ from __future__ import annotations
 import argparse
 from typing import TYPE_CHECKING
 
-from ..cli import EXIT_MISMATCH, EXIT_OK, Table, _job, _parse_levi, _ring_for
+from ..cli import EXIT_MISMATCH, EXIT_OK, Table, _parse_levi, _ring_for
 from ._words import _tuple_for, _words_args, parse_words
 
 if TYPE_CHECKING:
@@ -14,7 +14,9 @@ if TYPE_CHECKING:
 def add_arguments(p: argparse.ArgumentParser) -> None:
     _words_args(p)
     p.add_argument("--check", choices=("all", "character", "refined", "dimension"),
-                   default="all")
+                   default="all",
+                   help="the dimension family runs under 'dimension', or under 'all' when "
+                        "any of the next three flags is given, and then needs all three")
     p.add_argument("--inner-levi", help="1-based indices of the smaller Levi")
     p.add_argument("--outer-levi", help="1-based indices of the larger Levi")
     p.add_argument("--levi-words",
@@ -28,7 +30,7 @@ def _report_tables(reports: list[tuple[str, HornReport]]) -> list[Table]:
             rows.append([fam, "-", "-", "-", "-", "n/a", rep.reason])
             continue
         for c in rep.checks:
-            note = " ".join(f"{k}={v}" for k, v in sorted(c.as_dict().get("data", {}).items())
+            note = " ".join(f"{k}={v}" for k, v in sorted(c.data.items())
                             if not isinstance(v, (list, dict)))
             rows.append([fam, c.kind, c.lhs, c.relation, c.rhs, c.passed, note])
     return [Table("checks", ["family", "kind", "lhs", "rel", "rhs", "ok", "context"], rows)]
@@ -38,12 +40,17 @@ def run(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     from ..horn import check_character, check_dimension, check_refined
 
     which = args.check
-    wants_dimension = args.inner_levi is not None or args.outer_levi is not None
-    idle = [k for k in ("inner-levi", "outer-levi", "levi-words") if k in _job(args)]
-    if idle and which in ("character", "refined"):
-        raise ValueError(f"--{idle[0]} does nothing with --check {which}")
-    if idle and which == "all" and not wants_dimension:
-        raise ValueError("--levi-words does nothing without --inner-levi and --outer-levi")
+    given = [k for k in ("inner-levi", "outer-levi", "levi-words")
+             if getattr(args, k.replace("-", "_")) is not None]
+    if given and which in ("character", "refined"):
+        raise ValueError(f"--{given[0]} does nothing with --check {which}")
+    dimension = which == "dimension" or (which == "all" and bool(given))
+    if dimension:
+        if len(given) < 3:
+            raise ValueError("dimension checks need --inner-levi, --outer-levi and --levi-words")
+        inner = _parse_levi(args.inner_levi, args.rank, "inner Levi")
+        outer = _parse_levi(args.outer_levi, args.rank, "outer Levi")
+        utuple = parse_words(args.levi_words, args.rank)
     ring = _ring_for(args)
     ws = _tuple_for(ring, args.words)
     reports: list[tuple[str, HornReport]] = []
@@ -51,13 +58,7 @@ def run(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
         reports.append(("character", check_character(ring, ws)))
     if which in ("all", "refined"):
         reports.append(("refined", check_refined(ring, ws)))
-    if which == "dimension" or (which == "all" and wants_dimension):
-        if args.inner_levi is None or args.outer_levi is None:
-            raise ValueError("dimension checks need --inner-levi and --outer-levi")
-        inner = _parse_levi(args.inner_levi, ring.rs.rank, "inner Levi")
-        outer = _parse_levi(args.outer_levi, ring.rs.rank, "outer Levi")
-        utuple = parse_words(args.levi_words, ring.rs.rank) if args.levi_words else \
-            tuple(() for _ in ws)
+    if dimension:
         reports.append(("dimension", check_dimension(ring, ws, inner, outer, utuple)))
     failures = sum(len(rep.failures()) for _, rep in reports)
     payload = {

@@ -28,7 +28,7 @@ def run(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
                    for k, r in enumerate(rs.positive_roots)])
     fw = Table("fundamental weights (root coordinates)",
                ["i", "coordinates"],
-               [[i + 1, " ".join(rational(x) for x in rs.fundamental_weight(i).coords)]
+               [[i + 1, " ".join(rational(x) for x in rs.fundamental_weight(i))]
                 for i in range(n)])
     payload = {
         "type": rs.label,
@@ -37,6 +37,6 @@ def run(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
         "weyl_order": rs.weyl_order(),
         "highest_root": list(rs.highest_root()),
         "positive_roots": [list(r) for r in rs.positive_roots],
-        "fundamental_weights": [list(rs.fundamental_weight(i).coords) for i in range(n)],
+        "fundamental_weights": [list(rs.fundamental_weight(i)) for i in range(n)],
     }
     return [summary, cartan, roots, fw], payload, EXIT_OK

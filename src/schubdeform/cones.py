@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .eigencone import Inequality, InequalitySystem
-    from .rootsystem import Coweight, RootSystem
+    from .rootsystem import RootSystem
 
 
 def _clear_denominators(v: Sequence) -> list[int]:
@@ -128,18 +128,19 @@ class Verdict(NamedTuple):
     violations: list[tuple[Inequality, Fraction]]
 
 
-def evaluate(system: InequalitySystem, hs: Sequence[Coweight]) -> Verdict:
-    """Membership of a tuple of dominant coweights in the described cone."""
+def evaluate(system: InequalitySystem, hs: Sequence[Sequence]) -> Verdict:
+    """Membership of a tuple of dominant coweights, each in coroot coordinates,
+    in the described cone."""
     rs = system.rs
     if len(hs) != system.s:
         raise ValueError(f"expected {system.s} coweights, got {len(hs)}")
     dominance = dominance_rows(rs, 1)
     for h in hs:
-        if len(h.coords) != rs.rank:
-            raise ValueError(f"coweight {h.coords} has {len(h.coords)} coordinates, "
+        if len(h) != rs.rank:
+            raise ValueError(f"coweight {h} has {len(h)} coordinates, "
                              f"expected {rs.rank} for {rs.label}")
-        if any(sum(a * t for a, t in zip(row, h.coords)) > 0 for row in dominance):
-            raise ValueError(f"coweight {h.coords} is not dominant")
+        if any(sum(a * t for a, t in zip(row, h)) > 0 for row in dominance):
+            raise ValueError(f"coweight {h} is not dominant")
     violations = []
     for q in system.inequalities:
         v = q.value(hs)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .rootsystem import Weight
 from .schubert import schubert_basis
 from .weyl import Parabolic, WeylElement
 
@@ -141,9 +140,9 @@ class DeformedRing:
                 f"character formulas disagree at {w}: 2*{list(acc)} vs {list(alt)}")
         return acc
 
-    def chi(self, w: WeylElement) -> Weight:
+    def chi(self, w: WeylElement) -> tuple[int, ...]:
         """Character chi_w as a weight in root coordinates."""
-        return Weight(self._chi[self.position(w)])
+        return self._chi[self.position(w)]
 
     def position(self, w: WeylElement) -> int:
         return self.parabolic.rep_position[w.index]

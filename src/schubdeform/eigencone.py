@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .deform import MODES, DeformedRing, deformed_ring
-from .rootsystem import Coweight, RootSystem, root_system
+from .rootsystem import RootSystem, root_system
 from .weyl import WeylElement, WeylGroup, check_tuple_budget, parabolic
 
 if TYPE_CHECKING:
@@ -35,14 +35,14 @@ class Inequality(NamedTuple):
     words: tuple[tuple[int, ...], ...]
     functional: tuple[tuple[int, ...], ...]
 
-    def value(self, hs: Sequence[Coweight]) -> Fraction:
+    def value(self, hs: Sequence[Sequence]) -> Fraction:
         from fractions import Fraction
 
         if len(hs) != len(self.functional):
             raise ValueError("tuple length mismatch")
         total = Fraction(0)
         for block, h in zip(self.functional, hs):
-            for a, t in zip(block, h.coords):
+            for a, t in zip(block, h):
                 if a and t:
                     total += a * Fraction(t)
         return total
@@ -168,7 +168,7 @@ def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylEl
     i0 = ring.omitted[0]
     # (codimension, character at x_i0) of each factor; the character is 0 in
     # classical mode, where no gap is asked for
-    chars = [ring.chi(w).coords[i0] if mode == "deformed" else 0 for w in reps]
+    chars = [ring.chi(w)[i0] if mode == "deformed" else 0 for w in reps]
     steps = [(p.codim(w), x) for w, x in zip(reps, chars)]
     goal = (p.dim, chars[ring.position(ring.point())])
     # reach[m]: the sums of m factors, up to the goal (every sum only grows)
@@ -279,9 +279,8 @@ def systems_equivalent(a: InequalitySystem, b: InequalitySystem) -> bool:
     return all(_contained(fa + fb, labels, lambda k: (fb if k < len(fa) else fa) + dom))
 
 
-def dual_coweight(group: WeylGroup, h: Coweight) -> Coweight:
+def dual_coweight(group: WeylGroup, h: Sequence) -> tuple[Fraction, ...]:
     """The conjugate -w_o h of a coweight; dominant whenever h is."""
     from fractions import Fraction
 
-    img = group.longest_element().act_coweight_coords(h.coords)
-    return Coweight(tuple(-Fraction(x) for x in img))
+    return tuple(-Fraction(x) for x in group.longest_element().act_coweight_coords(h))

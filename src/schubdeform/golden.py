@@ -51,16 +51,13 @@ class GoldenTable(NamedTuple):
         )
 
 
-class GoldenResult(NamedTuple("GoldenResult", [("name", str), ("matched", bool),
-                                                ("bijection", dict), ("detail", str)])):
+class GoldenResult(NamedTuple):
     """A verdict, with the bijection (table label -> internal label) that matched."""
 
-    __slots__ = ()
-
-    def __new__(cls, name: str, matched: bool, bijection: dict[str, str] | None = None,
-                detail: str = ""):
-        # a result built without a bijection gets a dict of its own
-        return super().__new__(cls, name, matched, {} if bijection is None else bijection, detail)
+    name: str
+    matched: bool
+    bijection: dict[str, str]
+    detail: str
 
 
 def _ring_for(table: GoldenTable) -> DeformedRing:
@@ -122,16 +119,16 @@ def verify_table(table: GoldenTable) -> GoldenResult:
     # table must list every non-unit class
     nonunit = len(ring.reps) - 1
     if len(table.classes) != nonunit:
-        return GoldenResult(table.name, False,
-                            detail=f"table lists {len(table.classes)} classes, ring has {nonunit}")
+        return GoldenResult(table.name, False, {},
+                            f"table lists {len(table.classes)} classes, ring has {nonunit}")
     last_detail = "no codimension-preserving bijection exists"
     for mapping in _bijections(table, ring):
         detail = _check_bijection(table, ring, mapping)
         if not detail:
             bij = {lab: ring.labels[pos] for lab, pos in mapping.items()}
-            return GoldenResult(table.name, True, bijection=bij)
+            return GoldenResult(table.name, True, bij, "")
         last_detail = detail
-    return GoldenResult(table.name, False, detail=last_detail)
+    return GoldenResult(table.name, False, {}, last_detail)
 
 
 def verify_all() -> list[GoldenResult]:

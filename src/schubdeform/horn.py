@@ -29,47 +29,23 @@ from .weyl import Parabolic, WeylElement, check_tuple_budget, one_based, parabol
 _REL = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 
 
-class CentralChar(NamedTuple):
-    """Restriction of a nilradical root to the center of the Levi.
+class HornCheck(NamedTuple):
+    """One exact inequality or identity, with its generating data: simple
+    indices and words 1-based and sequences as lists, as printed."""
 
-    Two roots restrict to the same character exactly when their
-    coefficients agree on every simple root outside the Levi, so a
-    character is recorded as that coefficient tuple.
-    """
-
-    omitted: tuple[int, ...]
-    signature: tuple[int, ...]
-
-
-class HornCheck(NamedTuple("HornCheck", [("kind", str), ("lhs", int), ("rhs", int),
-                                          ("relation", str), ("data", dict)])):
-    """One exact inequality or identity, with its generating data."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, lhs: int, rhs: int, relation: str, data: dict | None = None):
-        # a check built without data gets a dict of its own
-        return super().__new__(cls, kind, lhs, rhs, relation, {} if data is None else data)
+    kind: str
+    lhs: int
+    rhs: int
+    relation: str
+    data: dict
 
     @property
     def passed(self) -> bool:
         return _REL[self.relation](self.lhs, self.rhs)
 
     def as_dict(self) -> dict:
-        data = {}
-        for k, v in self.data.items():
-            if k == "coweight":
-                data[k] = v + 1
-            elif k in ("inner_levi", "outer_levi"):
-                data[k] = [i + 1 for i in v]
-            elif k.endswith("words"):
-                data[k] = [[i + 1 for i in w] for w in v]
-            elif isinstance(v, tuple):
-                data[k] = list(v)
-            else:
-                data[k] = v
         return {"kind": self.kind, "lhs": self.lhs, "rhs": self.rhs,
-                "relation": self.relation, "passed": self.passed, "data": data}
+                "relation": self.relation, "passed": self.passed, "data": dict(self.data)}
 
 
 class HornReport(NamedTuple):
@@ -104,10 +80,13 @@ class HornReport(NamedTuple):
         }
 
 
-def central_characters(parab: Parabolic) -> list[tuple[CentralChar, frozenset[int]]]:
+def central_characters(parab: Parabolic) -> list[tuple[tuple[int, ...], frozenset[int]]]:
     """Partition of the nilradical roots by their character on the center.
 
-    Returns (character, positive-root index set) pairs sorted by
+    Two roots restrict to the same character exactly when their
+    coefficients agree on every simple root outside the Levi, so a
+    character is recorded as that coefficient tuple, its signature.
+    Returns (signature, positive-root index set) pairs sorted by
     signature; every class is nonempty.
     """
     rs = parab.rs
@@ -116,8 +95,7 @@ def central_characters(parab: Parabolic) -> list[tuple[CentralChar, frozenset[in
         root = rs.positive_roots[k]
         sig = tuple(root[i] for i in parab.omitted)
         classes.setdefault(sig, set()).add(k)
-    return [(CentralChar(parab.omitted, sig), frozenset(ks))
-            for sig, ks in sorted(classes.items())]
+    return [(sig, frozenset(ks)) for sig, ks in sorted(classes.items())]
 
 
 def coset_codim(parab: Parabolic, w: WeylElement) -> int:
@@ -247,8 +225,8 @@ def _levi_checks(kind: str, chi: Sequence[Sequence[int]], chi_e: Sequence[int],
             lhs = sum(a * b for c, upos in zip(chi, tup) for a, b in zip(c, blk.evals[upos]))
             checks.append(HornCheck(
                 kind, lhs, chi_e[p], "<=",
-                {**data, "coweight": p,
-                 "levi_words": tuple(blk.reps[k].word for k in tup)}))
+                {**data, "coweight": p + 1,
+                 "levi_words": [[i + 1 for i in blk.reps[k].word] for k in tup]}))
     return checks
 
 
@@ -263,9 +241,9 @@ def check_character(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport
     cert = ring.is_levi_movable(ws)
     if cert.coefficient == 0:
         return _report(ring, ws, 0, [], "classical point coefficient is zero")
-    chi = [ring.chi(w).coords for w in ws]
-    chi_e = ring.chi(ring.group.identity).coords
-    checks = [HornCheck("character", gap, 0, "<=", {"coweight": i})
+    chi = [ring.chi(w) for w in ws]
+    chi_e = ring.chi(ring.group.identity)
+    checks = [HornCheck("character", gap, 0, "<=", {"coweight": i + 1})
               for i, gap in cert.character_gap.items()]
     checks += _levi_checks("character-levi", chi, chi_e, levi_blocks(ring, len(ws)))
     return _report(ring, ws, cert.coefficient, checks)
@@ -292,17 +270,15 @@ def check_refined(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport:
     group = ring.group
     checks = []
     classes = central_characters(parab)
-    for cc, roots in classes:
+    for sig, roots in classes:
         lhs = sum(len(roots - group.inversion_set(w)) for w in ws)
-        checks.append(HornCheck("class-size", lhs, len(roots), "==",
-                                {"signature": cc.signature}))
+        checks.append(HornCheck("class-size", lhs, len(roots), "==", {"signature": list(sig)}))
     blocks = levi_blocks(ring, len(ws))
-    for cc, roots in classes:
+    for sig, roots in classes:
         # partial characters supported on this central class
         chi_c = [ring.rs.root_sum(roots - group.inversion_set(w)) for w in ws]
         chi_c_e = ring.rs.root_sum(roots)
-        checks += _levi_checks("class-levi", chi_c, chi_c_e, blocks,
-                               signature=cc.signature)
+        checks += _levi_checks("class-levi", chi_c, chi_c_e, blocks, signature=list(sig))
     return _report(ring, ws, cert.coefficient, checks)
 
 
@@ -361,12 +337,13 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
     checks = []
     qh = qhat_parab.levi
     hat_prod = deformed_ring(qhat_parab).fold(hats)
-    hat_words = tuple(h.word for h in hats)
+    outer = [i + 1 for i in qh]
+    hat_words = [[i + 1 for i in h.word] for h in hats]
     checks.append(HornCheck("product-nonzero", len(hat_prod), 1, ">=",
-                            {"outer_levi": qh, "hat_words": hat_words}))
+                            {"outer_levi": outer, "hat_words": hat_words}))
     checks.append(HornCheck(
         "dimension-bound", sum(qhat_parab.codim(h) for h in hats),
-        qhat_parab.dim, "<=", {"outer_levi": qh, "hat_words": hat_words}))
+        qhat_parab.dim, "<=", {"outer_levi": outer, "hat_words": hat_words}))
     if overlap is not None:
         sides = [codim_difference_identity(ring, w, u, sub.levi, qh) for w, u in zip(ws, us)]
         if any(lhs != rhs for lhs, rhs in sides):
@@ -374,7 +351,7 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
         terms = [rhs for _, rhs in sides]
         checks.append(HornCheck(
             "dimension", sum(terms), len(overlap), "<=",
-            {"inner_levi": sub.levi, "outer_levi": qh, "terms": tuple(terms),
+            {"inner_levi": [i + 1 for i in sub.levi], "outer_levi": outer, "terms": terms,
              "hat_words": hat_words}))
     return _report(ring, ws, None, checks)
 

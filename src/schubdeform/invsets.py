@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .deform import DeformedRing
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup, check_tuple_budget
 
 
 def inversion_product(group: WeylGroup, u: WeylElement, v: WeylElement) -> WeylElement | None:
@@ -73,6 +73,7 @@ def crosscheck_gb(ring: DeformedRing) -> CrossCheckReport:
     if ring.parabolic.levi:
         raise ValueError("cross-check is defined on the full flag variety")
     group = ring.group
+    check_tuple_budget((len(group.elements),), 2, 2, ring.rs.label)
     p = ring.parabolic
     mismatches = []
     pairs = 0

@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
 - cartan[i][j] = <alpha_j, alpha_i^vee> = 2(alpha_i, alpha_j)/(alpha_i, alpha_i),
   so the simple reflection acts by s_i(alpha_j) = alpha_j - cartan[i][j] alpha_i.
-- Weights are stored in simple-root coordinates, coweights in the
-  simple-coroot basis.
+- A weight is the tuple of its simple-root coordinates, a coweight the
+  tuple of its simple-coroot coordinates.
 - Simple roots are numbered as in Bourbaki, Lie Groups ch. 4-6, Plates
   I-IX. The long simple roots are alpha_1 ... alpha_{n-1} in B_n, alpha_n
   in C_n, alpha_1 and alpha_2 in F4, and alpha_2 in G2; in A, D and E all
@@ -120,29 +120,6 @@ def _invert(mat: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ..
     return tuple(tuple(row[n:]) for row in aug)
 
 
-class Weight(NamedTuple):
-    """Element of the rational span of the weight lattice, in simple-root coordinates."""
-
-    coords: Vector
-
-    # a weight never equals a coweight with the same coordinates
-    def __eq__(self, other):
-        return type(self) is type(other) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-
-class Coweight(NamedTuple):
-    """Element of the rational span of the coweight lattice, in coroot coordinates."""
-
-    coords: Vector
-
-    __eq__, __ne__, __hash__ = Weight.__eq__, Weight.__ne__, tuple.__hash__
-
-
 class RootSystem:
     """The root system of a simple Cartan type, read off its Dynkin diagram.
 
@@ -240,13 +217,13 @@ class RootSystem:
 
     # -- weights and coweights ------------------------------------------
 
-    def fundamental_weight(self, i: int) -> Weight:
+    def fundamental_weight(self, i: int) -> Vector:
         """omega_i in root coordinates (column i of the inverse Cartan matrix)."""
-        return Weight(tuple(self.cartan_inv[j][i] for j in range(self.rank)))
+        return tuple(self.cartan_inv[j][i] for j in range(self.rank))
 
-    def fundamental_coweight(self, i: int) -> Coweight:
+    def fundamental_coweight(self, i: int) -> Vector:
         """x_i with alpha_j(x_i) = delta_ij, in coroot coordinates."""
-        return Coweight(tuple(self.cartan_inv[i][k] for k in range(self.rank)))
+        return self.cartan_inv[i]
 
     def levi_positive(self, levi: Iterable[int]) -> tuple[int, ...]:
         """Indices of positive roots supported on the given simple indices."""

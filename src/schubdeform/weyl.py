@@ -36,7 +36,8 @@ def check_tuple_budget(sizes: Iterable[int], free: int, s: int, label: str) -> N
     numbers of representatives could take more than TUPLE_CAP tuples, by the
     bound sum(n ** free for n in sizes), where `free` factors range freely:
     s - 1 for generation, where codimension balance fixes the last factor,
-    and s for the Levi blocks of the Horn checks, where none does.
+    s for the Levi blocks of the Horn checks, where none does, and 2 for
+    the pair scans of `leviprod-check` and `deform-table`.
 
     The sum stops growing once it passes the cap, so a huge s costs a few
     multiplications, never a huge integer.

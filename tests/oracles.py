@@ -42,7 +42,6 @@ from schubdeform.cones import dominance_rows
 from schubdeform.eigencone import tuple_inequality
 from schubdeform.horn import dimension_tuples
 from schubdeform.poly import Poly
-from schubdeform.rootsystem import Weight
 from schubdeform.schubert import divided_difference
 from schubdeform.weyl import WeylElement, parabolic
 
@@ -317,15 +316,15 @@ def to_fweight(rs, coords_root: Sequence) -> tuple:
     return tuple(rs.coroot_pairing(coords_root, j) for j in range(rs.rank))
 
 
-def rho(rs, levi: Iterable[int] | None = None) -> Weight:
+def rho(rs, levi: Iterable[int] | None = None) -> tuple:
     """Half sum of the positive roots (of the Levi subsystem, if given)."""
     idx = rs.levi_positive(levi) if levi is not None else range(rs.num_positive_roots)
-    return Weight(tuple(Fraction(c, 2) for c in rs.root_sum(idx)))
+    return tuple(Fraction(c, 2) for c in rs.root_sum(idx))
 
 
-def act_weight(w: WeylElement, weight: Weight) -> Weight:
+def act_weight(w: WeylElement, weight: Sequence) -> tuple:
     """w acting on a weight in root coordinates."""
-    return Weight(tuple(Fraction(x) for x in w.act_root(weight.coords)))
+    return tuple(Fraction(x) for x in w.act_root(weight))
 
 
 # -- the reflection-sum (Chevalley) rule --------------------------------
@@ -364,7 +363,7 @@ def chevalley_oracle(p, i: int, w: WeylElement) -> dict[int, int]:
         raise ValueError("w is not a minimal coset representative")
     rs = p.rs
     g = p.group
-    omega = rs.fundamental_weight(i).coords
+    omega = rs.fundamental_weight(i)
     out: dict[int, int] = {}
     for beta in rs.positive_roots:
         s_beta = reflection(g, beta)
@@ -400,7 +399,7 @@ def kostant_decomposition(parab, degree: int) -> list[KostantModule]:
     """
     rs = parab.rs
     group = parab.group
-    rho_w = rho(rs).coords
+    rho_w = rho(rs)
     out = []
     for w in parab.reps:
         if w.length != degree:

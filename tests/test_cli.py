@@ -398,6 +398,18 @@ def test_tuple_scan_budget_exit_3_fast(capsys):
         assert err.startswith("error:") and "cap 5000000" in err and len(err) < 200, argv
 
 
+def test_pair_scan_budget_exit_3_fast(capsys):
+    """The full-flag pair scans, |W|^2 pairs of leviprod-check and (|W| - 1)^2
+    products of deform-table, are held to the tuple cap: A6 has 5040 elements."""
+    for argv in (["leviprod-check", "--type", "A", "--rank", "6"],
+                 ["deform-table", "--type", "A", "--rank", "6", "--levi", "-"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--no-cache")
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert (code, out) == (3, ""), argv
+        assert err == "error: enumeration bound exceeds cap 5000000 for A6, s=2\n", argv
+
+
 def _address_space_2gb():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -480,7 +492,7 @@ def test_verify_golden_single_table(capsys):
 def test_verify_golden_mismatch_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(
         golden, "verify_table",
-        lambda table: GoldenResult(name=table.name, matched=False,
+        lambda table: GoldenResult(name=table.name, matched=False, bijection={},
                                    detail="forced mismatch"))
     code, out, _ = run(capsys, "verify-golden", "--table", "c3_p1")
     assert code == 4
@@ -490,7 +502,7 @@ def test_verify_golden_mismatch_exit_4(capsys, monkeypatch):
 def test_horn_check_failure_exit_4(capsys, monkeypatch):
     failing = HornReport(system="A3", levi=(1, 2), words=((1, 0),) * 3,
                          applicable=True, reason="", coefficient=0,
-                         checks=[HornCheck("character-sum", 5, 3, "<=")])
+                         checks=[HornCheck("character-sum", 5, 3, "<=", {})])
     monkeypatch.setattr(horn, "check_character", lambda ring, ws: failing)
     code, _, _ = run(capsys, "horn-check", "--type", "A", "--rank", "3",
                      "--parabolic", "1", "--words", "2,1;2,1;2,1",
@@ -538,8 +550,9 @@ def test_horn_check_levi_words_one_path(capsys):
 
 
 def test_horn_check_refuses_dimension_flags_that_run_nothing(capsys):
-    """The Levi pair and the Levi tuple feed the dimension checks only; where
-    none runs, the first such flag is refused by name."""
+    """The Levi pair and the Levi tuple feed the dimension checks only: under
+    --check character or refined the first such flag is refused by name, and
+    under --check all any of them runs the dimension family, which needs all three."""
     base = ["horn-check", "--type", "B", "--rank", "3", "--levi", "1,3",
             "--words", "3,2;1,3,2,1,3,2;1,3,2,1,3,2"]
     pair = ["--inner-levi", "1", "--outer-levi", "1,2"]
@@ -550,10 +563,28 @@ def test_horn_check_refuses_dimension_flags_that_run_nothing(capsys):
             (["--check", "refined", "--levi-words", "3;3;e"],
              "--levi-words does nothing with --check refined"),
             (["--levi-words", "3;3;e"],
-             "--levi-words does nothing without --inner-levi and --outer-levi")):
+             "dimension checks need --inner-levi, --outer-levi and --levi-words")):
         assert run(capsys, *base, *extra) == (2, "", f"error: {flag}\n"), extra
     code, out, err = run(capsys, *base, *pair, "--levi-words", "3;3;e")
     assert (code, err) == (0, "") and "| dimension | dimension " in out
+
+
+def test_horn_check_dimension_family_needs_the_levi_words(capsys, monkeypatch):
+    """Without --levi-words there is no Levi tuple to default to (the identity
+    word of every factor multiplies point classes), so the dimension family is
+    refused before any group is built."""
+    def no_group(rs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(weyl, "weyl_group", no_group)
+    base = ["horn-check", "--type", "B", "--rank", "3", "--levi", "1,3",
+            "--words", "3,2;1,3,2,1,3,2;1,3,2,1,3,2"]
+    need = "error: dimension checks need --inner-levi, --outer-levi and --levi-words\n"
+    for extra in (["--check", "dimension", "--inner-levi", "1", "--outer-levi", "1,2"],
+                  ["--check", "dimension", "--inner-levi", "1", "--levi-words", "3;3;e"],
+                  ["--check", "dimension"],
+                  ["--outer-levi", "1,2", "--levi-words", "3;3;e"]):
+        assert run(capsys, *base, *extra) == (2, "", need), extra
 
 
 def test_horn_check_errors_name_one_based_indices(capsys):

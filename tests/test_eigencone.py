@@ -10,7 +10,6 @@ import pytest
 from schubdeform import (
     BudgetError,
     CartanType,
-    Coweight,
     RootSystem,
     cone_contains,
     dual_coweight,
@@ -43,10 +42,9 @@ from oracles import (
 
 def mixed_coweight(rs, coeffs):
     """Nonnegative combination of fundamental coweights, hence dominant."""
-    coords = tuple(
+    return tuple(
         sum(Fraction(c) * rs.cartan_inv[i][k] for i, c in enumerate(coeffs))
         for k in range(rs.rank))
-    return Coweight(coords)
 
 
 def test_a2_three_factor_counts_and_modes():
@@ -243,7 +241,7 @@ def test_inequality_value_is_the_natural_pairing():
             assert tuples
             for ws in tuples:
                 q = tuple_inequality(ring, ws)
-                manual = sum(rs.eval_coweight(act_weight(w, omega).coords, h.coords)
+                manual = sum(rs.eval_coweight(act_weight(w, omega), h)
                              for w, h in zip(ws, hs))
                 assert q.value(hs) == manual
                 assert len(q.flat()) == 3 * rs.rank
@@ -268,7 +266,7 @@ def test_sum_zero_triples_are_members():
         system = generate_system(g, 3, "classical")
         h = mixed_coweight(rs, tuple(Fraction(i + 2, 3) for i in range(rank)))
         hd = dual_coweight(g, h)
-        zero = Coweight((Fraction(0),) * rank)
+        zero = (Fraction(0),) * rank
         for hs in [(h, hd, zero), (zero, h, hd), (hd, zero, h)]:
             verdict = evaluate(system, hs)
             assert verdict.member and not verdict.violations
@@ -280,26 +278,26 @@ def test_violations_are_exact_and_scale():
     rs = g.rs
     system = generate_system(g, 3, "classical")
     h = mixed_coweight(rs, (1, 1))
-    big = Coweight(tuple(10 * c for c in h.coords))
-    small = Coweight(tuple(c / 10 for c in h.coords))
+    big = tuple(10 * c for c in h)
+    small = tuple(c / 10 for c in h)
     verdict = evaluate(system, (big, small, small))
     assert not verdict.member
     values = sorted(v for _, v in verdict.violations)
     assert values == [Fraction(49, 5), Fraction(49, 5)]
     tripled = evaluate(system, tuple(
-        Coweight(tuple(3 * c for c in x.coords)) for x in (big, small, small)))
+        tuple(3 * c for c in x) for x in (big, small, small)))
     assert sorted(v for _, v in tripled.violations) == [3 * v for v in values]
 
 
 def test_evaluate_rejects_bad_input():
     g = group_for("A", 2)
     system = generate_system(g, 2, "classical")
-    ok = Coweight((Fraction(1), Fraction(1)))
+    ok = (Fraction(1), Fraction(1))
     with pytest.raises(ValueError):
         evaluate(system, (ok,))
     for bad in ((-1, 0), (0, -1)):  # alpha_1, then only alpha_2, negative
         with pytest.raises(ValueError, match="is not dominant"):
-            evaluate(system, (ok, Coweight(tuple(map(Fraction, bad)))))
+            evaluate(system, (ok, tuple(map(Fraction, bad))))
 
 
 def test_evaluate_checks_coweight_length():
@@ -307,7 +305,7 @@ def test_evaluate_checks_coweight_length():
     never read as a member, as "not dominant" or as an IndexError."""
     system = generate_system(group_for("B", 3), 3, "deformed")
     for coords in ((0,), (2, 2), (1, 0, 0, 0)):
-        h = Coweight(tuple(Fraction(c) for c in coords))
+        h = tuple(Fraction(c) for c in coords)
         with pytest.raises(ValueError, match=f"has {len(coords)} coordinates, expected 3 for B3"):
             evaluate(system, (h, h, h))
 
@@ -317,7 +315,7 @@ def test_dominance_rows_structure():
     rows = dominance_rows(rs, 3)
     assert len(rows) == 6
     h = mixed_coweight(rs, (2, 5))
-    flat = h.coords * 3
+    flat = h * 3
     for idx, row in enumerate(rows):
         j, i = divmod(idx, rs.rank)
         # block j holds column i of the negated Cartan matrix
@@ -326,7 +324,7 @@ def test_dominance_rows_structure():
         assert all(row[m] == 0 for m in range(6) if m // rs.rank != j)
         alpha = tuple(int(i == n) for n in range(rs.rank))
         value = sum(a * b for a, b in zip(row, flat))
-        assert value == -rs.eval_coweight(alpha, h.coords)
+        assert value == -rs.eval_coweight(alpha, h)
 
 
 def test_prune_a2_keeps_everything():
@@ -490,7 +488,7 @@ def test_type_a2_membership_is_littlewood_richardson_positivity():
     def coweight(x):
         # coroot coordinates of diag(x) - mean: the partial sums
         mean = Fraction(sum(x), 3)
-        return Coweight((x[0] - mean, x[0] + x[1] - 2 * mean))
+        return (x[0] - mean, x[0] + x[1] - 2 * mean)
 
     systems = [generate_system(group_for("A", 2), 3, mode) for mode in MODES]
     positive = 0
@@ -535,7 +533,7 @@ def test_two_factor_cone_rays_are_conjugate_pairs():
     expect = set()
     for i in range(rs.rank):
         x = rs.fundamental_coweight(i)
-        expect.add(primitive(tuple(x.coords) + tuple(dual_coweight(g, x).coords)))
+        expect.add(primitive(tuple(x) + dual_coweight(g, x)))
     assert set(rays) == expect
 
 

@@ -219,11 +219,11 @@ def test_coweight_action_preserves_pairings():
     rs = g.rs
     h = rs.fundamental_coweight(0)
     for w in g.elements:
-        img = w.act_coweight_coords(h.coords)
+        img = w.act_coweight_coords(h)
         winv = g.inverse(w)
         for r in rs.positive_roots:
             assert rs.eval_coweight(r, img) == \
-                rs.eval_coweight(winv.act_root(r), h.coords)
+                rs.eval_coweight(winv.act_root(r), h)
 
 
 def test_parabolic_rejects_bad_levi():
