@@ -9,25 +9,25 @@ add_arguments = _add_common
 
 
 def run(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from ..weyl import check_tuple_budget, one_based
+    from ..weyl import _PAIR_CAP, check_tuple_budget, one_based
 
     ring = _ring_for(args)
     parab = ring.parabolic
-    order = [pos for pos in ring.table_order() if ring.reps[pos].length < parab.dim]
-    check_tuple_budget((len(order),), 2, 2, ring.rs.label)
-    labels = [ring.labels[pos] for pos in order]
+    order = [w for w in ring.table_order if w.length < parab.dim]
+    check_tuple_budget((len(order),), 2, 2, ring.rs.label, _PAIR_CAP)
+    labels = [ring.labels[w] for w in order]
     classes = Table("classes", ["label", "word", "codim"],
-                    [[ring.labels[pos], one_based(ring.reps[pos].word, "e"),
-                      parab.codim(ring.reps[pos])] for pos in order])
+                    [[ring.labels[w], one_based(w.word, "e"), parab.codim(w)] for w in order])
     grid_rows = []
     entries = []
-    for pu in order:
-        row = [ring.labels[pu]]
-        for pv in order:
-            val = repr(ring.deformed_product(ring.reps[pu], ring.reps[pv]))
+    for u in order:
+        row = [ring.labels[u]]
+        for v in order:
+            val = repr(ring.deformed_product(u, v))
             row.append(val)
-            if pu <= pv:
-                entries.append({"left": ring.labels[pu], "right": ring.labels[pv],
+            # group order is rep order here: the ring's Levi factor is the whole group
+            if u.index <= v.index:
+                entries.append({"left": ring.labels[u], "right": ring.labels[v],
                                 "value": val})
         grid_rows.append(row)
     grid = Table("deformed multiplication table (unit class omitted)",
@@ -35,9 +35,8 @@ def run(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
     payload = {
         "type": ring.rs.label,
         "levi": [i + 1 for i in parab.levi],
-        "classes": [{"label": ring.labels[pos],
-                     "word": [i + 1 for i in ring.reps[pos].word],
-                     "codim": parab.codim(ring.reps[pos])} for pos in order],
+        "classes": [{"label": ring.labels[w], "word": [i + 1 for i in w.word],
+                     "codim": parab.codim(w)} for w in order],
         "products": entries,
     }
     return [classes, grid], payload, EXIT_OK

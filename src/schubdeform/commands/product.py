@@ -22,24 +22,23 @@ def run(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
         acc = ring.multiply(acc, ring.basis_class(w))
     rows = []
     expansion = []
-    for pos, exps, coeff in acc.terms():
-        w = ring.reps[pos]
-        rows.append([ring.labels[pos], one_based(w.word, "e"), parab.codim(w),
+    for w, exps, coeff in acc.terms():
+        rows.append([ring.labels[w], one_based(w.word, "e"), parab.codim(w),
                      ring.monomial(exps) or "1", coeff])
         expansion.append({
-            "label": ring.labels[pos],
+            "label": ring.labels[w],
             "word": [i + 1 for i in w.word],
             "codim": parab.codim(w),
             "exponents": list(exps),
             "coefficient": coeff,
         })
     rendered = repr(acc)
-    factors = " * ".join(ring.labels[ring.position(w)] for w in ws)
+    factors = " * ".join(ring.labels[w] for w in ws)
     summary = Table("product", ["expression", "value"], [[factors, rendered]])
     terms = Table("terms", ["label", "word", "codim", "monomial", "coefficient"], rows)
     payload = {
         "factors": [{"word": [i + 1 for i in w.word],
-                     "label": ring.labels[ring.position(w)]} for w in ws],
+                     "label": ring.labels[w]} for w in ws],
         "rendered": rendered,
         "terms": expansion,
     }

@@ -1,12 +1,13 @@
 """The deformed cup product on G/P and Levi-movability.
 
-Basis classes are indexed by minimal representatives w in W^P, graded so the
-class of w has codimension dim(G/P) - l(w); the identity class is indexed by
-w_o w_o^L and the point class by e.  The deformed product multiplies the
-classical structure constant on w by a monomial in one indeterminate per
-simple root outside the Levi, with exponent
-(chi_w - chi_u - chi_v)(x_i), where chi_w is the sum of the nilradical
-roots beta with w(beta) > 0 and x_i is the fundamental coweight.
+Basis classes are keyed by their minimal representatives w in W^P, the
+WeylElement objects themselves, graded so the class of w has codimension
+dim(G/P) - l(w); the identity class is keyed by w_o w_o^L and the point
+class by e.  The deformed product multiplies the classical structure
+constant on w by a monomial in one indeterminate per simple root outside
+the Levi, with exponent (chi_w - chi_u - chi_v)(x_i), where chi_w is the
+sum of the nilradical roots beta with w(beta) > 0 and x_i is the
+fundamental coweight.
 
 Setting every indeterminate to 1 recovers the classical product; setting
 them to 0 gives the degenerate product whose nonzero constants are exactly
@@ -41,18 +42,19 @@ class MovabilityCertificate(NamedTuple):
 
 
 class DeformedClass:
-    """Element of the deformed ring: {rep position: {exponent vector: int}}."""
+    """Element of the deformed ring: {representative: {exponent vector: int}}."""
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: "DeformedRing", coeffs: dict[int, dict[ExpVec, int]] | None = None):
+    def __init__(self, ring: "DeformedRing",
+                 coeffs: dict[WeylElement, dict[ExpVec, int]] | None = None):
         self.ring = ring
         self.coeffs = {}
         if coeffs:
-            for pos, mono in coeffs.items():
+            for w, mono in coeffs.items():
                 clean = {e: c for e, c in mono.items() if c}
                 if clean:
-                    self.coeffs[pos] = clean
+                    self.coeffs[w] = clean
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -62,44 +64,45 @@ class DeformedClass:
                 and self.coeffs == other.coeffs)
 
     def __add__(self, other: "DeformedClass") -> "DeformedClass":
-        out = {pos: dict(m) for pos, m in self.coeffs.items()}
-        for pos, mono in other.coeffs.items():
-            tgt = out.setdefault(pos, {})
+        out = {w: dict(m) for w, m in self.coeffs.items()}
+        for w, mono in other.coeffs.items():
+            tgt = out.setdefault(w, {})
             for e, c in mono.items():
                 tgt[e] = tgt.get(e, 0) + c
         return DeformedClass(self.ring, out)
 
-    def classical(self) -> dict[int, int]:
+    def classical(self) -> dict[WeylElement, int]:
         """Specialization at tau = 1 (the ordinary cup product expansion)."""
-        sums = {pos: sum(mono.values()) for pos, mono in self.coeffs.items()}
-        return {pos: c for pos, c in sums.items() if c}
+        sums = {w: sum(mono.values()) for w, mono in self.coeffs.items()}
+        return {w: c for w, c in sums.items() if c}
 
-    def at_zero(self) -> dict[int, int]:
+    def at_zero(self) -> dict[WeylElement, int]:
         """Specialization at tau = 0 (keep exponent-zero monomials only)."""
         zero = (0,) * len(self.ring.omitted)
-        return {pos: mono[zero] for pos, mono in self.coeffs.items() if zero in mono}
+        return {w: mono[zero] for w, mono in self.coeffs.items() if zero in mono}
 
-    def terms(self) -> Iterator[tuple[int, ExpVec, int]]:
-        """(rep position, exponents, coefficient) of every term: classes in
+    def terms(self) -> Iterator[tuple[WeylElement, ExpVec, int]]:
+        """(representative, exponents, coefficient) of every term: classes in
         table order, the monomials of one class by sorted exponents."""
         rank = self.ring._table_rank
-        for pos in sorted(self.coeffs, key=rank.__getitem__):
-            for exps, coeff in sorted(self.coeffs[pos].items()):
-                yield pos, exps, coeff
+        for w in sorted(self.coeffs, key=rank.__getitem__):
+            for exps, coeff in sorted(self.coeffs[w].items()):
+                yield w, exps, coeff
 
     def __repr__(self):
         """Expansion with the classes in codimension order, e.g. `2*t2*c6 + c7`."""
         ring = self.ring
         bits = []
-        for pos, exps, coeff in self.terms():
+        for w, exps, coeff in self.terms():
             mono = ring.monomial(exps)
             head = "" if coeff == 1 else f"{coeff}*"
-            bits.append(head + (mono + "*" if mono else "") + ring.labels[pos])
+            bits.append(head + (mono + "*" if mono else "") + ring.labels[w])
         return " + ".join(bits) if bits else "0"
 
 
 class DeformedRing:
-    """Deformed cohomology ring of one G/P, over the classical constants."""
+    """Deformed cohomology ring of one G/P, over the classical constants; every
+    class, label and character is keyed by its minimal representative in `reps`."""
 
     def __init__(self, parab: Parabolic):
         self.parabolic = parab
@@ -111,21 +114,19 @@ class DeformedRing:
         # 2 rho of `within` and 2 rho_Q, for the cross-check of every character
         two_rho = self.rs.root_sum(parab.within_roots)
         two_rho_q = self.rs.root_sum(parab.levi_roots)
-        self._chi: list[tuple[int, ...]] = [
-            self._chi_coords(w, two_rho, two_rho_q) for w in self.reps]
-        self._classical: dict[tuple[int, int], dict[int, int]] = {}
+        self._chi = {w: self._chi_coords(w, two_rho, two_rho_q) for w in self.reps}
+        self._classical: dict[tuple[WeylElement, WeylElement], dict[WeylElement, int]] = {}
         self._levi_blocks: dict[int, list] = {}  # by number of factors, from horn.levi_blocks
-        # rep positions of each codimension in rep order, by increasing codimension
-        groups: dict[int, list[int]] = {}
-        for pos, w in enumerate(self.reps):
-            groups.setdefault(parab.codim(w), []).append(pos)
+        # representatives of each codimension in rep order, by increasing codimension
+        groups: dict[int, list[WeylElement]] = {}
+        for w in self.reps:
+            groups.setdefault(parab.codim(w), []).append(w)
         self.by_codim = dict(sorted(groups.items()))
-        self._table_order = [pos for group in self.by_codim.values() for pos in group]
-        self._table_rank = {pos: k for k, pos in enumerate(self._table_order)}
-        self.labels = [""] * len(self.reps)
-        for codim, group in self.by_codim.items():
-            for k, pos in enumerate(group):
-                self.labels[pos] = f"c{codim}" + ("" if len(group) == 1 else _suffix(k))
+        # by codimension (unit class first), in rep order within one
+        self.table_order = [w for group in self.by_codim.values() for w in group]
+        self._table_rank = {w: k for k, w in enumerate(self.table_order)}
+        self.labels = {w: f"c{codim}" + ("" if len(group) == 1 else _suffix(k))
+                       for codim, group in self.by_codim.items() for k, w in enumerate(group)}
 
     # -- characters ------------------------------------------------------
 
@@ -142,23 +143,19 @@ class DeformedRing:
 
     def chi(self, w: WeylElement) -> tuple[int, ...]:
         """Character chi_w as a weight in root coordinates."""
-        return self._chi[self.position(w)]
-
-    def position(self, w: WeylElement) -> int:
-        return self.parabolic.rep_position[w.index]
+        return self._chi[w]
 
     # -- products --------------------------------------------------------
 
-    def classical_product(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
-        """Cup product of the codim-graded classes, as {rep position: coeff}."""
-        pu, pv = self.position(u), self.position(v)
-        key = (pu, pv) if pu <= pv else (pv, pu)
+    def classical_product(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
+        """Cup product of the codim-graded classes, as {representative: coeff}."""
+        key = (u, v) if u.index <= v.index else (v, u)
         hit = self._classical.get(key)
         if hit is not None:
             return hit
         p = self.parabolic
         row = self.basis.product(p.iota(u), p.iota(v))
-        out: dict[int, int] = {}
+        out: dict[WeylElement, int] = {}
         for k, c in row.items():
             el = self.group.elements[k]
             # restriction to L/B_L drops every class outside W_L
@@ -167,37 +164,35 @@ class DeformedRing:
             if not p.contains(el):
                 raise AssertionError(
                     f"product of minimal representatives left W^P at {el}")
-            out[self.position(p.iota(el))] = c
+            out[p.iota(el)] = c
         self._classical[key] = out
         return out
 
     def exponents(self, u: WeylElement, v: WeylElement, w: WeylElement) -> ExpVec:
         """Deformation exponents (chi_w - chi_u - chi_v)(x_i), i outside the Levi."""
-        cu, cv, cw = (self._chi[self.position(x)] for x in (u, v, w))
+        cu, cv, cw = self._chi[u], self._chi[v], self._chi[w]
         return tuple(cw[i] - cu[i] - cv[i] for i in self.omitted)
 
     def deformed_product(self, u: WeylElement, v: WeylElement) -> DeformedClass:
-        out: dict[int, dict[ExpVec, int]] = {}
-        for pos, c in self.classical_product(u, v).items():
-            e = self.exponents(u, v, self.reps[pos])
+        out: dict[WeylElement, dict[ExpVec, int]] = {}
+        for w, c in self.classical_product(u, v).items():
+            e = self.exponents(u, v, w)
             if any(x < 0 for x in e):
-                raise AssertionError(
-                    f"negative deformation exponent {e} at {u}, {v}, {self.reps[pos]}")
-            out[pos] = {e: c}
+                raise AssertionError(f"negative deformation exponent {e} at {u}, {v}, {w}")
+            out[w] = {e: c}
         return DeformedClass(self, out)
 
-    def product0(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
+    def product0(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
         """Degenerate product: classical constants with all exponents zero."""
         return self.deformed_product(u, v).at_zero()
 
     def multiply(self, a: DeformedClass, b: DeformedClass) -> DeformedClass:
         """Deformed product of two general classes."""
-        out: dict[int, dict[ExpVec, int]] = {}
-        for pu, mu in a.coeffs.items():
-            for pv, mv in b.coeffs.items():
-                base = self.deformed_product(self.reps[pu], self.reps[pv])
-                for pos, mono in base.coeffs.items():
-                    tgt = out.setdefault(pos, {})
+        out: dict[WeylElement, dict[ExpVec, int]] = {}
+        for u, mu in a.coeffs.items():
+            for v, mv in b.coeffs.items():
+                for w, mono in self.deformed_product(u, v).coeffs.items():
+                    tgt = out.setdefault(w, {})
                     for e0, c0 in mono.items():
                         for eu, cu in mu.items():
                             for ev, cv in mv.items():
@@ -206,8 +201,10 @@ class DeformedRing:
         return DeformedClass(self, out)
 
     def basis_class(self, w: WeylElement) -> DeformedClass:
+        """The class of a minimal representative; ValueError for any other element."""
+        self.check_tuple((w,))
         zero = (0,) * len(self.omitted)
-        return DeformedClass(self, {self.position(w): {zero: 1}})
+        return DeformedClass(self, {w: {zero: 1}})
 
     def unit(self) -> WeylElement:
         """Label of the identity class, w_o w_o^L."""
@@ -219,23 +216,23 @@ class DeformedRing:
 
     # -- multi-factor coefficients and movability ------------------------
 
-    def fold_step(self, acc: dict[int, int], w: WeylElement) -> dict[int, int]:
-        """The product acc * [w] of a classical expansion {rep position: coeff} and a class."""
-        out: dict[int, int] = {}
-        for pos, c in acc.items():
-            for pos2, c2 in self.classical_product(self.reps[pos], w).items():
-                out[pos2] = out.get(pos2, 0) + c * c2
+    def fold_step(self, acc: dict[WeylElement, int], w: WeylElement) -> dict[WeylElement, int]:
+        """The product acc * [w] of a classical expansion {representative: coeff} and a class."""
+        out: dict[WeylElement, int] = {}
+        for x, c in acc.items():
+            for y, c2 in self.classical_product(x, w).items():
+                out[y] = out.get(y, 0) + c * c2
         return out
 
-    def fold(self, ws: Sequence[WeylElement]) -> dict[int, int]:
-        """Classical product of the classes of ws, as {rep position: coeff}.
+    def fold(self, ws: Sequence[WeylElement]) -> dict[WeylElement, int]:
+        """Classical product of the classes of ws, as {representative: coeff}.
 
         Starts from the first factor (the unit when ws is empty) and stops
         as soon as the product is zero.
         """
         if not ws:
-            return {self.position(self.unit()): 1}
-        acc = {self.position(ws[0]): 1}
+            return {self.unit(): 1}
+        acc = {ws[0]: 1}
         for w in ws[1:]:
             if not acc:
                 break
@@ -244,7 +241,7 @@ class DeformedRing:
 
     def point_coefficient(self, ws: Sequence[WeylElement]) -> int:
         """Classical coefficient of the point class in the product of the [ws]."""
-        return self.fold(ws[:-1]).get(self.position(self.parabolic.iota(ws[-1])), 0)
+        return self.fold(ws[:-1]).get(self.parabolic.iota(ws[-1]), 0)
 
     def check_tuple(self, ws: Sequence[WeylElement]) -> None:
         """Raise ValueError unless every entry is a minimal representative of this ring's W^P."""
@@ -273,9 +270,8 @@ class DeformedRing:
     def character_gaps(self, ws: Sequence[WeylElement]) -> dict[int, int]:
         """(sum chi_wj - chi_e)(x_i) for each i outside the Levi: no structure constant is
         needed, and a tuple with nonzero point coefficient is movable when all are 0."""
-        chi_e = self._chi[self.position(self.group.identity)]
-        return {i: sum(self._chi[self.position(w)][i] for w in ws) - chi_e[i]
-                for i in self.omitted}
+        chi, chi_e = self._chi, self._chi[self.group.identity]
+        return {i: sum(chi[w][i] for w in ws) - chi_e[i] for i in self.omitted}
 
     # -- presentation ----------------------------------------------------
 
@@ -283,10 +279,6 @@ class DeformedRing:
         """Monomial of an exponent vector, such as `t1t3^2`; "" for the constant 1."""
         return "".join(f"t{self.omitted[k] + 1}" + (f"^{e}" if e > 1 else "")
                        for k, e in enumerate(exps) if e)
-
-    def table_order(self) -> list[int]:
-        """Rep positions sorted by codimension (unit class first), in rep order within one."""
-        return self._table_order
 
     def is_minuscule(self) -> bool:
         """Maximal parabolic whose omitted simple root has coefficient 1 in the highest root."""

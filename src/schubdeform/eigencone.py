@@ -164,33 +164,33 @@ def enumerate_tuples(ring: DeformedRing, s: int, mode: str) -> list[tuple[WeylEl
         raise ValueError("need at least two factors")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    p, reps = ring.parabolic, ring.reps
+    p = ring.parabolic
     i0 = ring.omitted[0]
     # (codimension, character at x_i0) of each factor; the character is 0 in
     # classical mode, where no gap is asked for
-    chars = [ring.chi(w)[i0] if mode == "deformed" else 0 for w in reps]
-    steps = [(p.codim(w), x) for w, x in zip(reps, chars)]
-    goal = (p.dim, chars[ring.position(ring.point())])
+    chars = {w: ring.chi(w)[i0] if mode == "deformed" else 0 for w in ring.reps}
+    # each factor with its dual iota(w) and its step
+    steps = [(w, p.iota(w), (p.codim(w), x)) for w, x in chars.items()]
+    goal = (p.dim, chars[ring.point()])
     # reach[m]: the sums of m factors, up to the goal (every sum only grows)
-    kinds = set(steps)
+    kinds = {step for _, _, step in steps}
     reach = [{(0, 0)}]
     for _ in range(s - 1):
         reach.append({(c + a, x + b) for c, x in reach[-1] for a, b in kinds
                       if c + a <= goal[0] and x + b <= goal[1]})
-    duals = [ring.position(p.iota(w)) for w in reps]
     out = []
 
-    def walk(prefix: tuple, acc: dict[int, int], left: tuple[int, int]) -> None:
+    def walk(prefix: tuple, acc: dict[WeylElement, int], left: tuple[int, int]) -> None:
         after = reach[s - 1 - len(prefix)]
-        for pos, (w, (c, x)) in enumerate(zip(reps, steps)):
+        for w, dual, (c, x) in steps:
             rest = (left[0] - c, left[1] - x)
             if rest not in after:
                 continue
             if len(prefix) == s - 1:
-                if acc.get(duals[pos]) == 1:
+                if acc.get(dual) == 1:
                     out.append(prefix + (w,))
             else:
-                nxt = ring.fold_step(acc, w) if prefix else {pos: 1}
+                nxt = ring.fold_step(acc, w) if prefix else {w: 1}
                 if nxt:
                     walk(prefix + (w,), nxt, rest)
 

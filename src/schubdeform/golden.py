@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .weyl import parabolic, weyl_group
+from .weyl import WeylElement, parabolic, weyl_group
 from .rootsystem import root_system
 
 if TYPE_CHECKING:
@@ -70,7 +70,7 @@ def _ring_for(table: GoldenTable) -> DeformedRing:
 
 
 def _bijections(table: GoldenTable, ring: DeformedRing):
-    """All codimension-preserving maps from table labels to rep positions."""
+    """All codimension-preserving maps from table labels to representatives."""
     table_by_codim: dict[int, list[str]] = {}
     for lab, cd in table.classes.items():
         table_by_codim.setdefault(cd, []).append(lab)
@@ -80,21 +80,16 @@ def _bijections(table: GoldenTable, ring: DeformedRing):
             return
     choices = [itertools.permutations(ring.by_codim[cd]) for cd in codims]
     for combo in itertools.product(*choices):
-        mapping: dict[str, int] = {}
-        for cd, perm in zip(codims, combo):
-            for lab, pos in zip(table_by_codim[cd], perm):
-                mapping[lab] = pos
-        yield mapping
+        yield {lab: w for cd, perm in zip(codims, combo)
+               for lab, w in zip(table_by_codim[cd], perm)}
 
 
 def _check_bijection(table: GoldenTable, ring: DeformedRing,
-                     mapping: dict[str, int]) -> str:
+                     mapping: dict[str, WeylElement]) -> str:
     """Empty string when every tabulated product matches, else a diagnostic."""
     for (la, lb), entries in table.products.items():
-        u = ring.reps[mapping[la]]
-        v = ring.reps[mapping[lb]]
-        got = ring.deformed_product(u, v)
-        expect: dict[int, dict[tuple[int, ...], int]] = {}
+        got = ring.deformed_product(mapping[la], mapping[lb])
+        expect: dict[WeylElement, dict[tuple[int, ...], int]] = {}
         for c, e, lab in entries:
             expect.setdefault(mapping[lab], {})[(e,)] = c
         if got.coeffs != expect:
@@ -107,9 +102,7 @@ def _check_bijection(table: GoldenTable, ring: DeformedRing,
                 continue
             if ca + cb <= ring.parabolic.dim:
                 return f"table omits {la}*{lb} though codimensions allow a nonzero product"
-            u = ring.reps[mapping[la]]
-            v = ring.reps[mapping[lb]]
-            if not ring.deformed_product(u, v).is_zero():
+            if not ring.deformed_product(mapping[la], mapping[lb]).is_zero():
                 return f"{la}*{lb}: expected zero beyond top degree"
     return ""
 
@@ -125,7 +118,7 @@ def verify_table(table: GoldenTable) -> GoldenResult:
     for mapping in _bijections(table, ring):
         detail = _check_bijection(table, ring, mapping)
         if not detail:
-            bij = {lab: ring.labels[pos] for lab, pos in mapping.items()}
+            bij = {lab: ring.labels[w] for lab, w in mapping.items()}
             return GoldenResult(table.name, True, bij, "")
         last_detail = detail
     return GoldenResult(table.name, False, {}, last_detail)

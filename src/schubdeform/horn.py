@@ -54,10 +54,14 @@ class HornReport(NamedTuple):
     system: str
     levi: tuple[int, ...]
     words: tuple[tuple[int, ...], ...]
-    applicable: bool
     reason: str
     coefficient: int | None
     checks: list[HornCheck]
+
+    @property
+    def applicable(self) -> bool:
+        """Whether the family applies to the tuple: exactly when it gives no reason."""
+        return not self.reason
 
     @property
     def passed(self) -> bool:
@@ -154,30 +158,30 @@ class LeviBlock(NamedTuple):
     """Pairing data from one maximal parabolic quotient of the Levi.
 
     `coweight_index` is the simple index p omitted from the quotient;
-    `reps` are the minimal representatives of the quotient, elements of W;
-    `evals[k][i]` is alpha_i(u_k x_p) for the representative u_k, i.e. the
-    alpha_p-coefficient of u_k^{-1} alpha_i;
-    `tuples` are the index tuples with nonzero product on the quotient.
+    `evals[u][i]` is alpha_i(u x_p) for each minimal representative u of
+    the quotient (an element of W), i.e. the alpha_p-coefficient of
+    u^{-1} alpha_i;
+    `tuples` are the tuples of representatives with nonzero product on the
+    quotient.
     """
 
     coweight_index: int
-    reps: list[WeylElement]
-    evals: list[tuple[int, ...]]
-    tuples: list[tuple[int, ...]]
+    evals: dict[WeylElement, tuple[int, ...]]
+    tuples: list[tuple[WeylElement, ...]]
 
 
-def _nonzero_tuples(ring: DeformedRing, s: int) -> list[tuple[int, ...]]:
-    """Index tuples of representatives whose classical product is nonzero."""
-    out: list[tuple[int, ...]] = []
+def _nonzero_tuples(ring: DeformedRing, s: int) -> list[tuple[WeylElement, ...]]:
+    """Tuples of representatives whose classical product is nonzero."""
+    out: list[tuple[WeylElement, ...]] = []
 
-    def rec(acc: tuple, cur: dict[int, int]):
+    def rec(acc: tuple, cur: dict[WeylElement, int]):
         if len(acc) == s:
             out.append(acc)
             return
-        for pos, w in enumerate(ring.reps):
+        for w in ring.reps:
             nxt = ring.fold_step(cur, w)
             if nxt:
-                rec(acc + (pos,), nxt)
+                rec(acc + (w,), nxt)
 
     rec((), ring.fold(()))
     return out
@@ -197,8 +201,7 @@ def levi_blocks(ring: DeformedRing, s: int) -> list[LeviBlock]:
     for p, sub in subs.items():
         blocks.append(LeviBlock(
             coweight_index=p,
-            reps=list(sub.reps),
-            evals=[tuple(col[p] for col in group.inverse(u).cols) for u in sub.reps],
+            evals={u: tuple(col[p] for col in group.inverse(u).cols) for u in sub.reps},
             tuples=_nonzero_tuples(deformed_ring(sub), s),
         ))
     ring._levi_blocks[s] = blocks
@@ -210,9 +213,9 @@ def levi_blocks(ring: DeformedRing, s: int) -> list[LeviBlock]:
 
 def _report(ring: DeformedRing, ws: Sequence[WeylElement], coefficient: int | None,
             checks: list[HornCheck], reason: str = "") -> HornReport:
-    """The report of one family of checks on `ws`: it applies exactly when it gives no reason."""
+    """The report of one family of checks on `ws`, inapplicable when `reason` is given."""
     return HornReport(ring.rs.label, ring.parabolic.levi, tuple(w.word for w in ws),
-                      not reason, reason, coefficient, checks)
+                      reason, coefficient, checks)
 
 
 def _levi_checks(kind: str, chi: Sequence[Sequence[int]], chi_e: Sequence[int],
@@ -222,11 +225,10 @@ def _levi_checks(kind: str, chi: Sequence[Sequence[int]], chi_e: Sequence[int],
     for blk in blocks:
         p = blk.coweight_index
         for tup in blk.tuples:
-            lhs = sum(a * b for c, upos in zip(chi, tup) for a, b in zip(c, blk.evals[upos]))
+            lhs = sum(a * b for c, u in zip(chi, tup) for a, b in zip(c, blk.evals[u]))
             checks.append(HornCheck(
                 kind, lhs, chi_e[p], "<=",
-                {**data, "coweight": p + 1,
-                 "levi_words": [[i + 1 for i in blk.reps[k].word] for k in tup]}))
+                {**data, "coweight": p + 1, "levi_words": [[i + 1 for i in u.word] for u in tup]}))
     return checks
 
 

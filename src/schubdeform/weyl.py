@@ -30,28 +30,39 @@ DEFAULT_CAP = 10_000
 # tuples an s-fold scan over the representatives of quotients may take
 TUPLE_CAP = 5_000_000
 
+# pairs the pair scans of `leviprod-check` and `deform-table` may take; each
+# pair costs a product on G/B, so the cost per pair grows with |W|.  Measured
+# with leviprod-check on a 2-core VM with Python 3.11: D4 (36,864 pairs)
+# 0.5 s, B4 (147,456) 3.8 s and A5 (518,400) 14.5 s; past the cap, F4
+# (1,327,104) took 236.5 s and 383 MB, and the D5 deform-table (3,682,561)
+# had not ended after 20 s.
+_PAIR_CAP = 1_000_000
 
-def check_tuple_budget(sizes: Iterable[int], free: int, s: int, label: str) -> None:
+
+def check_tuple_budget(sizes: Iterable[int], free: int, s: int, label: str,
+                       cap: int | None = None) -> None:
     """Raise BudgetError when scans of s-tuples over quotients with these
-    numbers of representatives could take more than TUPLE_CAP tuples, by the
-    bound sum(n ** free for n in sizes), where `free` factors range freely:
-    s - 1 for generation, where codimension balance fixes the last factor,
-    s for the Levi blocks of the Horn checks, where none does, and 2 for
-    the pair scans of `leviprod-check` and `deform-table`.
+    numbers of representatives could take more than `cap` tuples (TUPLE_CAP
+    by default), by the bound sum(n ** free for n in sizes), where `free`
+    factors range freely: s - 1 for generation, where codimension balance
+    fixes the last factor, s for the Levi blocks of the Horn checks, where
+    none does, and 2 for the pair scans of `leviprod-check` and
+    `deform-table`, held to _PAIR_CAP.
 
     The sum stops growing once it passes the cap, so a huge s costs a few
     multiplications, never a huge integer.
     """
+    cap = TUPLE_CAP if cap is None else cap
     total = 0
     for n in sizes:
         term = 1
         for _ in range(free if n > 1 else 0):
             term *= n
-            if total + term > TUPLE_CAP:
+            if total + term > cap:
                 break
         total += term
-        if total > TUPLE_CAP:
-            raise BudgetError(f"enumeration bound exceeds cap {TUPLE_CAP} for {label}, s={s}")
+        if total > cap:
+            raise BudgetError(f"enumeration bound exceeds cap {cap} for {label}, s={s}")
 
 
 class WeylElement:
@@ -254,16 +265,13 @@ class Parabolic:
         self.reps: list[WeylElement] = sorted(
             (w for w in group.elements if self.contains(w)),
             key=lambda w: (w.length, [w.cols[j] for j in self.within]))
-        self.rep_position = {w.index: k for k, w in enumerate(self.reps)}
         # the longest element of W_I is the one whose inversion set is Phi_I^+
         self.w_o = group.with_inversions(self.within_roots)
         self.w_o_levi = group.with_inversions(self.levi_roots)
         if self.w_o is None or self.w_o_levi is None:
             raise AssertionError("no longest element found")
-        self._iota = [
-            group.mult(group.mult(self.w_o, w), self.w_o_levi) for w in self.reps
-        ]
-        for w, iw in zip(self.reps, self._iota):
+        self._iota = {w: group.mult(group.mult(self.w_o, w), self.w_o_levi) for w in self.reps}
+        for w, iw in self._iota.items():
             assert self.contains(iw) and iw.length == self.dim - w.length
         self._ring = None  # built by deform.deformed_ring
 
@@ -277,7 +285,7 @@ class Parabolic:
 
     def iota(self, w: WeylElement) -> WeylElement:
         """Basis involution w -> w_o w w_o_levi (longest of W_L, W_Q) exchanging the labellings."""
-        return self._iota[self.rep_position[w.index]]
+        return self._iota[w]
 
     def minimal_rep(self, w: WeylElement) -> WeylElement:
         """Minimal-length representative of the coset w W_P."""

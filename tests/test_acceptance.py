@@ -89,13 +89,12 @@ def test_criterion_03_duality():
     for family, rank in ALL_TYPES:
         for ring in all_rings(family, rank):
             p = ring.parabolic
-            point = ring.position(ring.point())
             for v in ring.reps:
                 for w in ring.reps:
                     if v.length != w.length:
                         continue
                     prod = ring.product0(v, p.iota(w))
-                    assert prod == ({point: 1} if v == w else {}), \
+                    assert prod == ({ring.point(): 1} if v == w else {}), \
                         (family, rank, p.levi, v.word, w.word)
                     pairs += 1
     assert pairs == 1637
@@ -214,16 +213,14 @@ def test_criterion_07_oracle_equivalence():
 
     ring = ring_for("A", 3, (0, 2))
     p = ring.parabolic
-    pmap = {pos: oracles.grassmannian_partition(
+    pmap = {w: oracles.grassmannian_partition(
         oracles.one_line(p.iota(w).word, 4), 2)
-        for pos, w in enumerate(ring.reps)}
+        for w in ring.reps}
     tableau_pairs = 0
     for u in ring.reps:
         for v in ring.reps:
-            got = {pmap[pos]: c
-                   for pos, c in ring.classical_product(u, v).items()}
-            want = oracles.lr_product(pmap[ring.position(u)],
-                                      pmap[ring.position(v)], 2, 2)
+            got = {pmap[w]: c for w, c in ring.classical_product(u, v).items()}
+            want = oracles.lr_product(pmap[u], pmap[v], 2, 2)
             assert got == want, (u.word, v.word, got, want)
             assert all(isinstance(c, int) and c >= 0 for c in got.values())
             tableau_pairs += 1

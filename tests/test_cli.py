@@ -400,14 +400,18 @@ def test_tuple_scan_budget_exit_3_fast(capsys):
 
 def test_pair_scan_budget_exit_3_fast(capsys):
     """The full-flag pair scans, |W|^2 pairs of leviprod-check and (|W| - 1)^2
-    products of deform-table, are held to the tuple cap: A6 has 5040 elements."""
-    for argv in (["leviprod-check", "--type", "A", "--rank", "6"],
-                 ["deform-table", "--type", "A", "--rank", "6", "--levi", "-"]):
-        t0 = time.perf_counter()
-        code, out, err = run(capsys, *argv, "--no-cache")
-        assert time.perf_counter() - t0 < 1.0, argv
-        assert (code, out) == (3, ""), argv
-        assert err == "error: enumeration bound exceeds cap 5000000 for A6, s=2\n", argv
+    products of deform-table, are held to the pair cap of 1,000,000, since
+    each pair costs a product on G/B: A6 has 5040 elements, D5 1920 and F4
+    1152, where leviprod-check would run for minutes."""
+    for family, rank in (("A", "6"), ("F", "4"), ("D", "5")):
+        for argv in (["leviprod-check", "--type", family, "--rank", rank],
+                     ["deform-table", "--type", family, "--rank", rank, "--levi", "-"]):
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, *argv, "--no-cache")
+            assert time.perf_counter() - t0 < 1.0, argv
+            assert (code, out) == (3, ""), argv
+            assert err == ("error: enumeration bound exceeds cap 1000000"
+                           f" for {family}{rank}, s=2\n"), argv
 
 
 def _address_space_2gb():
@@ -501,7 +505,7 @@ def test_verify_golden_mismatch_exit_4(capsys, monkeypatch):
 
 def test_horn_check_failure_exit_4(capsys, monkeypatch):
     failing = HornReport(system="A3", levi=(1, 2), words=((1, 0),) * 3,
-                         applicable=True, reason="", coefficient=0,
+                         reason="", coefficient=0,
                          checks=[HornCheck("character-sum", 5, 3, "<=", {})])
     monkeypatch.setattr(horn, "check_character", lambda ring, ws: failing)
     code, _, _ = run(capsys, "horn-check", "--type", "A", "--rank", "3",

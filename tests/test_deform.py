@@ -6,7 +6,7 @@ import pytest
 
 from schubdeform import DimensionError, deformed_ring, parabolic
 
-from common import ALL_TYPES, group_for, maximal_ring, ring_for
+from common import ALL_TYPES, all_rings, group_for, maximal_ring, ring_for
 from oracles import tangent_complement_check
 
 
@@ -40,7 +40,7 @@ def test_unit_and_point_labels():
     # the unit multiplies trivially, with zero exponents
     for w in p.reps:
         prod = ring.deformed_product(unit, w)
-        assert prod.coeffs == {ring.position(w): {(0,) * len(ring.omitted): 1}}
+        assert prod.coeffs == {w: {(0,) * len(ring.omitted): 1}}
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
@@ -51,11 +51,37 @@ def test_exponents_nonnegative_and_graded(family, rank):
         for u in p.reps:
             for v in p.reps:
                 cls = ring.deformed_product(u, v)
-                for pos, mono in cls.coeffs.items():
-                    assert p.codim(ring.reps[pos]) == p.codim(u) + p.codim(v)
+                for w, mono in cls.coeffs.items():
+                    assert p.codim(w) == p.codim(u) + p.codim(v)
                     for exps, c in mono.items():
                         assert all(e >= 0 for e in exps)
                         assert c > 0
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_every_class_is_keyed_by_its_representative(family, rank):
+    """Products, folds, classes and labels are keyed by the ring's own minimal
+    representatives, objects of its group, never by positions or copies."""
+    for ring in all_rings(family, rank):
+        reps = set(ring.reps)  # elements hash by identity
+
+        def check(keys, *where):
+            assert all(w in reps and w.group is ring.group for w in keys), \
+                (family, rank, ring.parabolic.levi) + where
+
+        check(ring.labels)
+        assert len(ring.labels) == len(reps)
+        check(ring.fold(()))
+        outside = [w for w in ring.group.elements if w not in reps]
+        if outside:
+            with pytest.raises(ValueError, match="not a minimal coset representative"):
+                ring.basis_class(outside[-1])
+        for u in ring.reps:
+            for v in ring.reps:
+                check(ring.classical_product(u, v), u, v)
+                check(ring.product0(u, v), u, v)
+                check(ring.deformed_product(u, v).coeffs, u, v)
+                check(ring.fold((u, v, u)), u, v)
 
 
 def test_minuscule_detection():
@@ -106,7 +132,7 @@ def test_rank_four_ring_laws_on_sampled_triples(family):
     for omitted in range(4):
         ring = maximal_ring(family, 4, omitted)
         p = ring.parabolic
-        point = {ring.position(ring.point()): 1}
+        point = {ring.point(): 1}
         for _ in range(40):
             u, v, w = (rng.choice(p.reps) for _ in range(3))
             a, b, c = (ring.basis_class(x) for x in (u, v, w))
@@ -168,11 +194,12 @@ def test_dual_pairs_always_movable():
 def test_labels_by_codimension():
     ring = maximal_ring("B", 3, 1)
     labs = ring.labels
-    assert len(set(labs)) == len(labs)
-    for pos, w in enumerate(ring.reps):
-        assert labs[pos].startswith(f"c{ring.parabolic.codim(w)}")
-    order = ring.table_order()
-    codims = [ring.parabolic.codim(ring.reps[pos]) for pos in order]
+    assert len(set(labs.values())) == len(labs) == len(ring.reps)
+    for w in ring.reps:
+        assert labs[w].startswith(f"c{ring.parabolic.codim(w)}")
+    order = ring.table_order
+    assert sorted(order, key=ring.reps.index) == ring.reps
+    codims = [ring.parabolic.codim(w) for w in order]
     assert codims == sorted(codims)
 
 
@@ -183,12 +210,12 @@ def test_labels_beyond_eight_classes_per_codimension():
     longest = 0
     for family in ("D", "B"):
         ring = ring_for(family, 4)
-        assert len(set(ring.labels)) == len(ring.labels)
+        assert len(set(ring.labels.values())) == len(ring.labels)
         by_codim = {}
-        for pos in ring.table_order():
-            by_codim.setdefault(ring.parabolic.codim(ring.reps[pos]), []).append(pos)
+        for w in ring.table_order:
+            by_codim.setdefault(ring.parabolic.codim(w), []).append(w)
         for codim, group in by_codim.items():
-            got = [ring.labels[pos] for pos in group]
+            got = [ring.labels[w] for w in group]
             assert got == ([f"c{codim}"] if len(group) == 1 else
                            [f"c{codim}{x}" for x in suffixes[:len(group)]])
             longest = max(longest, len(group))

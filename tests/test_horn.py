@@ -125,17 +125,21 @@ def test_levi_blocks_structure():
         assert blk.coweight_index in ring.parabolic.levi
         for t in blk.tuples:
             assert len(t) == 2
-            assert all(0 <= k < len(blk.reps) for k in t)
+            assert all(u in blk.evals for u in t)
     # evals against alpha_i(u x_p) through the rational coweight action
     for family, rank in [("B", 3), ("C", 3), ("G", 2)]:
         for ring in all_rings(family, rank):
             rs = ring.rs
             blocks = levi_blocks(ring, 2)
             assert [b.coweight_index for b in blocks] == list(ring.parabolic.levi)
+            levi = ring.parabolic.levi
             for blk in blocks:
-                x_p = rs.fundamental_coweight(blk.coweight_index)
-                assert len(blk.evals) == len(blk.reps)
-                for u, vec in zip(blk.reps, blk.evals):
+                p = blk.coweight_index
+                x_p = rs.fundamental_coweight(p)
+                # keyed by the representatives of the quotient, in their order
+                sub = parabolic(ring.group, [i for i in levi if i != p], within=levi)
+                assert list(blk.evals) == sub.reps
+                for u, vec in blk.evals.items():
                     assert u.group is ring.group
                     h = u.act_coweight_coords(x_p)
                     assert vec == tuple(
