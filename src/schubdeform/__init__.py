@@ -11,13 +11,13 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines (or, for BudgetError, re-exports)
 _LAYERS = {
-    "rootsystem": ("CartanType", "RootSystem", "build_root_system", "root_system"),
+    "rootsystem": ("CartanType", "RootSystem", "root_system"),
     "weyl": ("WeylGroup", "WeylElement", "Parabolic", "weyl_group", "parabolic",
              "BudgetError"),
     "schubert": ("SchubertBasis", "schubert_basis"),
     "deform": ("DeformedRing", "DeformedClass", "MovabilityCertificate", "DimensionError",
                "deformed_ring"),
-    "invsets": ("inversion_product", "is_inversion_set", "crosscheck_gb", "CrossCheckReport"),
+    "invsets": ("inversion_product", "crosscheck_gb", "CrossCheckReport"),
     "horn": ("HornCheck", "HornReport", "central_characters", "coset_codim",
              "dimension_tuples", "check_character", "check_refined", "check_dimension",
              "codim_difference_identity"),

@@ -63,14 +63,6 @@ class DeformedClass:
         return (isinstance(other, DeformedClass) and self.ring is other.ring
                 and self.coeffs == other.coeffs)
 
-    def __add__(self, other: "DeformedClass") -> "DeformedClass":
-        out = {w: dict(m) for w, m in self.coeffs.items()}
-        for w, mono in other.coeffs.items():
-            tgt = out.setdefault(w, {})
-            for e, c in mono.items():
-                tgt[e] = tgt.get(e, 0) + c
-        return DeformedClass(self.ring, out)
-
     def classical(self) -> dict[WeylElement, int]:
         """Specialization at tau = 1 (the ordinary cup product expansion)."""
         sums = {w: sum(mono.values()) for w, mono in self.coeffs.items()}
@@ -143,12 +135,19 @@ class DeformedRing:
 
     def chi(self, w: WeylElement) -> tuple[int, ...]:
         """Character chi_w as a weight in root coordinates."""
-        return self._chi[w]
+        chi = self._chi.get(w)
+        if chi is None:
+            self.parabolic.refuse(w)
+        return chi
 
     # -- products --------------------------------------------------------
 
     def classical_product(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
-        """Cup product of the codim-graded classes, as {representative: coeff}."""
+        """Cup product of the codim-graded classes, as {representative: coeff}.
+
+        The memo holds representatives only, keyed by the elements themselves,
+        so a miss is where `iota` refuses an element outside this ring's W^P.
+        """
         key = (u, v) if u.index <= v.index else (v, u)
         hit = self._classical.get(key)
         if hit is not None:
@@ -170,7 +169,7 @@ class DeformedRing:
 
     def exponents(self, u: WeylElement, v: WeylElement, w: WeylElement) -> ExpVec:
         """Deformation exponents (chi_w - chi_u - chi_v)(x_i), i outside the Levi."""
-        cu, cv, cw = self._chi[u], self._chi[v], self._chi[w]
+        cu, cv, cw = self.chi(u), self.chi(v), self.chi(w)
         return tuple(cw[i] - cu[i] - cv[i] for i in self.omitted)
 
     def deformed_product(self, u: WeylElement, v: WeylElement) -> DeformedClass:
@@ -228,8 +227,9 @@ class DeformedRing:
         """Classical product of the classes of ws, as {representative: coeff}.
 
         Starts from the first factor (the unit when ws is empty) and stops
-        as soon as the product is zero.
+        as soon as the product is zero; every factor is checked first.
         """
+        self.check_tuple(ws)
         if not ws:
             return {self.unit(): 1}
         acc = {ws[0]: 1}
@@ -241,23 +241,24 @@ class DeformedRing:
 
     def point_coefficient(self, ws: Sequence[WeylElement]) -> int:
         """Classical coefficient of the point class in the product of the [ws]."""
+        if not ws:
+            raise ValueError("need at least one factor")
         return self.fold(ws[:-1]).get(self.parabolic.iota(ws[-1]), 0)
 
     def check_tuple(self, ws: Sequence[WeylElement]) -> None:
         """Raise ValueError unless every entry is a minimal representative of this ring's W^P."""
         for w in ws:
-            if not isinstance(w, WeylElement) or w.group is not self.group:
-                raise ValueError("tuple entries must belong to the same Weyl group")
             if not self.parabolic.contains(w):
-                raise ValueError(f"{w} is not a minimal coset representative")
+                self.parabolic.refuse(w)
 
     def is_levi_movable(self, ws: Sequence[WeylElement]) -> MovabilityCertificate:
         """Movability test for a tuple with codimensions summing to dim(G/P).
 
-        Raises ValueError for entries outside this ring's W^P and
-        DimensionError when the codimension condition fails; otherwise the
-        certificate records the classical point-class coefficient and the
-        per-coweight character gaps, and `.movable` is the verdict.
+        Raises ValueError for entries outside this ring's W^P, DimensionError
+        when the codimension condition fails, and ValueError for an empty
+        tuple that meets it (on a point G/P); otherwise the certificate
+        records the classical point-class coefficient and the per-coweight
+        character gaps, and `.movable` is the verdict.
         """
         self.check_tuple(ws)
         p = self.parabolic
@@ -270,8 +271,8 @@ class DeformedRing:
     def character_gaps(self, ws: Sequence[WeylElement]) -> dict[int, int]:
         """(sum chi_wj - chi_e)(x_i) for each i outside the Levi: no structure constant is
         needed, and a tuple with nonzero point coefficient is movable when all are 0."""
-        chi, chi_e = self._chi, self._chi[self.group.identity]
-        return {i: sum(chi[w][i] for w in ws) - chi_e[i] for i in self.omitted}
+        chis, chi_e = [self.chi(w) for w in ws], self._chi[self.group.identity]
+        return {i: sum(c[i] for c in chis) - chi_e[i] for i in self.omitted}
 
     # -- presentation ----------------------------------------------------
 

@@ -108,6 +108,7 @@ def coset_codim(parab: Parabolic, w: WeylElement) -> int:
     Counts the nilradical roots sent to positive roots by w; for a minimal
     representative this agrees with dim G/P - l(w).
     """
+    parab.group.check(w)
     return len(parab.nilradical_roots - parab.group.inversion_set(w))
 
 
@@ -319,9 +320,8 @@ def check_dimension(ring: DeformedRing, ws: Sequence[WeylElement],
     per-factor counts of kept roots in the common nilradical are bounded
     by its size.
     """
-    ring.check_tuple(ws)
     sub, qhat_parab, overlap = _levi_pair(ring, inner_levi, outer_levi)
-    if not ring.fold(ws):
+    if not ring.fold(ws):  # which refuses any w outside W^P
         raise ValueError("tuple has zero classical product")
 
     us = [sub.minimal_rep(_levi_element(sub, u)) for u in utuple]

@@ -67,7 +67,7 @@ _FAMILIES = {
 class CartanType(NamedTuple("CartanType", [("family", str), ("rank", int)])):
     """A simple Cartan type, e.g. CartanType("B", 3); the family is upper-cased.
 
-    Immutable and hashable, since build_root_system memoises on it.
+    Immutable and hashable, since root_system memoises on it.
     """
 
     __slots__ = ()
@@ -240,12 +240,9 @@ class RootSystem:
         return f"RootSystem({self.label}, rank={self.rank}, positive={len(self.positive_roots)})"
 
 
-@lru_cache(maxsize=None)
-def build_root_system(ct: CartanType) -> RootSystem:
-    """RootSystem(ct), built once per type."""
-    return RootSystem(ct)
+_built = lru_cache(maxsize=None)(RootSystem)  # one RootSystem per CartanType
 
 
 def root_system(family: str, rank: int) -> RootSystem:
-    """Convenience wrapper: root_system("B", 3)."""
-    return build_root_system(CartanType(family, rank))
+    """The root system of a type, such as root_system("B", 3), built once per type."""
+    return _built(CartanType(family, rank))

@@ -117,8 +117,10 @@ class SchubertBasis:
         Gradings add: only elements of length l(u)+l(v) can appear.  The
         triangular solve runs over the x >= u, v of length at most that whose
         right descents all lie in D(u) | D(v); every other constant is zero
-        without being computed.
+        without being computed.  ValueError for an element of another group,
+        checked first: the memo is keyed by indices, which such an element shares.
         """
+        self.group.check(u, v)
         d = u.length + v.length
         if d > self.rs.num_positive_roots:
             return {}

@@ -14,7 +14,7 @@ matrices.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .rootsystem import BudgetError, RootSystem
 
@@ -228,8 +228,12 @@ class WeylGroup:
     def longest_element(self) -> WeylElement:
         return self.elements[-1]
 
-    def __len__(self):
-        return len(self.elements)
+    def check(self, *ws: WeylElement) -> None:
+        """Raise ValueError unless every w is an element of this group."""
+        for w in ws:
+            if not isinstance(w, WeylElement) or w.group is not self:
+                raise ValueError(f"elements must belong to the same Weyl group "
+                                 f"({self.rs.label}); {w!r} does not")
 
     def __repr__(self):
         return f"WeylGroup({self.rs.label}, order={self.order})"
@@ -260,10 +264,10 @@ class Parabolic:
         self.within_roots = frozenset(self.rs.levi_positive(self.within))
         self.nilradical_roots = self.within_roots - self.levi_roots
         self.dim = len(self.nilradical_roots)
-        # by length, then by the action on the simple roots of `within`: the
-        # group's own order when `within` is every simple index
+        # W^Q: the w inverting nilradical roots only; by length, then by the action
+        # on the simple roots of `within` (the group's order when that is all of them)
         self.reps: list[WeylElement] = sorted(
-            (w for w in group.elements if self.contains(w)),
+            (w for w in group.elements if group.inversion_set(w) <= self.nilradical_roots),
             key=lambda w: (w.length, [w.cols[j] for j in self.within]))
         # the longest element of W_I is the one whose inversion set is Phi_I^+
         self.w_o = group.with_inversions(self.within_roots)
@@ -272,20 +276,31 @@ class Parabolic:
             raise AssertionError("no longest element found")
         self._iota = {w: group.mult(group.mult(self.w_o, w), self.w_o_levi) for w in self.reps}
         for w, iw in self._iota.items():
-            assert self.contains(iw) and iw.length == self.dim - w.length
+            assert iw in self._iota and iw.length == self.dim - w.length
         self._ring = None  # built by deform.deformed_ring
 
     def contains(self, w: WeylElement) -> bool:
-        """Whether w is in W_L and a minimal-length coset representative (w in W^Q)."""
-        return self.group.inversion_set(w) <= self.nilradical_roots
+        """Whether w is in W_L and a minimal-length coset representative (w in W^Q);
+        False for an element of another group."""
+        return w in self._iota
+
+    def refuse(self, w: WeylElement) -> NoReturn:
+        """Raise the ValueError for a w outside W^Q: one of another group, or not a
+        minimal representative."""
+        self.group.check(w)
+        raise ValueError(f"{w} is not a minimal coset representative")
 
     def codim(self, w: WeylElement) -> int:
         """Codimension of the Schubert variety labelled by w (dimension l(w))."""
         return self.dim - w.length
 
     def iota(self, w: WeylElement) -> WeylElement:
-        """Basis involution w -> w_o w w_o_levi (longest of W_L, W_Q) exchanging the labellings."""
-        return self._iota[w]
+        """Basis involution w -> w_o w w_o_levi (longest of W_L, W_Q) exchanging the
+        labellings; ValueError for a w outside W^Q."""
+        iw = self._iota.get(w)
+        if iw is None:
+            self.refuse(w)
+        return iw
 
     def minimal_rep(self, w: WeylElement) -> WeylElement:
         """Minimal-length representative of the coset w W_P."""

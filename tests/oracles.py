@@ -21,7 +21,9 @@ with no symmetry used, sharing only `cone_contains` and `dominance_rows`.
 `tuple_inequality`: it moves each simple coroot through the reduced word
 instead of reading the element's columns.  `movable_rows_reference` is the
 reference for gaps-first generation: it folds the point coefficient of every
-dimension tuple before it looks at the character gaps.  `extreme_rays` is incremental
+dimension tuple before it looks at the character gaps.  `is_inversion_set`
+recognises an inversion set as a closed set of roots with closed complement,
+the reference for the group's own lookup.  `extreme_rays` is incremental
 double description, the polar check of `cone_contains`, and `horn_rows`
 builds the type-A eigencone inequalities from Horn's recursion, with no
 Schubert calculus at all.
@@ -325,6 +327,38 @@ def rho(rs, levi: Iterable[int] | None = None) -> tuple:
 def act_weight(w: WeylElement, weight: Sequence) -> tuple:
     """w acting on a weight in root coordinates."""
     return tuple(Fraction(x) for x in w.act_root(weight))
+
+
+# -- inversion sets, recognised without the group -----------------------
+
+
+def is_closed(rs, roots: frozenset[int]) -> bool:
+    """Closed under root addition: a, b in S and a+b a root imply a+b in S."""
+    have = {rs.positive_roots[k] for k in roots}
+    for a in have:
+        for b in have:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in rs.root_index and s not in have:
+                return False
+    return True
+
+
+def is_inversion_set(group, roots: Iterable[int]) -> WeylElement | None:
+    """Recognize an inversion set: closed with closed complement, else None.
+
+    A subset of the positive roots is an inversion set iff it is closed under
+    root addition and so is its complement.  The combinatorial test and the
+    direct lookup over the enumerated group must agree; disagreement is a
+    hard failure.
+    """
+    rs = group.rs
+    s = frozenset(roots)
+    comp = frozenset(range(len(rs.positive_roots))) - s
+    combinatorial = is_closed(rs, s) and is_closed(rs, comp)
+    found = group.with_inversions(s)
+    if combinatorial != (found is not None):
+        raise AssertionError(f"closed/coclosed test disagrees with enumeration on {sorted(s)}")
+    return found
 
 
 # -- the reflection-sum (Chevalley) rule --------------------------------

@@ -1,6 +1,6 @@
 """README.md as written: its Python API block runs, its command transcripts
-show what the commands print, and its table of subcommands is the command
-line's."""
+show what the commands print, its table of subcommands is the command
+line's, and its list of public names is the package's."""
 
 import ast
 import io
@@ -10,6 +10,7 @@ import tokenize
 from itertools import groupby
 from pathlib import Path
 
+import schubdeform
 from schubdeform import cli
 
 from common import CACHE_ENV_VAR
@@ -64,3 +65,14 @@ def test_readme_subcommand_table_names_every_command_in_help_order():
     rows = section.split("\n\n", 1)[0].splitlines()[2:]
     names = [row.split("`")[1].split()[0] for row in rows]
     assert [name for name, _ in groupby(names)] == list(cli._COMMANDS)
+
+
+def test_readme_public_names_are_the_namespace_in_layer_order():
+    """The list after "public names, by home module" gives each home module
+    and its names in the order of `_LAYERS`; together they are `__all__`
+    without `__version__`."""
+    section = README.read_text().split("public names, by home module:\n\n", 1)[1]
+    items = re.findall(r"^- `(\w+)`: (.*(?:\n  .*)*)", section.split("\n\n", 1)[0], re.M)
+    assert [home for home, _ in items] == list(schubdeform._LAYERS)
+    names = [name for _, listed in items for name in re.findall(r"`(\w+)`", listed)]
+    assert names == [name for name in schubdeform.__all__ if name != "__version__"]

@@ -8,7 +8,6 @@ from schubdeform import (
     GoldenResult,
     HornCheck,
     Inequality,
-    build_root_system,
     root_system,
 )
 
@@ -18,7 +17,7 @@ def test_cartan_type_validates_normalises_and_keys_the_memo():
     assert repr(ct) == "CartanType(family='B', rank=3)" and str(ct) == "B3"
     assert ct == CartanType("B", 3) and hash(ct) == hash(CartanType("B", 3))
     assert ct != CartanType("C", 3)
-    assert build_root_system(ct) is root_system("B", 3)
+    assert root_system(*ct) is root_system("B", 3)
     with pytest.raises(ValueError, match="unknown family 'Z'"):
         CartanType("Z", 2)
     with pytest.raises(ValueError, match="rank 1 not admissible for family B"):

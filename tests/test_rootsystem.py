@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from schubdeform import CartanType, build_root_system, root_system
+from schubdeform import CartanType, root_system
 from schubdeform.rootsystem import cartan_matrix
 
 from common import ALL_TYPES, CACHE_ENV_VAR, TYPES_TO_RANK_8
@@ -49,7 +49,7 @@ def test_cartan_matrices_known():
 @pytest.mark.parametrize("family,rank", TYPES_TO_RANK_8)
 def test_lengths_symmetrize_cartan_and_counts_match(family, rank):
     ct = CartanType(family, rank)
-    rs = build_root_system(ct)
+    rs = root_system(family, rank)
     d, a = rs.lengths, rs.cartan
     assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(rank) for j in range(rank))
     assert rs.num_positive_roots == ct.num_positive_roots
@@ -168,5 +168,5 @@ def test_fweight_round_trip():
         assert fw == tuple(Fraction(int(i == j)) for j in range(3))
 
 
-def test_build_root_system_is_cached():
-    assert build_root_system(CartanType("A", 2)) is root_system("A", 2)
+def test_root_system_is_cached():
+    assert root_system("a", 2) is root_system("A", 2)
