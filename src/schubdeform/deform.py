@@ -124,9 +124,9 @@ class DeformedRing:
 
     def _chi_coords(self, w: WeylElement, two_rho: tuple[int, ...],
                     two_rho_q: tuple[int, ...]) -> tuple[int, ...]:
-        acc = self.rs.root_sum(self.parabolic.nilradical_roots - self.group.inversion_set(w))
+        acc = self.rs.root_sum(self.parabolic.nilradical_roots - w.inversions)
         # cross-check, doubled: chi_w = rho - 2 rho_Q + w^{-1} rho, rho that of `within`
-        wr = self.group.inverse(w).act_root(two_rho)
+        wr = w.inverse.act_root(two_rho)
         alt = tuple(r - 2 * q + x for r, q, x in zip(two_rho, two_rho_q, wr))
         if any(2 * a != b for a, b in zip(acc, alt)):
             raise AssertionError(
@@ -158,7 +158,7 @@ class DeformedRing:
         for k, c in row.items():
             el = self.group.elements[k]
             # restriction to L/B_L drops every class outside W_L
-            if not self.group.inversion_set(el) <= p.within_roots:
+            if not el.inversions <= p.within_roots:
                 continue
             if not p.contains(el):
                 raise AssertionError(

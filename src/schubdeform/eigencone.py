@@ -205,12 +205,12 @@ def tuple_inequality(ring: DeformedRing, ws: Sequence[WeylElement]) -> Inequalit
     coordinate of w_j^{-1} alpha_k^vee: column k of w_j^{-1} (w_j^{-1} alpha_k
     in root coordinates) at i0, times d_i0 / d_k for the half squared lengths d.
     """
-    group, d = ring.group, ring.rs.lengths
+    d = ring.rs.lengths
     i0 = ring.omitted[0]
     blocks = []
     for w in ws:
         block = []
-        for k, col in enumerate(group.inverse(w).cols):
+        for k, col in enumerate(w.inverse.cols):
             entry, rest = divmod(col[i0] * d[i0], d[k])
             if rest:
                 raise AssertionError(f"non-integral pairing at {w}, coroot {k + 1}")

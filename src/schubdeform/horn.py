@@ -109,7 +109,7 @@ def coset_codim(parab: Parabolic, w: WeylElement) -> int:
     representative this agrees with dim G/P - l(w).
     """
     parab.group.check(w)
-    return len(parab.nilradical_roots - parab.group.inversion_set(w))
+    return len(parab.nilradical_roots - w.inversions)
 
 
 def dimension_tuples(parab: Parabolic, s: int) -> Iterator[tuple[WeylElement, ...]]:
@@ -145,7 +145,7 @@ def dimension_tuples(parab: Parabolic, s: int) -> Iterator[tuple[WeylElement, ..
 def _levi_element(sub: Parabolic, u) -> WeylElement:
     """An element of the Levi subgroup W_L of `sub`, given as one or as a word in ambient indices."""
     if isinstance(u, WeylElement):
-        if u.group is not sub.group or not sub.group.inversion_set(u) <= sub.within_roots:
+        if u.group is not sub.group or not u.inversions <= sub.within_roots:
             raise ValueError("Levi tuple entries must lie in the Levi subgroup")
         return u
     for i in u:
@@ -202,7 +202,7 @@ def levi_blocks(ring: DeformedRing, s: int) -> list[LeviBlock]:
     for p, sub in subs.items():
         blocks.append(LeviBlock(
             coweight_index=p,
-            evals={u: tuple(col[p] for col in group.inverse(u).cols) for u in sub.reps},
+            evals={u: tuple(col[p] for col in u.inverse.cols) for u in sub.reps},
             tuples=_nonzero_tuples(deformed_ring(sub), s),
         ))
     ring._levi_blocks[s] = blocks
@@ -270,16 +270,15 @@ def check_refined(ring: DeformedRing, ws: Sequence[WeylElement]) -> HornReport:
                        "tuple is not Levi-movable: coefficient "
                        f"{cert.coefficient}, character gaps "
                        f"{ {i + 1: g for i, g in sorted(cert.character_gap.items())} }")
-    group = ring.group
     checks = []
     classes = central_characters(parab)
     for sig, roots in classes:
-        lhs = sum(len(roots - group.inversion_set(w)) for w in ws)
+        lhs = sum(len(roots - w.inversions) for w in ws)
         checks.append(HornCheck("class-size", lhs, len(roots), "==", {"signature": list(sig)}))
     blocks = levi_blocks(ring, len(ws))
     for sig, roots in classes:
         # partial characters supported on this central class
-        chi_c = [ring.rs.root_sum(roots - group.inversion_set(w)) for w in ws]
+        chi_c = [ring.rs.root_sum(roots - w.inversions) for w in ws]
         chi_c_e = ring.rs.root_sum(roots)
         checks += _levi_checks("class-levi", chi_c, chi_c_e, blocks, signature=list(sig))
     return _report(ring, ws, cert.coefficient, checks)
@@ -376,5 +375,5 @@ def codim_difference_identity(ring: DeformedRing, w: WeylElement, u,
     el = _levi_element(sub, u)
     hat = ring.group.mult(w, el)
     lhs = coset_codim(qhat_parab, hat) - sub.codim(sub.minimal_rep(el))
-    return lhs, len(overlap - ring.group.inversion_set(hat))
+    return lhs, len(overlap - hat.inversions)
 

@@ -16,8 +16,7 @@ from .weyl import _PAIR_CAP, WeylElement, WeylGroup, check_tuple_budget
 def inversion_product(group: WeylGroup, u: WeylElement, v: WeylElement) -> WeylElement | None:
     """eps_u * eps_v under the degenerate product on G/B: an element or None (zero)."""
     group.check(u, v)
-    pu = group.inversion_set(u)
-    pv = group.inversion_set(v)
+    pu, pv = u.inversions, v.inversions
     if pu & pv:
         return None
     return group.with_inversions(pu | pv)

@@ -88,7 +88,7 @@ class SchubertBasis:
         else:
             # P_w = d_i P_{w s_i} for any ascent i of w
             i = next(i for i in range(self.rs.rank) if not w.descents >> i & 1)
-            p = divided_difference(self.rs, i, self.polynomial(self.group.times_simple(w, i)))
+            p = divided_difference(self.rs, i, self.polynomial(w.right[i]))
         self._polys[idx] = p
         return p
 
@@ -99,14 +99,14 @@ class SchubertBasis:
         row = self._rows.get(x.index)
         if row is None:
             j = x.word[-1]
-            prev = self.group.times_simple(x, j)
+            prev = x.right[j]
             shorter = self._restriction(prev)
             height = sum(prev.cols[j])  # ht(x'(alpha_j)), a positive root
             row = dict(shorter)
             elements = self.group.elements
             for z, c in shorter.items():
                 if not elements[z].descents >> j & 1:  # y = z s_j > z
-                    y = self.group.times_simple(elements[z], j).index
+                    y = elements[z].right[j].index
                     row[y] = row.get(y, 0) + c * height
             self._rows[x.index] = row
         return row

@@ -4,13 +4,13 @@ Each element is built once, as one object of its group, so elements compare
 by identity; each keeps its integer matrix action on the simple roots
 (columns = images of the simple roots).  Enumeration is breadth-first
 over right multiplication by simple reflections, so the stored word of each
-element is reduced, and it records every product w s_i in a table.  It finds
+element is reduced, and each element records its products w s_i.  It finds
 elements by their inversion sets: s_i permutes the positive roots other than
 alpha_i, so the inversion set of w s_i follows from that of w, and an
 element's matrix is built only when the element is first found (Humphreys,
 Reflection Groups and Coxeter Groups, 1990, ch. 1).  Products and inverses
-are folds of reduced words over the table, so no group operation multiplies
-matrices.
+are folds of reduced words over those products, so no group operation
+multiplies matrices.
 """
 from __future__ import annotations
 
@@ -66,17 +66,22 @@ def check_tuple_budget(sizes: Iterable[int], free: int, s: int, label: str,
 
 
 class WeylElement:
-    """Group element, one object per element of its group; `cols` is its action
-    on the simple roots."""
+    """Group element, one object per element of its group: `cols` is its action on
+    the simple roots, `inversions` its inversion set Phi_w = {beta > 0 : w(beta) < 0}
+    as positive-root indices, `right` the products w s_i and `inverse` w^{-1}."""
 
-    __slots__ = ("cols", "word", "index", "group", "descents")
+    __slots__ = ("cols", "word", "index", "group", "descents", "inversions", "right", "inverse")
 
-    def __init__(self, cols: Cols, word: tuple[int, ...], group: "WeylGroup"):
+    def __init__(self, cols: Cols, word: tuple[int, ...], group: "WeylGroup",
+                 inversions: frozenset[int]):
         self.cols = cols
         self.word = word
         self.group = group
+        self.inversions = inversions
         self.index = -1  # assigned after the deterministic sort
         self.descents = 0  # bit i set when w(alpha_i) < 0, i.e. l(w s_i) < l(w)
+        self.right: tuple[WeylElement, ...] = ()  # set by the enumeration
+        self.inverse = self  # set by the enumeration, once every w.right is
 
     @property
     def length(self) -> int:
@@ -119,7 +124,6 @@ class WeylGroup:
         self.rs = rs
         self.order = order
         self._enumerate()
-        self._inverse = [self._fold(self.identity, reversed(w.word)) for w in self.elements]
         self._parabolics: dict[tuple, Parabolic] = {}  # filled by parabolic
         self._basis = None  # built by schubert.schubert_basis
 
@@ -142,13 +146,13 @@ class WeylGroup:
             perms.append(perm)
         flips = [frozenset((a,)) for a in simple]
         ident: Cols = tuple(tuple(int(j == k) for k in range(n)) for j in range(n))
-        e = WeylElement(ident, (), self)
-        e.index = 0
+        e = WeylElement(ident, (), self, frozenset())
         # breadth-first: the elements in the order they are found, each keyed
-        # by its inversion set, with the products w s_i of each
+        # by its inversion set
         found: dict[frozenset[int], WeylElement] = {frozenset(): e}
-        order, sets, right = [e], [frozenset()], []
-        for w, inv in zip(order, sets):  # the loop reaches what it appends
+        order = [e]
+        for w in order:  # the loop reaches what it appends
+            inv = w.inversions
             products = []
             for i in range(n):
                 key = frozenset(map(perms[i].__getitem__, inv)) ^ flips[i]
@@ -160,24 +164,20 @@ class WeylGroup:
                         col if not cartan[i][j] else
                         tuple(c - cartan[i][j] * ci for c, ci in zip(col, wi))
                         for j, col in enumerate(w.cols))
-                    x = found[key] = WeylElement(cols, w.word + (i,), self)
-                    x.index = len(order)
+                    x = found[key] = WeylElement(cols, w.word + (i,), self, key)
                     order.append(x)
-                    sets.append(key)
                 products.append(x)
-            right.append(tuple(products))
+            w.right = tuple(products)
             w.descents = sum(1 << i for i, a in enumerate(simple) if a in inv)
         if len(order) != self.order:
             raise AssertionError(
                 f"enumerated {len(order)} elements of {rs.label}, expected {self.order}"
             )
         els = sorted(order, key=lambda w: (w.length, w.cols))
-        found_at = [w.index for w in els]
         for k, w in enumerate(els):
             w.index = k
+            w.inverse = self._fold(e, reversed(w.word))
         self.elements: list[WeylElement] = els
-        self._right = [right[k] for k in found_at]  # [w.index][i] = w s_i
-        self._inversion_sets = [sets[k] for k in found_at]  # [w.index] = Phi(w)
         self._by_inversions = found
 
     # -- group operations -----------------------------------------------
@@ -187,9 +187,9 @@ class WeylGroup:
         return self.elements[0]
 
     def _fold(self, w: WeylElement, word: Iterable[int]) -> WeylElement:
-        """w s_i1 ... s_ik for the word (i1, ..., ik), read from the right-multiplication table."""
+        """w s_i1 ... s_ik for the word (i1, ..., ik), read from the elements' right products."""
         for i in word:
-            w = self._right[w.index][i]
+            w = w.right[i]
         return w
 
     def from_word(self, word: Iterable[int]) -> WeylElement:
@@ -201,23 +201,14 @@ class WeylGroup:
         return self._fold(self.identity, word)
 
     def simple_reflection(self, i: int) -> WeylElement:
-        return self._right[0][i]
-
-    def times_simple(self, w: WeylElement, i: int) -> WeylElement:
-        """w s_i, read from the right-multiplication table."""
-        return self._right[w.index][i]
+        return self.identity.right[i]
 
     def mult(self, u: WeylElement, v: WeylElement) -> WeylElement:
+        """uv; ValueError for an element of another group."""
+        self.check(u, v)
         return self._fold(u, v.word)
 
-    def inverse(self, w: WeylElement) -> WeylElement:
-        return self._inverse[w.index]
-
     # -- root combinatorics ---------------------------------------------
-
-    def inversion_set(self, w: WeylElement) -> frozenset[int]:
-        """Phi_w = {beta > 0 : w(beta) < 0} as positive-root indices; |Phi_w| = l(w)."""
-        return self._inversion_sets[w.index]
 
     def with_inversions(self, roots: Iterable[int]) -> WeylElement | None:
         """The element whose inversion set is the given set of positive-root
@@ -267,7 +258,7 @@ class Parabolic:
         # W^Q: the w inverting nilradical roots only; by length, then by the action
         # on the simple roots of `within` (the group's order when that is all of them)
         self.reps: list[WeylElement] = sorted(
-            (w for w in group.elements if group.inversion_set(w) <= self.nilradical_roots),
+            (w for w in group.elements if w.inversions <= self.nilradical_roots),
             key=lambda w: (w.length, [w.cols[j] for j in self.within]))
         # the longest element of W_I is the one whose inversion set is Phi_I^+
         self.w_o = group.with_inversions(self.within_roots)
@@ -291,7 +282,10 @@ class Parabolic:
         raise ValueError(f"{w} is not a minimal coset representative")
 
     def codim(self, w: WeylElement) -> int:
-        """Codimension of the Schubert variety labelled by w (dimension l(w))."""
+        """Codimension of the Schubert variety labelled by w (dimension l(w));
+        ValueError for a w outside W^Q."""
+        if w not in self._iota:
+            self.refuse(w)
         return self.dim - w.length
 
     def iota(self, w: WeylElement) -> WeylElement:
@@ -303,12 +297,14 @@ class Parabolic:
         return iw
 
     def minimal_rep(self, w: WeylElement) -> WeylElement:
-        """Minimal-length representative of the coset w W_P."""
+        """Minimal-length representative of the coset w W_P; ValueError for an
+        element of another group."""
+        self.group.check(w)
         while True:
             i = next((i for i in self.levi if w.descents >> i & 1), None)
             if i is None:
                 return w
-            w = self.group.times_simple(w, i)
+            w = w.right[i]
 
     def degree_profile(self) -> tuple[int, ...]:
         """Number of representatives of each length 0..dim."""

@@ -170,7 +170,7 @@ def divided_difference_table(group, within=None) -> dict[tuple[int, int], dict[i
     rs = group.rs
     within = range(rs.rank) if within is None else sorted(set(within))
     roots = rs.levi_positive(within)
-    elements = [w for w in group.elements if group.inversion_set(w) <= set(roots)]
+    elements = [w for w in group.elements if w.inversions <= set(roots)]
     order = len(elements)
     top = Poly.const(rs.rank, 1)
     for k in roots:
@@ -233,7 +233,7 @@ def product_every_target(basis, u, v, functionals: dict) -> dict[int, int]:
             if not w.word:
                 return 1
             j = w.word[-1]
-            shorter = group.times_simple(w, j)
+            shorter = w.right[j]
             got = functionals[(w.index, mono)] = sum(
                 c * functional(shorter, m) for m, c in _step(basis.rs, j, mono).items())
         return got
@@ -276,7 +276,7 @@ def inequality_blocks_reference(ring, ws) -> tuple[tuple[int, ...], ...]:
     n = ring.rs.rank
     i0 = ring.omitted[0]
     coroots = [tuple(int(k == j) for j in range(n)) for k in range(n)]
-    return tuple(tuple(ring.group.inverse(w).act_coweight_coords(a)[i0] for a in coroots)
+    return tuple(tuple(w.inverse.act_coweight_coords(a)[i0] for a in coroots)
                  for w in ws)
 
 
@@ -432,16 +432,15 @@ def kostant_decomposition(parab, degree: int) -> list[KostantModule]:
     dominant for the Levi (checked).
     """
     rs = parab.rs
-    group = parab.group
     rho_w = rho(rs)
     out = []
     for w in parab.reps:
         if w.length != degree:
             continue
-        winv = group.inverse(w)
+        winv = w.inverse
         coords = tuple(Fraction(a) - Fraction(b) for a, b in
                        zip(winv.act_root(rho_w), rho_w))
-        if tuple(-c for c in rs.root_sum(group.inversion_set(w))) != coords:
+        if tuple(-c for c in rs.root_sum(w.inversions)) != coords:
             raise AssertionError(f"weight formulas disagree at {w}")
         fw = to_fweight(rs, coords)
         for i in parab.levi:
@@ -459,9 +458,9 @@ def tangent_complement_check(ring, w: WeylElement) -> bool:
     """
     p = ring.parabolic
     rs = ring.rs
-    first = ring.group.inversion_set(w)
+    first = w.inversions
     second = set()
-    for k in ring.group.inversion_set(p.iota(w)):
+    for k in p.iota(w).inversions:
         img = p.w_o_levi.act_root(rs.positive_roots[k])
         second.add(rs.root_index[img])
     return (not (first & second)) and (first | second) == p.nilradical_roots

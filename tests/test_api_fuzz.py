@@ -6,8 +6,8 @@ three pools: the ring's minimal representatives, the rest of its group, and
 another group (a second enumeration of the same type, whose elements share
 indices and words with the ring's, or a group of another type).  Every
 entry must raise ValueError exactly when an element it uses belongs to
-another group or, for the ring's entries, is not a minimal representative
-of its W^P; the message says which.  Otherwise an entry may raise only
+another group or, for the entries that read W^P, is not a minimal
+representative of it; the message says which.  Otherwise an entry may raise only
 DimensionError (a tuple whose codimensions do not add up to dim G/P) or
 BudgetError, never KeyError, IndexError or AssertionError.  A tuple with no
 factor has no point coefficient, so it is refused too.
@@ -57,7 +57,8 @@ def cases(draw):
     ws = draw(st.lists(element, max_size=3))
     p = ring.parabolic
     if ws and draw(st.booleans()):  # often enough, codimensions that add up to dim G/P
-        need = p.dim - sum(p.codim(y) for y in ws[:-1])
+        # dim - length, which codim refuses to give for a factor outside W^P
+        need = p.dim - sum(p.dim - y.length for y in ws[:-1])
         fits = [r for r in ring.reps if p.codim(r) == need]
         if fits:
             ws[-1] = draw(st.sampled_from(fits))
@@ -97,6 +98,8 @@ def test_every_element_taking_entry_refuses_what_it_cannot_use(case):
     empty = {NO_FACTOR} if not ws and p.dim == 0 else set()
 
     _expect("iota", lambda: p.iota(w), outside(w))
+    _expect("codim", lambda: p.codim(w), outside(w))
+    _expect("minimal_rep", lambda: p.minimal_rep(w), foreign(w))
     _expect("chi", lambda: ring.chi(w), outside(w))
     _expect("basis_class", lambda: ring.basis_class(w), outside(w))
     _expect("classical_product", lambda: ring.classical_product(u, v), outside(u, v))
@@ -114,6 +117,7 @@ def test_every_element_taking_entry_refuses_what_it_cannot_use(case):
 
     _expect("coset_codim", lambda: coset_codim(p, w), foreign(w))
     _expect("inversion_product", lambda: inversion_product(group, u, v), foreign(u, v))
+    _expect("mult", lambda: group.mult(u, v), foreign(u, v))
     basis = schubert_basis(group)
     if u.index < group.order and v.index < group.order:
         # the memo is keyed by indices: a foreign pair must not be answered from it

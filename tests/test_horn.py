@@ -49,7 +49,7 @@ def test_central_characters_minuscule_single_class():
 def test_coset_codim_constant_on_cosets():
     g = group_for("B", 3)
     p = parabolic(g, (0, 2))
-    levi_elements = [w for w in g.elements if g.inversion_set(w) <= p.levi_roots]
+    levi_elements = [w for w in g.elements if w.inversions <= p.levi_roots]
     for w in p.reps:
         base = coset_codim(p, w)
         assert base == p.codim(w)
@@ -258,7 +258,7 @@ def test_richmond_multiplicative_formula(family, rank):
                         continue  # one mismatch is enough, and needs no more products
                     c = ring_q.point_coefficient(ws)
                     us = [ring_p.parabolic.minimal_rep(w) for w in ws]
-                    vs = [g.mult(g.inverse(u), w) for u, w in zip(us, ws)]
+                    vs = [g.mult(u.inverse, w) for u, w in zip(us, ws)]
                     assert all(ring_pq.parabolic.contains(v) for v in vs)
                     split = ring_p.point_coefficient(us) * ring_pq.point_coefficient(vs)
                     if c and not gaps:

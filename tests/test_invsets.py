@@ -16,7 +16,7 @@ def test_with_inversions_round_trip():
     for family, rank in [("B", 2)] + ARITHMETIC_TYPES:
         g = group_for(family, rank)
         for w in g.elements:
-            assert g.with_inversions(g.inversion_set(w)) is w
+            assert g.with_inversions(w.inversions) is w
         assert g.with_inversions(frozenset()) is g.identity
         assert g.with_inversions(range(g.rs.num_positive_roots)) is g.longest_element()
         # alpha_1 + alpha_2 is a root, so {alpha_1, alpha_2} is not closed: no inversion set
@@ -29,7 +29,7 @@ def test_inversion_sets_are_closed_coclosed():
     g = group_for("A", 2)
     rs = g.rs
     n = rs.num_positive_roots
-    inv_sets = {g.inversion_set(w) for w in g.elements}
+    inv_sets = {w.inversions for w in g.elements}
     for bits in itertools.product((0, 1), repeat=n):
         sub = frozenset(k for k in range(n) if bits[k])
         comp = frozenset(range(n)) - sub
@@ -49,7 +49,7 @@ def test_inversion_product_is_partial():
     got = inversion_product(g, s0, s1)
     if got is not None:
         assert got.length == 2
-        assert g.inversion_set(got) == g.inversion_set(s0) | g.inversion_set(s1)
+        assert got.inversions == s0.inversions | s1.inversions
 
 
 @pytest.mark.parametrize("family,rank,levi", [

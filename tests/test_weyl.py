@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from schubdeform import BudgetError, CartanType, RootSystem, parabolic, root_system, weyl_group
+from schubdeform import (
+    BudgetError,
+    CartanType,
+    RootSystem,
+    WeylGroup,
+    parabolic,
+    root_system,
+    weyl_group,
+)
 from schubdeform import weyl
 
 from common import ALL_TYPES, ARITHMETIC_TYPES, group_for
@@ -34,30 +42,34 @@ def test_budget_cap(monkeypatch):
         weyl_group(_fresh("F", 4))
 
 
+def _memoised_and_apart(family, rank):
+    """weyl_group's group, and a second enumeration on the same root system."""
+    return group_for(family, rank), WeylGroup(root_system(family, rank))
+
+
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_lengths_and_inversions(family, rank):
-    g = group_for(family, rank)
-    n_pos = g.rs.num_positive_roots
-    for w in g.elements:
-        inv = g.inversion_set(w)
-        assert len(inv) == w.length <= n_pos
-    w_o = g.longest_element()
-    assert w_o.length == n_pos
-    assert g.inversion_set(w_o) == frozenset(range(n_pos))
+    for g in _memoised_and_apart(family, rank):
+        n_pos = g.rs.num_positive_roots
+        for w in g.elements:
+            assert len(w.inversions) == w.length <= n_pos
+        w_o = g.longest_element()
+        assert w_o.length == n_pos
+        assert w_o.inversions == frozenset(range(n_pos))
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_group_axioms(family, rank):
-    g = group_for(family, rank)
-    e = g.identity
-    for w in g.elements:
-        assert g.mult(w, g.inverse(w)) == e
-        assert g.mult(e, w) == w
-    # simple reflections are involutions matching one-letter words
-    for i in range(rank):
-        s = g.simple_reflection(i)
-        assert s.word == (i,)
-        assert g.mult(s, s) == e
+    for g in _memoised_and_apart(family, rank):
+        e = g.identity
+        for w in g.elements:
+            assert g.mult(w, w.inverse) is e
+            assert g.mult(e, w) is w
+        # simple reflections are involutions matching one-letter words
+        for i in range(rank):
+            s = g.simple_reflection(i)
+            assert s.word == (i,)
+            assert g.mult(s, s) is e
 
 
 # every type of rank at most 4 the library admits
@@ -87,10 +99,10 @@ def test_right_multiplication_table_and_descents(family, rank):
         for i in reversed(w.word):
             cols = tuple(g.simple_reflection(i).act_root(col) for col in cols)
         assert cols == w.cols
-        assert g.inversion_set(w) == {k for k, r in enumerate(roots)
-                                      if any(c < 0 for c in w.act_root(r))}
+        assert w.inversions == {k for k, r in enumerate(roots)
+                                if any(c < 0 for c in w.act_root(r))}
         for i in range(rank):
-            ws = g.times_simple(w, i)
+            ws = w.right[i]
             assert ws.cols == _column_product(w, g.simple_reflection(i))
             negative = any(c < 0 for c in w.cols[i])
             assert bool(w.descents >> i & 1) is negative
@@ -116,22 +128,29 @@ def test_products_and_inverses_match_the_matrices(family, rank):
     for u, v in pairs:
         assert g.mult(u, v).cols == _column_product(u, v)
     for w in g.elements:
-        assert g.mult(w, g.inverse(w)) is g.identity is g.mult(g.inverse(w), w)
+        assert g.mult(w, w.inverse) is g.identity is g.mult(w.inverse, w)
 
 
 @pytest.mark.parametrize("family,rank", ARITHMETIC_TYPES)
 def test_each_element_is_one_object_of_its_group(family, rank):
     """Every lookup returns the group's own object, and elements compare by
     identity: a separately built group of the same type, with the same
-    matrices in the same order, shares no equal element."""
+    matrices in the same order, shares no equal element.  A second
+    enumeration on the same root system answers from its own elements too."""
     g = group_for(family, rank)
     other = weyl_group(_fresh(family, rank))
-    for w, x in zip(g.elements, other.elements, strict=True):
-        assert g.from_word(w.word) is w
-        assert g.inverse(g.inverse(w)) is w
-        assert g.with_inversions(g.inversion_set(w)) is w
-        assert x.cols == w.cols and x != w
+    apart = WeylGroup(root_system(family, rank))
+    assert apart.rs is g.rs and apart is not g
+    for w, x, y in zip(g.elements, other.elements, apart.elements, strict=True):
+        assert x.cols == w.cols == y.cols and x != w != y
+    for h in (g, apart):
+        for w in h.elements:
+            assert h.from_word(w.word) is w
+            assert w.inverse.group is h and w.inverse.inverse is w
+            assert all(ws.group is h for ws in w.right)
+            assert h.with_inversions(w.inversions) is w
     assert not set(g.elements) & set(other.elements)
+    assert not set(g.elements) & set(apart.elements)
 
 
 @pytest.mark.parametrize("family,rank", ARITHMETIC_TYPES)
@@ -142,8 +161,8 @@ def test_longest_elements_invert_their_positive_roots(family, rank):
     for within in _subsets(range(rank)):
         for levi in _subsets(within):
             p = parabolic(g, levi, within)
-            assert g.inversion_set(p.w_o) == p.within_roots
-            assert g.inversion_set(p.w_o_levi) == p.levi_roots
+            assert p.w_o.inversions == p.within_roots
+            assert p.w_o_levi.inversions == p.levi_roots
 
 
 def _subsets(indices):
@@ -195,7 +214,7 @@ def test_minimal_representatives(family, rank):
         assert seen == {w.index for w in p.reps}
         # index of W_P in W
         assert len(p.reps) * sum(1 for w in g.elements
-                                 if g.inversion_set(w) <= p.levi_roots) == g.order
+                                 if w.inversions <= p.levi_roots) == g.order
 
 
 def test_iota_is_codim_flipping_involution():
@@ -220,7 +239,7 @@ def test_coweight_action_preserves_pairings():
     h = rs.fundamental_coweight(0)
     for w in g.elements:
         img = w.act_coweight_coords(h)
-        winv = g.inverse(w)
+        winv = w.inverse
         for r in rs.positive_roots:
             assert rs.eval_coweight(r, img) == \
                 rs.eval_coweight(winv.act_root(r), h)
