@@ -9,12 +9,12 @@ add_arguments = _add_common
 
 
 def run(args: argparse.Namespace) -> tuple[list[Table], dict, int]:
-    from ..weyl import _PAIR_CAP, check_tuple_budget, one_based
+    from ..weyl import check_pair_budget, one_based
 
     ring = _ring_for(args)
     parab = ring.parabolic
     order = [w for w in ring.table_order if w.length < parab.dim]
-    check_tuple_budget((len(order),), 2, 2, ring.rs.label, _PAIR_CAP)
+    check_pair_budget(len(order), ring.rs.label)
     labels = [ring.labels[w] for w in order]
     classes = Table("classes", ["label", "word", "codim"],
                     [[ring.labels[w], one_based(w.word, "e"), parab.codim(w)] for w in order])

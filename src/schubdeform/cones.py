@@ -17,16 +17,17 @@ are those of the rational simplex on the full tableau.
 The rest of the module is what deciding and pruning an inequality system
 needs beyond the simplex: the dominance rows, membership of a tuple of
 coweights (`evaluate`), the S_s-orbits of rows that let one LP decide a
-whole orbit, and the tableau budget.  `eigencone.prune_redundant` and
-`eigencone.systems_equivalent` load it when they run, so generating a
-system loads none of it.
+whole orbit, and `implied`, the one LP plan that labels the orbits, checks
+the tableau budget and decides each row.  `eigencone.prune_redundant` and
+`eigencone.systems_equivalent` each make one call to it when they run, so
+generating a system loads none of this module.
 """
 from __future__ import annotations
 
 from collections import Counter
 from math import gcd, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .rootsystem import BudgetError
 
@@ -175,29 +176,6 @@ LP_CELL_CAP = 1_000_000
 LP_RUN_CAP = 10_000_000
 
 
-def _check_lp_budget(rs: RootSystem, s: int, *sides: tuple[int, Sequence[int]]) -> None:
-    """Raise BudgetError when one LP would have a tableau of more than
-    LP_CELL_CAP cells, or the run's LPs more than LP_RUN_CAP cells together.
-
-    Each side (rows, labels) takes one LP per distinct label against `rows`
-    rows plus dominance.  The tableau has one row per coordinate (s * rank)
-    and a column per generator (the rows and the s * rank dominance rows),
-    per artificial variable and for the right-hand side.  Callers check
-    before building any dominance row, so a huge s costs nothing.
-    """
-    dim = s * rs.rank
-    planned = []
-    for rows, labels in sides:
-        cells = dim * (rows + 2 * dim + 1)
-        if cells > LP_CELL_CAP:
-            raise BudgetError(f"LP tableau of {cells} cells exceeds cap {LP_CELL_CAP} "
-                              f"for {rs.label}, s={s}")
-        planned.append((len(set(labels)), cells))
-    if sum(lps * cells for lps, cells in planned) > LP_RUN_CAP:
-        plan = " and ".join(f"{lps} LPs of {cells} cells" for lps, cells in planned)
-        raise BudgetError(f"{plan} exceed the run cap {LP_RUN_CAP} for {rs.label}, s={s}")
-
-
 def orbit_labels(rows: Sequence[tuple[int, ...]], s: int) -> list[int]:
     """Label each row with the index of the first row of its S_s-orbit.
 
@@ -220,17 +198,44 @@ def orbit_labels(rows: Sequence[tuple[int, ...]], s: int) -> list[int]:
     return labels
 
 
-def _contained(rows: Sequence[tuple[int, ...]], labels: Sequence[int],
-               generators: Callable[[int], list[tuple[int, ...]]]) -> Iterator[bool]:
-    """cone_contains(rows[k], generators(k)) for each k in order, solved once
-    per label; a row that occurs among its own generators needs no LP.
+def implied(rs: RootSystem, s: int,
+            *sides: tuple[list[tuple[int, ...]], list[tuple[int, ...]] | None]) -> Iterator[bool]:
+    """Whether each row of each side (rows, others), in order, lies in the cone
+    of `others` (None: the side's other rows) plus dominance.
 
-    Sound when the generators of rows with one label are images of each
-    other under the block permutation that maps the rows.
+    The one LP plan of pruning and equivalence.  Each row's blocks are marked
+    with its side, so S_s-orbits are labelled once over all sides, never mix
+    two, and are used only when every side is closed; that is sound when each
+    `others` is None or the rows of a side.  One LP decides each label, a row
+    among its own generators needs none, and the verdicts come lazily.
+
+    Before any dominance row is built, BudgetError is raised when one LP has
+    more than LP_CELL_CAP tableau cells, or all LPs more than LP_RUN_CAP.  A
+    tableau has s * rank rows, and a column per generator (`others`, or all
+    the side's rows, and s * rank dominance rows), per artificial and for the
+    right-hand side.
     """
+    n = rs.rank
+    dim = s * n
+    marked = [tuple(x for j in range(s) for x in row[j * n:(j + 1) * n] + (side,))
+              for side, (rows, _) in enumerate(sides) for row in rows]
+    labels = orbit_labels(marked, s)
+    plan = []
+    for rows, others in sides:
+        cells = dim * (len(rows if others is None else others) + 2 * dim + 1)
+        if cells > LP_CELL_CAP:
+            raise BudgetError(f"LP tableau of {cells} cells exceeds cap {LP_CELL_CAP} "
+                              f"for {rs.label}, s={s}")
+        mine, labels = labels[:len(rows)], labels[len(rows):]
+        plan.append((rows, others, mine, len(set(mine)), cells))
+    if sum(lps * cells for *_, lps, cells in plan) > LP_RUN_CAP:
+        text = " and ".join(f"{lps} LPs of {cells} cells" for *_, lps, cells in plan)
+        raise BudgetError(f"{text} exceed the run cap {LP_RUN_CAP} for {rs.label}, s={s}")
+    dom = dominance_rows(rs, s)
     verdicts: dict[int, bool] = {}
-    for k, label in enumerate(labels):
-        if label not in verdicts:
-            gens = generators(k)
-            verdicts[label] = rows[k] in gens or cone_contains(rows[k], gens)
-        yield verdicts[label]
+    for rows, others, mine, _, _ in plan:
+        for k, (row, label) in enumerate(zip(rows, mine)):
+            if label not in verdicts:
+                gens = (rows[:k] + rows[k + 1:] if others is None else others) + dom
+                verdicts[label] = row in gens or cone_contains(row, gens)
+            yield verdicts[label]

@@ -243,13 +243,10 @@ def prune_redundant(system: InequalitySystem) -> InequalitySystem:
     orbit; a saved system that is not closed takes one LP per row.  A row
     with an equal copy is redundant without an LP.
     """
-    from .cones import _check_lp_budget, _contained, dominance_rows, orbit_labels
+    from .cones import implied
 
     flats = [q.flat() for q in system.inequalities]
-    labels = orbit_labels(flats, system.s)
-    _check_lp_budget(system.rs, system.s, (len(flats), labels))
-    dom = dominance_rows(system.rs, system.s)
-    redundant = list(_contained(flats, labels, lambda k: flats[:k] + flats[k + 1:] + dom))
+    redundant = list(implied(system.rs, system.s, (flats, None)))
     return InequalitySystem(system.rs, system.s, system.mode,
                             list(system.inequalities), redundant)
 
@@ -262,21 +259,14 @@ def systems_equivalent(a: InequalitySystem, b: InequalitySystem) -> bool:
     one LP per S_s-orbit of rows decides its orbit; a row that is also a row
     of the other system needs no LP.
     """
-    from .cones import _check_lp_budget, _contained, dominance_rows, orbit_labels
+    from .cones import implied
 
-    if a.rs is not b.rs or a.s != b.s:
+    # rows are coordinates fixed by the Cartan type, whichever object built it
+    if a.rs.label != b.rs.label or a.s != b.s:
         raise ValueError("systems must be over the same group and length")
     fa = [q.flat() for q in a.inequalities]
     fb = [q.flat() for q in b.inequalities]
-    # a side mark in every block: the marked rows are closed only when both
-    # systems are, and no orbit mixes the two
-    n = a.rs.rank
-    marked = [tuple(x for j in range(a.s) for x in f[j * n:(j + 1) * n] + (side,))
-              for side, flats in enumerate((fa, fb)) for f in flats]
-    labels = orbit_labels(marked, a.s)
-    _check_lp_budget(a.rs, a.s, (len(fb), labels[:len(fa)]), (len(fa), labels[len(fa):]))
-    dom = dominance_rows(a.rs, a.s)
-    return all(_contained(fa + fb, labels, lambda k: (fb if k < len(fa) else fa) + dom))
+    return all(implied(a.rs, a.s, (fa, fb), (fb, fa)))
 
 
 def dual_coweight(group: WeylGroup, h: Sequence) -> tuple[Fraction, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .deform import DeformedRing
-from .weyl import _PAIR_CAP, WeylElement, WeylGroup, check_tuple_budget
+from .weyl import WeylElement, WeylGroup, check_pair_budget
 
 
 def inversion_product(group: WeylGroup, u: WeylElement, v: WeylElement) -> WeylElement | None:
@@ -43,7 +43,7 @@ def crosscheck_gb(ring: DeformedRing) -> CrossCheckReport:
     if ring.parabolic.levi:
         raise ValueError("cross-check is defined on the full flag variety")
     group = ring.group
-    check_tuple_budget((len(group.elements),), 2, 2, ring.rs.label, _PAIR_CAP)
+    check_pair_budget(len(group.elements), ring.rs.label)
     p = ring.parabolic
     mismatches = []
     pairs = 0

@@ -39,30 +39,32 @@ TUPLE_CAP = 5_000_000
 _PAIR_CAP = 1_000_000
 
 
-def check_tuple_budget(sizes: Iterable[int], free: int, s: int, label: str,
-                       cap: int | None = None) -> None:
+def check_tuple_budget(sizes: Iterable[int], free: int, s: int, label: str) -> None:
     """Raise BudgetError when scans of s-tuples over quotients with these
-    numbers of representatives could take more than `cap` tuples (TUPLE_CAP
-    by default), by the bound sum(n ** free for n in sizes), where `free`
-    factors range freely: s - 1 for generation, where codimension balance
-    fixes the last factor, s for the Levi blocks of the Horn checks, where
-    none does, and 2 for the pair scans of `leviprod-check` and
-    `deform-table`, held to _PAIR_CAP.
+    numbers of representatives could take more than TUPLE_CAP tuples, by the
+    bound sum(n ** free for n in sizes), where `free` factors range freely:
+    s - 1 for generation, where codimension balance fixes the last factor,
+    and s for the Levi blocks of the Horn checks, where none does.
 
     The sum stops growing once it passes the cap, so a huge s costs a few
     multiplications, never a huge integer.
     """
-    cap = TUPLE_CAP if cap is None else cap
     total = 0
     for n in sizes:
         term = 1
         for _ in range(free if n > 1 else 0):
             term *= n
-            if total + term > cap:
+            if total + term > TUPLE_CAP:
                 break
         total += term
-        if total > cap:
-            raise BudgetError(f"enumeration bound exceeds cap {cap} for {label}, s={s}")
+        if total > TUPLE_CAP:
+            raise BudgetError(f"enumeration bound exceeds cap {TUPLE_CAP} for {label}, s={s}")
+
+
+def check_pair_budget(n: int, label: str) -> None:
+    """Raise BudgetError when a pair scan over n classes could take more than _PAIR_CAP pairs."""
+    if n * n > _PAIR_CAP:
+        raise BudgetError(f"enumeration bound exceeds cap {_PAIR_CAP} for {label}, s=2")
 
 
 class WeylElement:

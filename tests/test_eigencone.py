@@ -11,6 +11,7 @@ from schubdeform import (
     BudgetError,
     CartanType,
     RootSystem,
+    WeylGroup,
     cone_contains,
     dual_coweight,
     evaluate,
@@ -162,15 +163,20 @@ def test_orbit_labels_match_the_permutation_reference():
                 assert len(set(orbit_labels(flats[1:], s))) == len(set(flats[1:]))
 
 
+def _drop_orbit_copy(system):
+    """The system without its first row that is not the first of its orbit,
+    and that row's index: the rows that remain of that orbit lie in the
+    smaller cone, the dropped one does not."""
+    labels = orbit_labels([q.flat() for q in system.inequalities], system.s)
+    k = next(k for k, label in enumerate(labels) if label != k)
+    return _variant(system, system.inequalities[:k] + system.inequalities[k + 1:]), k
+
+
 def test_equivalence_uses_orbits_only_when_both_sides_are_closed():
     g = group_for("B", 2)
     sys_c = generate_system(g, 3, "classical")
     sys_d = generate_system(g, 3, "deformed")
-    labels = orbit_labels([q.flat() for q in sys_d.inequalities], 3)
-    # drop a row that is not the first of its orbit: the rows that remain
-    # of that orbit lie in the smaller cone, the dropped one does not
-    k = next(k for k, label in enumerate(labels) if label != k)
-    smaller = _variant(sys_d, sys_d.inequalities[:k] + sys_d.inequalities[k + 1:])
+    smaller, k = _drop_orbit_copy(sys_d)
     assert not equivalent_reference(sys_c, smaller)
     assert systems_equivalent(sys_c, smaller) is False
     assert systems_equivalent(smaller, sys_c) is False
@@ -204,6 +210,40 @@ def test_equivalence_sizes_each_side_by_the_other(monkeypatch):
     for x, y in ((a, b), (b, a)):
         with pytest.raises(BudgetError, match="run cap 2087"):
             systems_equivalent(x, y)
+
+
+def test_equivalence_stops_at_the_first_row_not_implied(monkeypatch):
+    """The verdicts come one row at a time, so equivalence solves no LP after
+    the first row that lies outside the other cone."""
+    g = group_for("B", 2)
+    sys_c = generate_system(g, 3, "classical")
+    smaller, _ = _drop_orbit_copy(generate_system(g, 3, "deformed"))
+    verdicts = []
+    contains = cones.cone_contains
+
+    def recorded(target, generators):
+        verdicts.append(contains(target, generators))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cones, "cone_contains", recorded)
+    assert systems_equivalent(sys_c, smaller) is False
+    assert verdicts[-1] is False and all(verdicts[:-1])
+
+
+def test_equivalence_compares_cartan_types_not_root_system_objects():
+    """Rows are coordinates fixed by the Cartan type, so two systems of one
+    type built from separate root systems are compared; another type or
+    another number of factors is refused."""
+    fresh = WeylGroup(RootSystem(CartanType("B", 2)))
+    shared = group_for("B", 2)
+    assert fresh.rs is not shared.rs
+    sys_c = generate_system(fresh, 3, "classical")
+    sys_d = generate_system(shared, 3, "deformed")
+    assert systems_equivalent(sys_c, sys_d) and systems_equivalent(sys_d, sys_c)
+    for other in (generate_system(group_for("C", 2), 3, "deformed"),
+                  generate_system(shared, 4, "deformed")):
+        with pytest.raises(ValueError, match="same group and length"):
+            systems_equivalent(sys_c, other)
 
 
 def test_two_factor_tuples_are_dual_pairs():
